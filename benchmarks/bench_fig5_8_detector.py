@@ -13,3 +13,4 @@ def test_bench_figures_detector(run_once, publish):
     assert h["wire_stuck"].startswith("10004")
     assert h["qstat_has_exec_host"]
     assert h["pbsnodes_has_status"]
+    assert h["qstat_roundtrip_matches"]

@@ -155,9 +155,6 @@ def default_config() -> LintConfig:
         # Interprocedural wall-clock taint (flow): error everywhere; the
         # engine only reports *definite* source-to-sink flows.
         "DET007": RulePolicy(default=error),
-        # Epoch-cache safety (flow): error everywhere a mutation_epoch
-        # cache exists — the pattern itself opts the function in.
-        "PERF002": RulePolicy(default=error),
         # Trace coverage (flow): scoped to the audited control-plane
         # classes; host-side and bookkeeping classes mutate counters
         # without trace obligations.

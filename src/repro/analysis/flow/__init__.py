@@ -4,8 +4,8 @@ The per-file rules (DET001–DET005, TRC001, …) see one module at a time;
 everything in this package sees the *project*: an import graph and a
 call graph over every scanned file, a symbol table that resolves
 methods through the observer/daemon seams, and a small forward taint
-engine on top.  The graph-aware rules (DET006, DET007, PERF002, TRC002
-in :mod:`repro.analysis.rules`) are built on these pieces, and the
+engine on top.  The graph-aware rules (DET006, DET007, TRC002 in
+:mod:`repro.analysis.rules`) are built on these pieces, and the
 graphs themselves are exportable artifacts (``repro-lint --graph-out``).
 
 Layering::

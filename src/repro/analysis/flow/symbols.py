@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.flow.project import Project, SourceFile
 
 #: Method names treated as in-place container mutations when called on a
-#: ``self.<attr>`` receiver (the writer side of PERF002).
+#: ``self.<attr>`` receiver (the writer side of TRC002).
 MUTATOR_METHODS = frozenset({
     "append", "extend", "insert", "remove", "pop", "popitem", "clear",
     "update", "add", "discard", "sort", "reverse", "appendleft", "setdefault",
@@ -32,16 +32,6 @@ MUTATOR_METHODS = frozenset({
 
 #: Re-export / alias chase depth bound (``repro.pbs`` -> ``repro.pbs.server``).
 _CHASE_DEPTH = 6
-
-
-@dataclass
-class WriteSite:
-    """One write to ``self.<attr>`` inside a method body."""
-
-    attr: str
-    method: str
-    lineno: int
-    kind: str  # "assign" | "augassign" | "subscript" | "mutator" | "delete"
 
 
 @dataclass
@@ -75,15 +65,6 @@ class ClassInfo:
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
     #: attribute name -> resolved type qualname (project class or dotted)
     attr_types: Dict[str, str] = field(default_factory=dict)
-    #: every write to ``self.<attr>`` across all methods, in source order
-    attr_writes: List[WriteSite] = field(default_factory=list)
-    #: methods containing an assignment/augassign to ``self.mutation_epoch``
-    epoch_bumpers: List[str] = field(default_factory=list)
-    #: attributes assigned anywhere outside ``__init__``/class body
-    mutable_attrs: List[str] = field(default_factory=list)
-
-    def writes_to(self, attr: str) -> List[WriteSite]:
-        return [w for w in self.attr_writes if w.attr == attr]
 
 
 def _ann_to_dotted(node: Optional[ast.AST]) -> Optional[str]:
@@ -245,7 +226,7 @@ class SymbolTable:
         return info
 
     def _collect_attr_types(self, sf: SourceFile) -> None:
-        """Second pass: base classes, attribute types and write sites."""
+        """Second pass: base classes and attribute types."""
         for node in sf.tree.body:
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -264,53 +245,19 @@ class SymbolTable:
                         if resolved is not None:
                             info.attr_types[item.target.id] = resolved
             for method in info.methods.values():
-                self._collect_method_writes(sf, info, method)
+                self._collect_method_attr_types(sf, info, method)
 
-    def _collect_method_writes(
+    def _collect_method_attr_types(
         self, sf: SourceFile, info: ClassInfo, method: FunctionInfo
     ) -> None:
         for node in ast.walk(method.node):  # type: ignore[arg-type]
-            attr: Optional[str] = None
-            kind = "assign"
             if isinstance(node, ast.Assign):
                 for target in node.targets:
-                    self._record_write_target(info, method, target, node.value, sf)
-                continue
-            if isinstance(node, ast.AnnAssign) and node.value is not None:
-                self._record_write_target(info, method, node.target, node.value, sf)
-                continue
-            if isinstance(node, ast.AugAssign):
-                attr = _self_attr(node.target)
-                kind = "augassign"
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    sub = target
-                    if isinstance(sub, ast.Subscript):
-                        sub = sub.value
-                    name = _self_attr(sub)
-                    if name is not None:
-                        info.attr_writes.append(WriteSite(
-                            attr=name, method=method.name,
-                            lineno=node.lineno, kind="delete",
-                        ))
-                continue
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if node.func.attr in MUTATOR_METHODS:
-                    name = _self_attr(node.func.value)
-                    if name is not None:
-                        info.attr_writes.append(WriteSite(
-                            attr=name, method=method.name,
-                            lineno=node.lineno, kind="mutator",
-                        ))
-                continue
-            if attr is not None:
-                info.attr_writes.append(WriteSite(
-                    attr=attr, method=method.name, lineno=node.lineno, kind=kind,
-                ))
-                if attr == "mutation_epoch" and method.name not in info.epoch_bumpers:
-                    info.epoch_bumpers.append(method.name)
+                    self._record_attr_type(info, method, target, node.value, sf)
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                self._record_attr_type(info, method, node.target, node.value, sf)
 
-    def _record_write_target(
+    def _record_attr_type(
         self,
         info: ClassInfo,
         method: FunctionInfo,
@@ -318,29 +265,16 @@ class SymbolTable:
         value: ast.expr,
         sf: SourceFile,
     ) -> None:
+        """Type ``self.x = <param> / <Class(...)> / <call with ann>``."""
         if isinstance(target, ast.Tuple):
             for element in target.elts:
-                self._record_write_target(info, method, element, value, sf)
-            return
-        if isinstance(target, ast.Subscript):
-            name = _self_attr(target.value)
-            if name is not None:
-                info.attr_writes.append(WriteSite(
-                    attr=name, method=method.name,
-                    lineno=target.lineno, kind="subscript",
-                ))
+                self._record_attr_type(info, method, element, value, sf)
             return
         name = _self_attr(target)
-        if name is None:
+        if name is None or name in info.attr_types:
             return
-        info.attr_writes.append(WriteSite(
-            attr=name, method=method.name, lineno=target.lineno, kind="assign",
-        ))
-        if name == "mutation_epoch" and method.name not in info.epoch_bumpers:
-            info.epoch_bumpers.append(method.name)
-        # attribute typing: self.x = <param> / <Class(...)> / <call with ann>
         inferred = self._infer_attr_type(sf, info, method, value)
-        if inferred is not None and name not in info.attr_types:
+        if inferred is not None:
             info.attr_types[name] = inferred
 
     def _infer_attr_type(

@@ -15,7 +15,6 @@ from repro.analysis.rules import (  # noqa: F401  (side effect: registration)
 )
 from repro.analysis.rules import (  # noqa: F401  (flow rules; they import
     clock_taint,                    # determinism above, so keep this second)
-    epoch_cache,
     rng_streams,
     trace_cover,
 )

@@ -51,7 +51,7 @@ class HotPathSortRule(Rule):
         "repro.pbs.scheduler and repro.core.detector sit on the "
         "per-control-cycle path at every cluster size; the 1024-node "
         "scale work (E10) replaced their sorted()-scans with persistent "
-        "indexes and epoch caches.  Any sort added back must either move "
+        "indexes and live-state reads.  Any sort added back must either move "
         "off the hot path or carry a '# perf: cold-path' comment saying "
         "why a scan is acceptable there (e.g. the reference "
         "implementations the property tests compare against)."

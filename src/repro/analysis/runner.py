@@ -8,10 +8,10 @@ what the fixture tests use).  Both return a :class:`LintReport`.
 non-flow rule checks each file in isolation, exactly as before.  Phase
 two is project-wide: the parsed files become one
 :class:`~repro.analysis.flow.project.Project` and the graph-aware
-:class:`~repro.analysis.registry.FlowRule` s (DET006/DET007/PERF002/
-TRC002) check it as a whole.  Flow findings land on real file/line
-locations, so inline suppressions apply to them unchanged; a committed
-findings baseline is then subtracted (the ratchet — see
+:class:`~repro.analysis.registry.FlowRule` s (DET006/DET007/TRC002)
+check it as a whole.  Flow findings land on real file/line locations,
+so inline suppressions apply to them unchanged; a committed findings
+baseline is then subtracted (the ratchet — see
 :mod:`repro.analysis.flow.baseline`), with stale entries surfacing as
 ``BASE001`` warnings.
 """

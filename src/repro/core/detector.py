@@ -4,26 +4,32 @@ Definition from the paper: "we define a scheduler is **stuck** when the
 scheduler has no job running and several jobs are queuing.  The detector
 reads how many compute nodes the first queuing job needs."
 
-Two implementations, faithful to how each side observes its scheduler:
+Every detector produces the same :class:`DetectorReport`: the Figure-5
+wire message plus the debug lines of Figure 6.  :class:`PbsDetector` and
+:class:`WinHpcDetector` (and the SLURM one in :mod:`repro.slurm.detector`)
+read the live scheduler state in O(active jobs) per check.
 
-* :class:`PbsDetector` **parses the rendered text** of ``qstat -f``
-  (because "PBS does not provide APIs ... Several Perl programs had been
-  written for parsing the output of PBS commands");
-* :class:`WinHpcDetector` queries the SDK facade, as the original C#
-  tool did.
-
-Both produce the same :class:`DetectorReport`: the Figure-5 wire message
-plus the debug lines of Figure 6.
+The paper's Perl ``checkqueue.pl`` scrapes ``qstat -f`` text instead,
+because "PBS does not provide APIs ... Several Perl programs had been
+written for parsing the output of PBS commands".  That text path is kept
+as the reproduced artefact: :func:`parse_qstat_full` and
+:func:`qstat_report` rebuild the report from the rendered listing, F5–F8
+print it, and the property tests in
+``tests/property/test_detector_properties.py`` hold
+``qstat_report(qstat -f) == PbsDetector.check()`` over random scheduler
+histories.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from functools import cached_property
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.wire import QueueStateMessage
 from repro.pbs.commands import PbsCommands
+from repro.pbs.job import JobState
 from repro.winhpc.job import WinJobState, WinJobUnit
 from repro.winhpc.sdk import HpcSchedulerConnection
 
@@ -35,12 +41,20 @@ SWITCH_JOB_NAME = "release_1_node"
 
 @dataclass
 class DetectorReport:
-    """Wire message + the Figure-6 style diagnostic text."""
+    """Wire message + the Figure-6 style diagnostic text.
+
+    ``debug`` is built on first read: the control loop only needs the
+    wire message and the two counts.
+    """
 
     message: QueueStateMessage
     running: int
     queued: int
-    debug: List[str] = field(default_factory=list)
+    _debug_lines: Callable[[], List[str]] = field(repr=False, compare=False)
+
+    @cached_property
+    def debug(self) -> List[str]:
+        return self._debug_lines()
 
     @property
     def wire(self) -> str:
@@ -51,46 +65,27 @@ class DetectorReport:
         return "\n".join([self.wire] + self.debug)
 
 
-# -- PBS side (text parsing) ---------------------------------------------------
+# -- PBS side -----------------------------------------------------------------
 
 _JOB_SPLIT_RE = re.compile(r"^Job Id: ", re.MULTILINE)
 _FIELD_RE = re.compile(r"^\s{4}(\S+) = (.*)$", re.MULTILINE)
 _NODES_RE = re.compile(r"(\d+)(?::ppn=(\d+))?")
 
 
-#: Deterministic bound on a stanza cache; cleared wholesale when full so
-#: behaviour depends only on the parsed text, never on timing.
-_STANZA_CACHE_MAX = 16384
-
-
-def parse_qstat_full(text: str, _cache: Optional[dict] = None) -> List[dict]:
+def parse_qstat_full(text: str) -> List[dict]:
     """Parse ``qstat -f`` text into a list of attribute dicts.
 
     This is the Perl detector's job, done in Python: nothing here touches
-    scheduler objects — only the rendered text.  ``_cache`` (stanza text
-    -> parsed attributes) lets a long-lived caller skip the regex work
-    for stanzas it has seen before; entries are copied out so callers
-    can never corrupt the cache.
+    scheduler objects — only the rendered text.
     """
     jobs = []
     for chunk in _JOB_SPLIT_RE.split(text):
         chunk = chunk.strip()
         if not chunk:
             continue
-        if _cache is not None:
-            hit = _cache.get(chunk)
-            if hit is not None:
-                jobs.append(dict(hit))
-                continue
-        jobid = chunk.splitlines()[0].strip()
-        attributes = {"Job_Id": jobid}
+        attributes = {"Job_Id": chunk.splitlines()[0].strip()}
         for match in _FIELD_RE.finditer(chunk):
             attributes[match.group(1)] = match.group(2).strip()
-        if _cache is not None:
-            if len(_cache) >= _STANZA_CACHE_MAX:
-                _cache.clear()
-            _cache[chunk] = attributes
-            attributes = dict(attributes)
         jobs.append(attributes)
     return jobs
 
@@ -103,6 +98,37 @@ def _required_cpus(attributes: dict) -> int:
     nodes = int(m.group(1))
     ppn = int(m.group(2)) if m.group(2) else 1
     return nodes * ppn
+
+
+def _pbs_running_line(jobid: str, name: str, owner: str) -> str:
+    return (
+        f"{jobid}\n"
+        f"        Job_Name={name}\n"
+        f"        Job_Ownner={owner}\n"
+        f"        state=R"
+    )
+
+
+def qstat_report(text: str, eager: bool = False) -> DetectorReport:
+    """The ``checkqueue.pl`` report, rebuilt from ``qstat -f`` text."""
+    jobs = parse_qstat_full(text)
+    workload = [j for j in jobs if j.get("Job_Name") != SWITCH_JOB_NAME]
+    running = [j for j in workload if j.get("job_state") == "R"]
+    queued = [j for j in workload if j.get("job_state") == "Q"]
+    return _build_report(
+        eager=eager,
+        running=len(running),
+        queued=len(queued),
+        first_queued=(
+            (queued[0]["Job_Id"], _required_cpus(queued[0])) if queued else None
+        ),
+        running_detail=lambda: [
+            _pbs_running_line(
+                j["Job_Id"], j.get("Job_Name", "?"), j.get("Job_Owner", "?")
+            )
+            for j in running
+        ],
+    )
 
 
 class PbsDetector:
@@ -126,55 +152,33 @@ class PbsDetector:
         self.eager = eager
         self.tracer = tracer
         self.node_name = node_name
-        #: (mutation epoch, report) of the last check — an unchanged epoch
-        #: means byte-identical qstat text, hence an identical report.
-        self._cache: Optional[Tuple[int, DetectorReport]] = None
-        #: stanza text -> parsed attributes, shared across checks (jobs
-        #: rarely change between epochs, their stanzas even less so)
-        self._stanza_cache: dict = {}
-
-    def invalidate(self) -> None:
-        """Drop the cached report (benchmarks use this to time cold checks)."""
-        self._cache = None
 
     def check(self) -> DetectorReport:
-        """One detector run over the current ``qstat -f`` output.
+        """One detector run over the live server state.
 
-        Reports are cached keyed on the server's mutation epoch: an idle
-        control cycle (no submit/start/finish/node change since the last
-        check) re-serves the parsed report in O(1) instead of re-rendering
-        and re-regex-parsing the whole listing.  The ``detector.check``
-        trace event is still emitted on every call — caching must not
-        change the observable trace.
+        Equal to :func:`qstat_report` over ``qstat -f``: the listing is
+        in submission order and the server's FIFO queue is too, so the
+        head queued job is the first ``Q`` job of ``queued_jobs()``.
+        Held jobs render as ``H`` and do not count.
         """
-        epoch = self.commands.server.mutation_epoch
-        cached = self._cache
-        if cached is not None and cached[0] == epoch:
-            report = cached[1]
-            _trace_check(self, "linux", report)
-            return report
-        jobs = parse_qstat_full(self.commands.qstat_f(), self._stanza_cache)
-        workload = [j for j in jobs if j.get("Job_Name") != SWITCH_JOB_NAME]
-        running = [j for j in workload if j.get("job_state") == "R"]
-        queued = [j for j in workload if j.get("job_state") == "Q"]
+        server = self.commands.server
+        running = [j for j in server.running_jobs() if j.name != SWITCH_JOB_NAME]
+        queued = [
+            j
+            for j in server.queued_jobs()
+            if j.state is JobState.QUEUED and j.name != SWITCH_JOB_NAME
+        ]
         report = _build_report(
             eager=self.eager,
             running=len(running),
             queued=len(queued),
             first_queued=(
-                (queued[0]["Job_Id"], _required_cpus(queued[0]))
-                if queued
-                else None
+                (queued[0].jobid, queued[0].total_cores) if queued else None
             ),
-            running_detail=[
-                f"{j['Job_Id']}\n"
-                f"        Job_Name={j.get('Job_Name', '?')}\n"
-                f"        Job_Ownner={j.get('Job_Owner', '?')}\n"
-                f"        state=R"
-                for j in running
+            running_detail=lambda: [
+                _pbs_running_line(j.jobid, j.name, j.owner) for j in running
             ],
         )
-        self._cache = (epoch, report)
         _trace_check(self, "linux", report)
         return report
 
@@ -199,26 +203,9 @@ class WinHpcDetector:
         self.eager = eager
         self.tracer = tracer
         self.node_name = node_name
-        #: (mutation epoch, report) of the last check — see PbsDetector.
-        self._cache: Optional[Tuple[int, DetectorReport]] = None
 
-    def invalidate(self) -> None:
-        """Drop the cached report (benchmarks use this to time cold checks)."""
-        self._cache = None
-
-    # reprolint: disable=PERF002 -- connect() is one-shot wiring before the sim starts; no check() can observe the swap
     def check(self) -> DetectorReport:
-        """One detector run over the SDK's job lists.
-
-        Epoch-cached like :meth:`PbsDetector.check`; the trace event is
-        emitted on every call either way.
-        """
-        epoch = self.connection.mutation_epoch
-        cached = self._cache
-        if cached is not None and cached[0] == epoch:
-            report = cached[1]
-            _trace_check(self, "windows", report)
-            return report
+        """One detector run over the SDK's job lists."""
         running = [
             j
             for j in self.connection.get_job_list(WinJobState.RUNNING)
@@ -234,18 +221,17 @@ class WinHpcDetector:
             head = queued[0]
             cores = head.amount
             if head.unit is WinJobUnit.NODE:
-                # Epoch-cached on the connection — historically this
-                # walked the whole node table on every check.
                 cores = head.amount * self.connection.max_node_cores()
             first = (str(head.job_id), cores)
         report = _build_report(
             running=len(running),
             queued=len(queued),
             first_queued=first,
-            running_detail=[f"{j.job_id} {j.name} Running" for j in running],
+            running_detail=lambda: [
+                f"{j.job_id} {j.name} Running" for j in running
+            ],
             eager=self.eager,
         )
-        self._cache = (epoch, report)
         _trace_check(self, "windows", report)
         return report
 
@@ -271,14 +257,16 @@ def _build_report(
     running: int,
     queued: int,
     first_queued: Optional[Tuple[str, int]],
-    running_detail: List[str],
+    running_detail: Callable[[], List[str]],
     eager: bool = False,
 ) -> DetectorReport:
-    stuck = running == 0 and queued > 0
-    if stuck:
+    """Assemble the wire message; *running_detail* yields the Figure-6
+    per-running-job lines and is only called when ``debug`` is read."""
+    detail: Callable[[], List[str]] = list
+    if running == 0 and queued > 0:
         jobid, cpus = first_queued
         message = QueueStateMessage.stuck_queue(cpus, jobid)
-        debug = ["Queue stuck", f"R={running} nR={queued}"]
+        state_line = "Queue stuck"
     elif running > 0:
         if eager and queued > 0:
             # §V extension: advertise the backlog in the CPU field while
@@ -292,10 +280,11 @@ def _build_report(
         state_line = (
             "Job running, no queuing." if queued == 0 else "Job running."
         )
-        debug = [state_line, f"R={running} nR={queued}"] + running_detail
+        detail = running_detail
     else:
         message = QueueStateMessage.idle()
-        debug = ["Other state", f"R={running} nR={queued}"]
+        state_line = "Other state"
     return DetectorReport(
-        message=message, running=running, queued=queued, debug=debug
+        message, running, queued,
+        lambda: [state_line, f"R={running} nR={queued}"] + detail(),
     )

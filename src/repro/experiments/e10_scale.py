@@ -5,7 +5,7 @@ lattice-QCD farms, the OpenMosix scalable-farm work — see PAPERS.md) run
 one to two orders of magnitude larger.  This experiment sweeps the
 hybrid-v2 system under the E2 mixed workload generator with the arrival
 rate scaled to the cluster size, and reports **wall time per simulated
-hour** — the number the indexed scheduler, the epoch-cached detectors
+hour** — the number the indexed scheduler, the live-state detectors
 and the kernel heap hygiene are accountable to (docs/PERFORMANCE.md).
 
 Wall-clock readings here are the *measurand*: they are reported in the

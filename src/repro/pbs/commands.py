@@ -12,7 +12,7 @@ usage::
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.pbs.formats import render_pbsnodes, render_qstat_brief, render_qstat_full
 from repro.pbs.script import JobSpec
@@ -20,21 +20,11 @@ from repro.pbs.server import PbsServer
 
 
 class PbsCommands:
-    """CLI-flavoured facade over a :class:`PbsServer`.
-
-    The two listings the detector polls every control cycle — ``qstat -f``
-    and ``pbsnodes`` — are cached keyed on the server's mutation epoch, so
-    a cycle in which nothing happened re-serves the previous text instead
-    of re-rendering O(jobs)/O(nodes) stanzas.  ``pbsnodes`` additionally
-    keys on the clock because its ``status =`` lines embed idletime and
-    rectime.
-    """
+    """CLI-flavoured facade over a :class:`PbsServer`."""
 
     def __init__(self, server: PbsServer, default_user: str = "sliang") -> None:
         self.server = server
         self.default_user = default_user
-        self._qstat_cache: Optional[Tuple[Tuple[int, bool], str]] = None
-        self._pbsnodes_cache: Optional[Tuple[Tuple[int, float], str]] = None
 
     def qsub(self, script_or_spec, user: Optional[str] = None) -> str:
         """Submit a script (text) or a :class:`JobSpec`; returns the jobid."""
@@ -55,25 +45,8 @@ class PbsCommands:
 
     def qstat_f(self, include_completed: bool = False) -> str:
         """``qstat -f`` full listing (Figure 8)."""
-        key = (self.server.mutation_epoch, include_completed)
-        cached = self._qstat_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        text = render_qstat_full(self.server, include_completed=include_completed)
-        self._qstat_cache = (key, text)
-        return text
+        return render_qstat_full(self.server, include_completed=include_completed)
 
     def pbsnodes(self) -> str:
         """``pbsnodes`` full node listing (Figure 7)."""
-        key = (self.server.mutation_epoch, self.server.sim.now)
-        cached = self._pbsnodes_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        text = render_pbsnodes(self.server)
-        self._pbsnodes_cache = (key, text)
-        return text
-
-    def invalidate_cache(self) -> None:
-        """Drop the cached listings (benchmarks use this to time cold renders)."""
-        self._qstat_cache = None
-        self._pbsnodes_cache = None
+        return render_pbsnodes(self.server)

@@ -1,9 +1,10 @@
 """Text renderings of ``pbsnodes`` and ``qstat -f`` (Figures 7–8).
 
-These strings are *interfaces*, not decoration: the dualboot-oscar
+These strings are *interfaces*, not decoration: the paper's dualboot-oscar
 detector parses them ("Several Perl programs had been written for parsing
-the output of PBS commands", §III.B.3), so the field layout follows the
-paper's listings.
+the output of PBS commands", §III.B.3), and
+:func:`repro.core.detector.qstat_report` reproduces that parse, so the
+field layout follows the paper's listings.
 
 Simulated time is mapped onto a fixed calendar epoch (the paper's logs are
 from April 2010) so that ``qtime`` strings look like TORQUE's.
@@ -85,28 +86,7 @@ def render_pbsnodes(server: PbsServer) -> str:
 
 
 def render_qstat_full_entry(job: PbsJob, server_name: str) -> str:
-    """One job's stanza in ``qstat -f`` output (Figure 8).
-
-    Memoised per job: the stanza depends only on the fields keyed below
-    (never on ``now``), and most jobs sit unchanged between detector
-    cycles, so re-rendering the whole listing every epoch bump would
-    redo almost entirely identical work.
-    """
-    key = (
-        server_name, job.name, job.owner, job.state.value, job.queue,
-        job.join_oe, job.output_path, tuple(job.exec_slots), job.priority,
-        job.qtime, job.rerunnable, job.nodes, job.ppn, job.walltime_s,
-        job.start_time, job.exit_status, tuple(sorted(job.variables.items())),
-    )
-    cached = getattr(job, "_qstat_stanza_cache", None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    text = _render_qstat_full_entry(job, server_name)
-    job._qstat_stanza_cache = (key, text)
-    return text
-
-
-def _render_qstat_full_entry(job: PbsJob, server_name: str) -> str:
+    """One job's stanza in ``qstat -f`` output (Figure 8)."""
     lines = [f"Job Id: {job.jobid}"]
 
     def attr(name: str, value: str) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 
@@ -62,9 +63,13 @@ class PbsJob:
     def total_cores(self) -> int:
         return self.nodes * self.ppn
 
-    @property
+    @cached_property
     def seq_number(self) -> int:
-        """Numeric part of the job id (``1185.eridani...`` → 1185)."""
+        """Numeric part of the job id (``1185.eridani...`` → 1185).
+
+        Cached: the id never changes, and the server sorts by it on
+        every ``running_jobs()`` call.
+        """
         return int(self.jobid.split(".", 1)[0])
 
     @property

@@ -40,6 +40,15 @@ class PbsNodeRecord:
     def busy(self) -> bool:
         return bool(self.core_jobs)
 
+    @property
+    def online(self) -> bool:
+        """Up and not cordoned (what ``up_nodes()`` lists)."""
+        return self.state not in (PbsNodeState.DOWN, PbsNodeState.OFFLINE)
+
+    @property
+    def idle(self) -> bool:
+        return self.online and not self.core_jobs
+
     def allocate(self, jobid: str, count: int) -> List[int]:
         """Claim *count* cores for *jobid*; returns the core indices.
 

@@ -90,6 +90,10 @@ class NodeIndex:
     the explicit state check in the reference is subsumed by the
     ``available_cores >= ppn`` bucket cut — the index never has to look
     at node state at all.
+
+    The index also keeps :attr:`online_count` and :attr:`idle_count`,
+    the nodes whose record reports ``online``/``idle``, so the control
+    loop reads them in O(1) instead of scanning the table every cycle.
     """
 
     def __init__(self) -> None:
@@ -98,21 +102,37 @@ class NodeIndex:
         self._avail: Dict[str, int] = {}
         #: available_cores -> ascending hostnames at that level
         self._buckets: Dict[int, List[str]] = {}
+        #: hostname -> its (online, idle) as last counted
+        self._flags: Dict[str, Tuple[bool, bool]] = {}
+        self.online_count = 0
+        self.idle_count = 0
+
+    def _count(self, record: PbsNodeRecord) -> None:
+        flags = (record.online, record.idle)
+        old = self._flags.get(record.hostname, (False, False))
+        if flags != old:
+            self.online_count += flags[0] - old[0]
+            self.idle_count += flags[1] - old[1]
+            self._flags[record.hostname] = flags
 
     def add(self, record: PbsNodeRecord) -> None:
         """Register a new node (its current availability is indexed)."""
         host = record.hostname
         self._records[host] = record
+        self._count(record)
         cores = record.available_cores
         self._avail[host] = cores
         insort(self._buckets.setdefault(cores, []), host)
 
     def reindex(self, record: PbsNodeRecord) -> None:
-        """Move *record* to the bucket matching its current availability.
+        """Move *record* to the bucket matching its current availability
+        and recount it.
 
         Must be called after every mutation that can change
-        ``available_cores`` (allocate/release/mark_up/mark_down).
+        ``available_cores``, ``online`` or ``idle`` (allocate, release,
+        mark_up, mark_down, cordon, uncordon).
         """
+        self._count(record)
         host = record.hostname
         old = self._avail[host]
         new = record.available_cores

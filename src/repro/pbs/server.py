@@ -14,12 +14,13 @@ One object plays ``pbs_server`` + ``pbs_sched`` + the moms' supervision:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import SchedulerError
 from repro.oslayer.shell import run_script
 from repro.pbs.job import JobState, PbsJob
-from repro.pbs.nodes import PbsNodeRecord, PbsNodeState
+from repro.pbs.nodes import PbsNodeRecord
 from repro.pbs.scheduler import NodeIndex
 from repro.pbs.script import JobSpec, parse_pbs_script
 from repro.sched.protocol import SWITCH_TAG, JobRequest
@@ -30,6 +31,8 @@ KILLED_EXIT_STATUS = 271
 
 #: Exit status for jobs killed at their walltime limit (128 + SIGTERM).
 WALLTIME_EXIT_STATUS = 143
+
+_BY_SEQ = attrgetter("seq_number")
 
 
 @dataclass
@@ -66,12 +69,6 @@ class PbsServer:
         self.nodes: Dict[str, PbsNodeRecord] = {}
         self.jobs: Dict[str, PbsJob] = {}
         self.queue_order: List[str] = []
-        #: Monotonic counter bumped on every externally visible mutation
-        #: (submit/hold/release/start/finish/node state change).  Renders
-        #: and detector reports are cached keyed on this epoch: an
-        #: unchanged epoch guarantees byte-identical qstat/pbsnodes-state
-        #: output, so idle control cycles cost O(1).
-        self.mutation_epoch: int = 0
         self._index = NodeIndex()
         #: jobs currently RUNNING (state bucket; avoids scanning self.jobs)
         self._running: Dict[str, PbsJob] = {}
@@ -113,7 +110,6 @@ class PbsServer:
         self._index.add(record)
         if np > self._max_np:
             self._max_np = np
-        self.mutation_epoch += 1
         return record
 
     def node(self, hostname: str) -> PbsNodeRecord:
@@ -131,7 +127,6 @@ class PbsServer:
         stranded = record.jobs_here()
         record.mark_up(self.sim.now)
         self._index.reindex(record)
-        self.mutation_epoch += 1
         if os_instance is not None:
             self._moms[record.hostname] = MomHandle(record.hostname, os_instance)
         for jobid in stranded:
@@ -148,7 +143,6 @@ class PbsServer:
         victims = record.jobs_here()
         record.mark_down(self.sim.now)
         self._index.reindex(record)
-        self.mutation_epoch += 1
         self._moms.pop(record.hostname, None)
         for observer in self.node_observers:
             observer("down", hostname)
@@ -201,7 +195,6 @@ class PbsServer:
         victims = record.jobs_here()
         record.mark_down(self.sim.now)
         self._index.reindex(record)
-        self.mutation_epoch += 1
         self._moms.pop(record.hostname, None)
         for observer in self.node_observers:
             observer("down", hostname)
@@ -218,7 +211,6 @@ class PbsServer:
         record = self.node(hostname)
         record.mark_offline(self.sim.now)
         self._index.reindex(record)
-        self.mutation_epoch += 1
         if self.tracer is not None:
             self.tracer.emit(
                 "node.cordoned", node=record.hostname, scheduler="pbs"
@@ -228,7 +220,6 @@ class PbsServer:
         record = self.node(hostname)
         record.clear_offline(self.sim.now)
         self._index.reindex(record)
-        self.mutation_epoch += 1
         if self.tracer is not None:
             self.tracer.emit(
                 "node.uncordoned", node=record.hostname, scheduler="pbs"
@@ -271,7 +262,6 @@ class PbsServer:
             self._index.reindex(host_record)
         job.exec_slots.clear()
         self._running.pop(job.jobid, None)
-        self.mutation_epoch += 1
         if job.rerunnable and job.restarts < self.max_job_restarts:
             job.restarts += 1
             job.checkpointed_s += durable
@@ -356,7 +346,6 @@ class PbsServer:
         )
         self.jobs[jobid] = job
         self.queue_order.append(jobid)
-        self.mutation_epoch += 1
         self._trace_job("job.submitted", job, cores=job.total_cores)
         self._notify("submitted", job)
         self._try_schedule()
@@ -372,7 +361,6 @@ class PbsServer:
                 f"(state {job.state.value})"
             )
         job.state = JobState.HELD
-        self.mutation_epoch += 1
         self._trace_job("job.held", job)
 
     def qrls(self, jobid: str) -> None:
@@ -381,7 +369,6 @@ class PbsServer:
         if job.state is not JobState.HELD:
             raise SchedulerError(f"{jobid} is not held")
         job.state = JobState.QUEUED
-        self.mutation_epoch += 1
         self._trace_job("job.released", job)
         self._try_schedule()
 
@@ -414,7 +401,7 @@ class PbsServer:
         # The _running bucket is keyed by start order; held jobs released
         # late can start out of submission order, so sort by sequence
         # number to match the historical jobs-dict scan.
-        return sorted(self._running.values(), key=lambda j: j.seq_number)
+        return sorted(self._running.values(), key=_BY_SEQ)
 
     def active_jobs(self) -> List[PbsJob]:
         return self.queued_jobs() + self.running_jobs()
@@ -428,18 +415,14 @@ class PbsServer:
         """
         active = [self.jobs[jobid] for jobid in self.queue_order]
         active.extend(self._running.values())
-        active.sort(key=lambda j: j.seq_number)
+        active.sort(key=_BY_SEQ)
         return active
 
     def free_cores(self) -> int:
         return self._index.free_cores()
 
     def up_nodes(self) -> List[PbsNodeRecord]:
-        return [
-            r
-            for r in self.nodes.values()
-            if r.state not in (PbsNodeState.DOWN, PbsNodeState.OFFLINE)
-        ]
+        return [r for r in self.nodes.values() if r.online]
 
     # -- personality seam (repro.sched.protocol) -----------------------------
 
@@ -464,15 +447,13 @@ class PbsServer:
 
     def node_idle(self, hostname: str) -> bool:
         record = self.nodes.get(self.fqdn(hostname))
-        if record is None or record.busy:
-            return False
-        return record.state.value not in ("down", "offline")
+        return record is not None and record.idle
 
     def idle_node_count(self) -> int:
-        return sum(1 for r in self.up_nodes() if not r.busy)
+        return self._index.idle_count
 
     def online_node_count(self) -> int:
-        return len(self.up_nodes())
+        return self._index.online_count
 
     def drain_node(self, hostname: str) -> List[str]:
         """Cordon *hostname*; returns the jobids still running there."""
@@ -544,7 +525,6 @@ class PbsServer:
             for core in cores:
                 job.exec_slots.append((record.hostname, core))
         self._running[job.jobid] = job
-        self.mutation_epoch += 1
         self._runners[job.jobid] = self.sim.spawn(
             self._run(job), name=f"pbsjob:{job.jobid}"
         )
@@ -622,7 +602,6 @@ class PbsServer:
             record.release(job.jobid)
             self._index.reindex(record)
         self._running.pop(job.jobid, None)
-        self.mutation_epoch += 1
         self._runners.pop(job.jobid, None)
         entry = self._walltime_entries.pop(job.jobid, None)
         if entry is not None:

@@ -1,9 +1,7 @@
 """The SLURM command-line surface: sbatch / squeue / sinfo.
 
 ``SlurmCommands`` renders the listings a text-scraping detector polls,
-cached on the controller's mutation epoch exactly like
-:class:`~repro.pbs.commands.PbsCommands` (``squeue`` additionally keys
-on the clock because its TIME column shows elapsed run time).
+like :class:`~repro.pbs.commands.PbsCommands`.
 
 The ``squeue`` layout is the classic default plus an explicit CPUS
 column, so the detector can read the head pending job's core demand
@@ -123,8 +121,6 @@ class SlurmCommands:
     ) -> None:
         self.controller = controller
         self.default_user = default_user
-        self._squeue_cache: Optional[Tuple[Tuple[int, float], str]] = None
-        self._sinfo_cache: Optional[Tuple[int, str]] = None
 
     def sbatch(self, script_or_spec: object, user: Optional[str] = None) -> str:
         """Submit a script (text) or a :class:`SlurmJobSpec`.
@@ -145,16 +141,8 @@ class SlurmCommands:
         self.controller.cancel(job_id)
 
     def squeue(self) -> str:
-        """The pending+running listing the detector scrapes.
-
-        Cached on (mutation epoch, clock): the TIME column advances with
-        the simulation clock even when nothing else changed.
-        """
+        """The pending+running listing a text-scraping detector reads."""
         controller = self.controller
-        key = (controller.mutation_epoch, controller.sim.now)
-        cached = self._squeue_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
         lines = [_SQUEUE_HEADER]
         for job in controller.running_jobs():
             lines.append(self._squeue_row(
@@ -165,9 +153,7 @@ class SlurmCommands:
         for position, job in enumerate(controller.queued_jobs()):
             reason = "(Resources)" if position == 0 else "(Priority)"
             lines.append(self._squeue_row(job, "PD", "0:00", reason))
-        text = "\n".join(lines) + "\n"
-        self._squeue_cache = (key, text)
-        return text
+        return "\n".join(lines) + "\n"
 
     @staticmethod
     def _squeue_row(
@@ -181,10 +167,6 @@ class SlurmCommands:
 
     def sinfo(self) -> str:
         """Partition summary, grouped by (partition, node state)."""
-        epoch = self.controller.mutation_epoch
-        cached = self._sinfo_cache
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
         groups: Dict[Tuple[str, str], List[str]] = {}
         for record in self.controller.nodes.values():
             key = (record.partition, record.sinfo_state())
@@ -195,11 +177,4 @@ class SlurmCommands:
                 f"{partition:<10} {'up':<5} {'infinite':>9} "
                 f"{len(hosts):>5} {state:<6} {','.join(hosts)}"
             )
-        text = "\n".join(lines) + "\n"
-        self._sinfo_cache = (epoch, text)
-        return text
-
-    def invalidate_cache(self) -> None:
-        """Drop the cached listings (benchmarks time cold renders)."""
-        self._squeue_cache = None
-        self._sinfo_cache = None
+        return "\n".join(lines) + "\n"

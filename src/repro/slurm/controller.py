@@ -36,7 +36,7 @@ from repro.slurm.job import (
     SlurmJobSpec,
     SlurmJobState,
 )
-from repro.slurm.nodestate import SlurmNodeRecord, SlurmNodeState
+from repro.slurm.nodestate import SlurmNodeRecord
 
 #: The conventional OS-release job name (shared across personalities so
 #: every detector filters the same workload).
@@ -65,12 +65,9 @@ class SlurmController:
         self.jobs: Dict[int, SlurmJob] = {}
         #: pending job ids ordered (priority desc, submission order)
         self.queue_order: List[int] = []
-        #: Monotonic counter bumped on every externally visible mutation —
-        #: same contract as ``PbsServer.mutation_epoch``; the command
-        #: renders and the SLURM detector cache on it.
-        self.mutation_epoch: int = 0
-        #: free-core buckets shared with PBS; duck-typed over
-        #: :class:`SlurmNodeRecord` (hostname + available_cores).
+        #: free-core buckets and node counts shared with PBS; duck-typed
+        #: over :class:`SlurmNodeRecord` (hostname, available_cores,
+        #: online, idle).
         self._index: Any = NodeIndex()
         self._running: Dict[int, SlurmJob] = {}
         self._max_cpus: int = 0
@@ -103,7 +100,6 @@ class SlurmController:
         self._index.add(record)
         if cores > self._max_cpus:
             self._max_cpus = cores
-        self.mutation_epoch += 1
         return record
 
     def node(self, hostname: str) -> SlurmNodeRecord:
@@ -120,7 +116,6 @@ class SlurmController:
         stranded = list(record.allocations)
         record.mark_up()
         self._index.reindex(record)
-        self.mutation_epoch += 1
         if os_instance is not None:
             self._node_os[hostname] = os_instance
         for job_id in stranded:
@@ -137,7 +132,6 @@ class SlurmController:
         victims = list(record.allocations)
         record.mark_down()
         self._index.reindex(record)
-        self.mutation_epoch += 1
         self._node_os.pop(hostname, None)
         for observer in self.node_observers:
             observer("down", hostname)
@@ -180,7 +174,6 @@ class SlurmController:
         victims = list(record.allocations)
         record.mark_down()
         self._index.reindex(record)
-        self.mutation_epoch += 1
         self._node_os.pop(hostname, None)
         for observer in self.node_observers:
             observer("down", hostname)
@@ -197,7 +190,6 @@ class SlurmController:
         record = self.node(hostname)
         record.mark_drain()
         self._index.reindex(record)
-        self.mutation_epoch += 1
         if self.tracer is not None:
             self.tracer.emit(
                 "node.cordoned", node=hostname, scheduler="slurm"
@@ -207,7 +199,6 @@ class SlurmController:
         record = self.node(hostname)
         record.resume()
         self._index.reindex(record)
-        self.mutation_epoch += 1
         if self.tracer is not None:
             self.tracer.emit(
                 "node.uncordoned", node=hostname, scheduler="slurm"
@@ -244,7 +235,6 @@ class SlurmController:
             self._index.reindex(host_record)
         job.allocation.clear()
         self._running.pop(job.job_id, None)
-        self.mutation_epoch += 1
         if job.rerunnable and job.restarts < self.max_job_restarts:
             job.restarts += 1
             job.checkpointed_s += durable
@@ -366,7 +356,6 @@ class SlurmController:
                 position = index + 1
                 break
         self.queue_order.insert(position, job.job_id)
-        self.mutation_epoch += 1
         self._trace_job("job.submitted", job, cores=job.total_cores)
         self._notify("submitted", job)
         self._try_schedule()
@@ -405,9 +394,7 @@ class SlurmController:
         return int(self._index.free_cores())
 
     def up_nodes(self) -> List[SlurmNodeRecord]:
-        return [
-            r for r in self.nodes.values() if r.state is SlurmNodeState.UP
-        ]
+        return [r for r in self.nodes.values() if r.online]
 
     # -- personality seam (repro.sched.protocol) -----------------------------
 
@@ -444,12 +431,10 @@ class SlurmController:
         return record is not None and record.idle
 
     def idle_node_count(self) -> int:
-        return sum(1 for r in self.nodes.values() if r.idle)
+        return int(self._index.idle_count)
 
     def online_node_count(self) -> int:
-        return sum(
-            1 for r in self.nodes.values() if r.state is SlurmNodeState.UP
-        )
+        return int(self._index.online_count)
 
     def drain_node(self, hostname: str) -> List[str]:
         """Cordon *hostname*; returns the job ids still running there."""
@@ -567,7 +552,6 @@ class SlurmController:
             self._index.reindex(record)
             job.allocation[record.hostname] = cpus
         self._running[job.job_id] = job
-        self.mutation_epoch += 1
         self._runners[job.job_id] = self.sim.spawn(
             self._run(job), name=f"slurmjob:{job.job_id}"
         )
@@ -611,7 +595,6 @@ class SlurmController:
             record.release(job.job_id)
             self._index.reindex(record)
         self._running.pop(job.job_id, None)
-        self.mutation_epoch += 1
         self._runners.pop(job.job_id, None)
         if cause is not None:
             self._trace_job("job.failed", job, cause=cause, state=state.value)

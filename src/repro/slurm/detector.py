@@ -1,16 +1,16 @@
 """The SLURM-side queue-state detector.
 
-Like the PBS side, SLURM is observed by **parsing rendered text**
-(``squeue`` output) rather than querying controller objects — the
-detector sees exactly what a shell tool on the head node would see.
 It produces the same :class:`~repro.core.detector.DetectorReport` wire
 message as the other two detectors, so the communicator daemons are
-personality-blind.
+personality-blind.  Like the PBS side, the check reads live controller
+state; :func:`squeue_report` rebuilds the same report from rendered
+``squeue`` text (what a shell tool on the head node would see), and the
+property tests hold the two equal.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.core.detector import (
     SWITCH_JOB_NAME,
@@ -48,13 +48,29 @@ def parse_squeue(text: str) -> List[dict]:
     return jobs
 
 
+def squeue_report(text: str, eager: bool = False) -> DetectorReport:
+    """The detector report, rebuilt from ``squeue`` text."""
+    jobs = parse_squeue(text)
+    workload = [j for j in jobs if j["name"] != SWITCH_JOB_NAME]
+    running = [j for j in workload if j["state"] == "R"]
+    queued = [j for j in workload if j["state"] == "PD"]
+    return _build_report(
+        eager=eager,
+        running=len(running),
+        queued=len(queued),
+        first_queued=(
+            (queued[0]["job_id"], queued[0]["cpus"]) if queued else None
+        ),
+        running_detail=lambda: [
+            f"{j['job_id']} {j['name']} Running" for j in running
+        ],
+    )
+
+
 class SlurmDetector:
     """The ``checkqueue`` run against a SLURM personality.
 
-    ``eager`` as in :class:`~repro.core.detector.PbsDetector`; reports
-    are cached keyed on the controller's mutation epoch (the TIME column
-    squeue renders does not affect any report field, so an unchanged
-    epoch still means an identical report).
+    ``eager`` as in :class:`~repro.core.detector.PbsDetector`.
     """
 
     def __init__(
@@ -72,40 +88,32 @@ class SlurmDetector:
         #: which cluster side this detector reports for (the SLURM
         #: personality replaces either side's scheduler)
         self.side = side
-        #: (mutation epoch, report) of the last check — see PbsDetector.
-        self._cache: Optional[Tuple[int, DetectorReport]] = None
-
-    def invalidate(self) -> None:
-        """Drop the cached report (benchmarks use this to time cold checks)."""
-        self._cache = None
 
     def check(self) -> DetectorReport:
-        """One detector run over the current ``squeue`` output.
+        """One detector run over the live controller state.
 
-        Epoch-cached like the other detectors; the ``detector.check``
-        trace event is emitted on every call either way.
+        Equal to :func:`squeue_report` over ``squeue``, which lists the
+        running jobs, then the pending ones in dispatch order.
         """
-        epoch = self.commands.controller.mutation_epoch
-        cached = self._cache
-        if cached is not None and cached[0] == epoch:
-            report = cached[1]
-            _trace_check(self, self.side, report)
-            return report
-        jobs = parse_squeue(self.commands.squeue())
-        workload = [j for j in jobs if j["name"] != SWITCH_JOB_NAME]
-        running = [j for j in workload if j["state"] == "R"]
-        queued = [j for j in workload if j["state"] == "PD"]
+        controller = self.commands.controller
+        running = [
+            j for j in controller.running_jobs() if j.name != SWITCH_JOB_NAME
+        ]
+        queued = [
+            j for j in controller.queued_jobs() if j.name != SWITCH_JOB_NAME
+        ]
         report = _build_report(
             eager=self.eager,
             running=len(running),
             queued=len(queued),
             first_queued=(
-                (queued[0]["job_id"], queued[0]["cpus"]) if queued else None
+                (str(queued[0].job_id), queued[0].total_cores)
+                if queued
+                else None
             ),
-            running_detail=[
-                f"{j['job_id']} {j['name']} Running" for j in running
+            running_detail=lambda: [
+                f"{j.job_id} {j.name} Running" for j in running
             ],
         )
-        self._cache = (epoch, report)
         _trace_check(self, self.side, report)
         return report

@@ -48,6 +48,10 @@ class SlurmNodeRecord:
         return self.cpus - self.cpus_in_use
 
     @property
+    def online(self) -> bool:
+        return self.state is SlurmNodeState.UP
+
+    @property
     def idle(self) -> bool:
         return self.state is SlurmNodeState.UP and not self.allocations
 

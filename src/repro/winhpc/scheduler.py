@@ -45,10 +45,6 @@ class WinHpcScheduler:
         self.nodes: Dict[str, WinNodeRecord] = {}
         self.jobs: Dict[int, WinHpcJob] = {}
         self.queue_order: List[int] = []
-        #: Monotonic counter bumped on every externally visible mutation —
-        #: same contract as ``PbsServer.mutation_epoch``; the SDK facade
-        #: and the Windows detector cache on it.
-        self.mutation_epoch: int = 0
         #: jobs currently RUNNING (state bucket; avoids scanning self.jobs)
         self._running: Dict[int, WinHpcJob] = {}
         #: cached ONLINE-node list in ``self.nodes`` insertion order.
@@ -58,6 +54,8 @@ class WinHpcScheduler:
         #: being an O(cluster) scan per scheduling decision.
         self._online_cache: Optional[List[WinNodeRecord]] = None
         self._total_cores: int = 0
+        #: largest per-node core count (0 until a node is added)
+        self.max_node_cores: int = 0
         self._node_os: Dict[str, object] = {}
         self._runners: Dict[int, object] = {}
         self._seq = 1
@@ -83,8 +81,8 @@ class WinHpcScheduler:
             record.template = template
         self.nodes[hostname] = record
         self._total_cores += cores
+        self.max_node_cores = max(self.max_node_cores, cores)
         self._online_cache = None
-        self.mutation_epoch += 1
         return record
 
     def node(self, hostname: str) -> WinNodeRecord:
@@ -100,7 +98,6 @@ class WinHpcScheduler:
         stranded = list(record.allocations)
         record.mark_online()
         self._online_cache = None
-        self.mutation_epoch += 1
         if os_instance is not None:
             self._node_os[hostname] = os_instance
         for job_id in stranded:
@@ -116,7 +113,6 @@ class WinHpcScheduler:
         victims = list(record.allocations)
         record.mark_unreachable()
         self._online_cache = None
-        self.mutation_epoch += 1
         self._node_os.pop(hostname, None)
         for observer in self.node_observers:
             observer("unreachable", hostname)
@@ -159,7 +155,6 @@ class WinHpcScheduler:
         victims = list(record.allocations)
         record.mark_unreachable()
         self._online_cache = None
-        self.mutation_epoch += 1
         self._node_os.pop(hostname, None)
         for observer in self.node_observers:
             observer("unreachable", hostname)
@@ -175,7 +170,6 @@ class WinHpcScheduler:
         """Admin drain: no new placements, running jobs keep running."""
         self.node(hostname).mark_draining()
         self._online_cache = None
-        self.mutation_epoch += 1
         if self.tracer is not None:
             self.tracer.emit(
                 "node.cordoned", node=hostname, scheduler="winhpc"
@@ -184,7 +178,6 @@ class WinHpcScheduler:
     def uncordon_node(self, hostname: str) -> None:
         self.node(hostname).resume_online()
         self._online_cache = None
-        self.mutation_epoch += 1
         if self.tracer is not None:
             self.tracer.emit(
                 "node.uncordoned", node=hostname, scheduler="winhpc"
@@ -218,7 +211,6 @@ class WinHpcScheduler:
             self.nodes[hostname].release(job.job_id)
         job.allocation.clear()
         self._running.pop(job.job_id, None)
-        self.mutation_epoch += 1
         if job.rerunnable and job.restarts < self.max_job_restarts:
             job.restarts += 1
             job.checkpointed_s += durable
@@ -312,7 +304,6 @@ class WinHpcScheduler:
                 position = index + 1
                 break
         self.queue_order.insert(position, job.job_id)
-        self.mutation_epoch += 1
         self._trace_job("job.submitted", job, amount=job.amount)
         self._notify("submitted", job)
         self._try_schedule()
@@ -486,7 +477,6 @@ class WinHpcScheduler:
             self.nodes[hostname].allocate(job.job_id, cores)
             job.allocation[hostname] = cores
         self._running[job.job_id] = job
-        self.mutation_epoch += 1
         self._runners[job.job_id] = self.sim.spawn(
             self._run(job), name=f"winjob:{job.job_id}"
         )
@@ -530,7 +520,6 @@ class WinHpcScheduler:
         for hostname in job.allocation:
             self.nodes[hostname].release(job.job_id)
         self._running.pop(job.job_id, None)
-        self.mutation_epoch += 1
         self._runners.pop(job.job_id, None)
         if cause is not None:
             self._trace_job("job.failed", job, cause=cause, state=state.value)

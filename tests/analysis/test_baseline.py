@@ -191,6 +191,6 @@ def test_cli_graph_out_requires_flow(bad_pkg, tmp_path, capsys):
 def test_cli_rules_lists_flow_and_baseline_rules(capsys):
     assert main(["--rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("DET006", "DET007", "PERF002", "TRC002", "BASE001"):
+    for rule_id in ("DET006", "DET007", "TRC002", "BASE001"):
         assert rule_id in out
     assert "[flow]" in out

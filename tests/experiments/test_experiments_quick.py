@@ -36,6 +36,7 @@ def test_f5_wire_strings():
     h = run_quick("f5f6f7f8").headline
     assert h["wire_other"] == "00000none"
     assert h["wire_stuck"] == h["stuck_wire_expected"]
+    assert h["qstat_roundtrip_matches"]
 
 
 def test_disks_only_fig15_preserves_linux():
