@@ -115,9 +115,9 @@ def test_bench_queue_drain_calendar(benchmark):
     assert benchmark(_drain_prepared, CalendarQueue) == expected
 
 
-def _sim_round_trip(queue_kind, n=50_000):
+def _sim_round_trip(queue_cls, n=50_000):
     """End-to-end Simulator cost: schedule through fire, with cancels."""
-    sim = Simulator(queue=queue_kind)
+    sim = Simulator(queue=queue_cls())
     sink = []
     handles = [
         sim.schedule(600.0 * (i // 512) + _PALETTE[i % len(_PALETTE)],
@@ -132,9 +132,9 @@ def _sim_round_trip(queue_kind, n=50_000):
 
 def test_bench_sim_round_trip_heap(benchmark):
     expected = 50_000 - 50_000 // 4
-    assert benchmark(_sim_round_trip, "heap") == expected
+    assert benchmark(_sim_round_trip, HeapEventQueue) == expected
 
 
 def test_bench_sim_round_trip_calendar(benchmark):
     expected = 50_000 - 50_000 // 4
-    assert benchmark(_sim_round_trip, "calendar") == expected
+    assert benchmark(_sim_round_trip, CalendarQueue) == expected

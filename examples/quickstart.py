@@ -13,6 +13,7 @@ goes "stuck", the daemons switch a node, the job runs.
 
 from repro import build_hybrid_cluster
 from repro.core.config import MiddlewareConfig
+from repro.sched import JobRequest
 from repro.simkernel import HOUR, MINUTE, format_duration
 
 
@@ -27,17 +28,18 @@ def main() -> None:
           f"{hybrid.nodes_by_os()}")
 
     print("\nsubmitting a Linux MD job (DL_POLY-style, 1 node x 4 cores)...")
-    linux_id = hybrid.submit_linux_job("dlpoly-demo", nodes=1, ppn=4,
-                                       runtime_s=30 * MINUTE)
+    linux_id = hybrid.submit("linux", JobRequest(
+        name="dlpoly-demo", nodes=1, ppn=4, runtime_s=30 * MINUTE))
 
     print("submitting a Windows render job (Backburner-style, 4 cores)...")
-    win_job = hybrid.submit_windows_job("backburner-demo", cores=4,
-                                        runtime_s=20 * MINUTE)
+    win_id = hybrid.submit("windows", JobRequest(
+        name="backburner-demo", cores=4, runtime_s=20 * MINUTE))
 
     print("\nrunning the simulation for 2 hours...")
     hybrid.sim.run(until=hybrid.sim.now + 2 * HOUR)
 
     linux_job = hybrid.pbs.jobs[linux_id]
+    win_job = hybrid.scheduler("windows").get_job(win_id)
     print(f"\nLinux job:   state={linux_job.state.value} "
           f"wait={format_duration(linux_job.wait_time_s)}")
     print(f"Windows job: state={win_job.state.value} "

@@ -12,8 +12,8 @@ PERF003 guards the tracer's zero-cost fast path the same way:
 ``Tracer.emit()`` appends a lightweight pending tuple and materialises
 :class:`~repro.trace.events.TraceEvent` records lazily, so constructing
 ``TraceEvent(...)`` eagerly anywhere outside :mod:`repro.trace` would
-re-introduce the per-event dataclass cost and bypass the ``trace_mode``
-knob.
+re-introduce the per-event dataclass cost and bypass the tracer's
+``mode``.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class EagerTraceEventRule(Rule):
         "materialises TraceEvent records lazily on first read.  "
         "Building a TraceEvent at the emit site pays the dataclass + "
         "float-boxing cost on every event of every run, sidesteps the "
-        "trace_mode knob, and forges seq numbers the tracer did not "
+        "tracer's mode, and forges seq numbers the tracer did not "
         "assign.  Emit through a Tracer; only repro.trace itself "
         "(the materialiser and the JSONL importer) constructs records."
     )

@@ -71,7 +71,7 @@ class MonostableSystem(ComparableSystem):
         for node in self.cluster.compute_nodes:
             self.recorder.attach_node(node)
             node.power_on()
-        self.recorder.attach_pbs(self.pbs)
+        self.recorder.attach_scheduler(self.pbs)
         self.sim.run(until=self.sim.now + 15 * MINUTE)
 
     def _round_trip_overhead(self, tag: str) -> float:

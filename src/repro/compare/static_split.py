@@ -91,8 +91,8 @@ class StaticSplitSystem(ComparableSystem):
         for node in nodes:
             self.recorder.attach_node(node)
             node.power_on()
-        self.recorder.attach_pbs(self.pbs)
-        self.recorder.attach_winhpc(self.winhpc)
+        self.recorder.attach_scheduler(self.pbs)
+        self.recorder.attach_scheduler(self.winhpc)
         self.sim.run(until=self.sim.now + 15 * MINUTE)
 
     def submit(self, job) -> None:

@@ -74,8 +74,8 @@ class VirtualizedSystem(ComparableSystem):
             self.pbs.node_up(node.name)
             self.winhpc.add_node(node.name, cores=windows_cores)
             self.winhpc.node_online(node.name)
-        self.recorder.attach_pbs(self.pbs)
-        self.recorder.attach_winhpc(self.winhpc)
+        self.recorder.attach_scheduler(self.pbs)
+        self.recorder.attach_scheduler(self.winhpc)
 
     def submit(self, job: WorkloadJob) -> None:
         runtime = job.runtime_s * self.overhead

@@ -1,18 +1,13 @@
 """Middleware configuration.
 
-Knob families live in nested groups (:class:`ElasticConfig`,
-:class:`EnergyConfig`, :class:`TraceConfig`); the historical flat
-spellings (``elastic_enabled=...``, ``energy_metering=...``,
-``trace_mode=...``) are still accepted as constructor keywords — mapped
-onto the groups with a :class:`DeprecationWarning` — and readable as
-deprecated alias properties, pending removal.
+Knob families live in nested groups: ``elastic=ElasticConfig(...)``,
+``energy=EnergyConfig(...)`` and ``trace=TraceConfig(...)``.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.simkernel.timeunits import MINUTE
@@ -132,7 +127,7 @@ class MiddlewareConfig:
     #: scheduler personality for the Windows side of the pairing (the
     #: Linux side is always the OSCAR-installed PBS)
     windows_scheduler: str = "winhpc"
-    #: nested knob groups (flat spellings are deprecated, see module doc)
+    #: nested knob groups
     elastic: ElasticConfig = field(default_factory=ElasticConfig)
     energy: EnergyConfig = field(default_factory=EnergyConfig)
     trace: TraceConfig = field(default_factory=TraceConfig)
@@ -177,93 +172,3 @@ class MiddlewareConfig:
                 f"bad windows_scheduler {self.windows_scheduler!r} "
                 f"(expected one of {', '.join(WINDOWS_SCHEDULER_KINDS)})"
             )
-
-    # -- deprecated flat aliases (pending removal) ---------------------------
-    # Read-only views of the nested groups under their historical names;
-    # the constructor keywords of the same spelling still work (with a
-    # DeprecationWarning) via the compat __init__ below.
-
-    @property
-    def elastic_enabled(self) -> bool:
-        """Deprecated alias for ``elastic.enabled``."""
-        return self.elastic.enabled
-
-    @property
-    def elastic_cycle_s(self) -> float:
-        """Deprecated alias for ``elastic.cycle_s``."""
-        return self.elastic.cycle_s
-
-    @property
-    def elastic_hysteresis_cycles(self) -> int:
-        """Deprecated alias for ``elastic.hysteresis_cycles``."""
-        return self.elastic.hysteresis_cycles
-
-    @property
-    def elastic_min_online(self) -> int:
-        """Deprecated alias for ``elastic.min_online``."""
-        return self.elastic.min_online
-
-    @property
-    def elastic_idle_surplus(self) -> int:
-        """Deprecated alias for ``elastic.idle_surplus``."""
-        return self.elastic.idle_surplus
-
-    @property
-    def elastic_max_actions(self) -> int:
-        """Deprecated alias for ``elastic.max_actions``."""
-        return self.elastic.max_actions
-
-    @property
-    def energy_metering(self) -> bool:
-        """Deprecated alias for ``energy.metering``."""
-        return self.energy.metering
-
-    @property
-    def trace_mode(self) -> str:
-        """Deprecated alias for ``trace.mode``."""
-        return self.trace.mode
-
-
-#: flat keyword -> (nested group field, attribute within the group)
-_FLAT_KNOBS: Dict[str, Tuple[str, str]] = {
-    "elastic_enabled": ("elastic", "enabled"),
-    "elastic_cycle_s": ("elastic", "cycle_s"),
-    "elastic_hysteresis_cycles": ("elastic", "hysteresis_cycles"),
-    "elastic_min_online": ("elastic", "min_online"),
-    "elastic_idle_surplus": ("elastic", "idle_surplus"),
-    "elastic_max_actions": ("elastic", "max_actions"),
-    "energy_metering": ("energy", "metering"),
-    "trace_mode": ("trace", "mode"),
-}
-
-_generated_init = MiddlewareConfig.__init__
-
-
-def _compat_init(self: MiddlewareConfig, *args: object, **kwargs: object) -> None:
-    """Accept the deprecated flat knob spellings as keywords.
-
-    Flat keywords are folded into their nested group (``replace`` re-runs
-    the group's validation) after the generated ``__init__`` builds the
-    groups from defaults or explicit ``elastic=``/``energy=``/``trace=``
-    arguments.
-    """
-    moved: Dict[str, Dict[str, object]] = {}
-    seen = []
-    for flat, (group, attr) in _FLAT_KNOBS.items():
-        if flat in kwargs:
-            moved.setdefault(group, {})[attr] = kwargs.pop(flat)
-            seen.append(flat)
-    if moved:
-        warnings.warn(
-            "flat MiddlewareConfig knobs are deprecated and pending "
-            f"removal; use the nested groups instead (saw: "
-            f"{', '.join(sorted(seen))})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    _generated_init(self, *args, **kwargs)
-    for group, changes in moved.items():
-        setattr(self, group, replace(getattr(self, group), **changes))
-
-
-MiddlewareConfig.__init__ = _compat_init  # type: ignore[method-assign]

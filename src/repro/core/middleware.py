@@ -25,7 +25,6 @@ control plane           per-node controlmenu switching  head-node flag + plain
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, List, Optional
 
 from repro.core.config import MiddlewareConfig
@@ -452,61 +451,6 @@ class DualBootOscar:
         job spec.
         """
         return self.scheduler(side).submit_request(request)
-
-    def submit_linux_job(
-        self,
-        name: str,
-        nodes: int = 1,
-        ppn: int = 4,
-        runtime_s: float = 60.0,
-        user: Optional[str] = None,
-        tag: str = "",
-    ) -> str:
-        """Deprecated shim over ``submit("linux", JobRequest(...))``.
-
-        Pending removal — migrate to :meth:`submit`.
-        """
-        warnings.warn(
-            "submit_linux_job() is deprecated and pending removal; use "
-            'submit("linux", JobRequest(name=..., nodes=..., ppn=...))',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.submit(
-            "linux",
-            JobRequest(
-                name=name, nodes=nodes, ppn=ppn, runtime_s=runtime_s,
-                owner=user, tag=tag,
-            ),
-        )
-
-    def submit_windows_job(
-        self,
-        name: str,
-        cores: int = 4,
-        runtime_s: float = 60.0,
-        owner: str = "HPCUser",
-        tag: str = "",
-    ):
-        """Deprecated shim over ``submit("windows", JobRequest(...))``.
-
-        Pending removal — migrate to :meth:`submit`.  Keeps the legacy
-        return type: the scheduler's native job object, not the job id.
-        """
-        warnings.warn(
-            "submit_windows_job() is deprecated and pending removal; use "
-            'submit("windows", JobRequest(name=..., cores=...))',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        jobid = self.submit(
-            "windows",
-            JobRequest(
-                name=name, cores=cores, runtime_s=runtime_s, owner=owner,
-                tag=tag,
-            ),
-        )
-        return self.scheduler("windows").get_job(jobid)
 
     def nodes_by_os(self) -> Dict[str, List[str]]:
         """Current OS occupancy, for reporting."""

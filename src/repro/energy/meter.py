@@ -87,14 +87,6 @@ class EnergyMeter:
             lambda event, job: self._job_event(prefix, event, job)
         )
 
-    def attach_pbs(self, server: Any) -> None:
-        """Legacy spelling of :meth:`attach_scheduler`."""
-        self.attach_scheduler(server)
-
-    def attach_winhpc(self, scheduler: Any) -> None:
-        """Legacy spelling of :meth:`attach_scheduler`."""
-        self.attach_scheduler(scheduler)
-
     # -- observers -----------------------------------------------------------
 
     def _on_power_state(

@@ -15,6 +15,7 @@ from __future__ import annotations
 from repro.core import MiddlewareConfig, build_hybrid_cluster
 from repro.experiments import ExperimentOutput
 from repro.metrics.report import Table
+from repro.sched import JobRequest
 from repro.simkernel import HOUR, MINUTE
 from repro.winhpc.job import WinJobState
 
@@ -35,8 +36,11 @@ def _reaction(cycle_min: float, seed: int, num_nodes: int) -> dict:
     next_boundary = (int(now / cycle_s) + 1) * cycle_s
     hybrid.sim.run(until=next_boundary + 0.5 * cycle_s)
     submit_time = hybrid.sim.now
-    job = hybrid.submit_windows_job("probe", cores=4, runtime_s=5 * MINUTE)
+    jobid = hybrid.submit(
+        "windows", JobRequest(name="probe", cores=4, runtime_s=5 * MINUTE)
+    )
     hybrid.sim.run(until=submit_time + 3 * HOUR)
+    job = hybrid.scheduler("windows").get_job(jobid)
     assert job.state is WinJobState.FINISHED, job
     decision_time = next(
         r.time for r in hybrid.daemons.linux.decisions if r.decision.is_switch

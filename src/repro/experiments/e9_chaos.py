@@ -42,6 +42,7 @@ from repro.faults import (
     WireCorruption,
 )
 from repro.metrics.report import Table
+from repro.sched import JobRequest
 from repro.simkernel import HOUR, MINUTE
 from repro.winhpc.job import WinJobState
 
@@ -137,22 +138,23 @@ def _chaos_run(version: int, scenario: str, seed: int,
     t0 = sim.now
     jobs = {}
     sim.schedule_at(t0 + 1 * MINUTE, lambda: jobs.__setitem__(
-        "win_a", hybrid.submit_windows_job("winA", cores=4,
-                                           runtime_s=10 * MINUTE)))
+        "win_a", hybrid.submit("windows", JobRequest(
+            name="winA", cores=4, runtime_s=10 * MINUTE))))
     sim.schedule_at(t0 + 45 * MINUTE, lambda: jobs.__setitem__(
-        "win_b", hybrid.submit_windows_job("winB", cores=8,
-                                           runtime_s=10 * MINUTE)))
+        "win_b", hybrid.submit("windows", JobRequest(
+            name="winB", cores=8, runtime_s=10 * MINUTE))))
     sim.schedule_at(t0 + 90 * MINUTE, lambda: jobs.__setitem__(
-        "lin_c", hybrid.submit_linux_job("linC", nodes=3, ppn=4,
-                                         runtime_s=10 * MINUTE)))
+        "lin_c", hybrid.submit("linux", JobRequest(
+            name="linC", nodes=3, ppn=4, runtime_s=10 * MINUTE))))
     sim.run(until=t0 + horizon_s)
     hybrid.finalize()
 
     daemons = hybrid.daemons
     network = cluster.network
+    windows = hybrid.scheduler("windows")
     win_done = sum(
         1 for k in ("win_a", "win_b")
-        if k in jobs and jobs[k].state is WinJobState.FINISHED
+        if k in jobs and windows.get_job(jobs[k]).state is WinJobState.FINISHED
     )
     lin_done = (
         "lin_c" in jobs

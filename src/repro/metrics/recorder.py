@@ -109,14 +109,6 @@ class ClusterRecorder:
             lambda event, job: self._job_event(prefix, kind, event, job)
         )
 
-    def attach_pbs(self, server) -> None:
-        """Legacy spelling of :meth:`attach_scheduler`."""
-        self.attach_scheduler(server)
-
-    def attach_winhpc(self, scheduler) -> None:
-        """Legacy spelling of :meth:`attach_scheduler`."""
-        self.attach_scheduler(scheduler)
-
     def _job_event(self, prefix: str, kind: str, event: str, job) -> None:
         key = f"{prefix}:{job.key}"
         if event == "submitted":

@@ -7,8 +7,9 @@ generator-based processes scheduled on a single deterministic event queue.
 The kernel is deliberately small and SimPy-flavoured:
 
 * :class:`~repro.simkernel.kernel.Simulator` owns the clock and the event
-  queue (a binary heap ordered by ``(time, sequence)`` so same-time events
-  fire in schedule order — determinism is a hard requirement, see DESIGN.md).
+  queue (a calendar queue ordered by ``(time, sequence)`` so same-time
+  events fire in schedule order — determinism is a hard requirement, see
+  DESIGN.md).
 * Processes are plain Python generators that ``yield`` *waitables*:
   :class:`~repro.simkernel.process.Timeout`, :class:`~repro.simkernel.events.Event`
   or another :class:`~repro.simkernel.process.Process`.
@@ -32,12 +33,7 @@ Example
 
 from repro.simkernel.calqueue import CalendarQueue
 from repro.simkernel.events import Event
-from repro.simkernel.kernel import (
-    DEFAULT_QUEUE,
-    HeapEventQueue,
-    Simulator,
-    make_event_queue,
-)
+from repro.simkernel.kernel import HeapEventQueue, Simulator
 from repro.simkernel.process import (
     AllOf,
     AnyOf,
@@ -61,7 +57,6 @@ __all__ = [
     "AnyOf",
     "CalendarQueue",
     "DAY",
-    "DEFAULT_QUEUE",
     "Event",
     "HeapEventQueue",
     "HOUR",
@@ -76,5 +71,4 @@ __all__ = [
     "Store",
     "Timeout",
     "format_duration",
-    "make_event_queue",
 ]

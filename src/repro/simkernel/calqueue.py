@@ -54,7 +54,7 @@ class CalendarQueue:
     ``min_bucket`` is the smallest refill chunk; the effective bucket
     width adapts to ``len(far) / 8`` above that.  See module docstring
     for the invariants and ``docs/PERFORMANCE.md`` for when this queue
-    wins over the heap (and how to fall back).
+    wins over the heap.
     """
 
     def __init__(self, min_bucket: int = 2048) -> None:

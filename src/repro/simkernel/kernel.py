@@ -1,9 +1,10 @@
 """The simulator: clock + deterministic event queue.
 
-The queue is pluggable behind a small seam (:class:`EventQueue`): a
-binary heap (:class:`HeapEventQueue`, the reference implementation) and
-a calendar queue (:class:`repro.simkernel.calqueue.CalendarQueue`, the
-default — tuned for the clustered event times of the simulated cluster).
+The queue sits behind a small seam (:class:`EventQueue`).  Simulators
+run on a calendar queue (:class:`repro.simkernel.calqueue.CalendarQueue`,
+tuned for the clustered event times of the simulated cluster) unless
+handed another queue instance; :class:`HeapEventQueue`, a binary heap,
+is the reference implementation the equivalence tests compare against.
 Both maintain the exact same total order: ``(time, sequence)``, where
 the monotonically increasing sequence number breaks time ties so that
 events scheduled first fire first — this makes every simulation in the
@@ -11,7 +12,6 @@ test suite and the benchmark harness bit-for-bit reproducible, and the
 two queues byte-identical to each other (proved per-experiment by
 ``tests/experiments/test_queue_trace_equivalence.py``).
 """
-
 from __future__ import annotations
 
 import heapq
@@ -23,9 +23,9 @@ from typing import (
     List,
     Optional,
     Protocol,
-    Union,
 )
 
+from repro.simkernel import calqueue
 from repro.simkernel.events import Event
 from repro.trace.events import callback_name
 
@@ -39,12 +39,6 @@ class SimulationError(RuntimeError):
 
 #: Below this many dead entries compaction is never worth the rebuild cost.
 _COMPACT_FLOOR = 64
-
-#: Queue kind used when ``Simulator(queue=None)``.  Module-level so test
-#: harnesses can monkeypatch it (e.g. force the heap for an equivalence
-#: run) without threading a parameter through every experiment.
-DEFAULT_QUEUE = "calendar"
-
 
 class _Entry:
     """A scheduled callback.  Cancellation flips ``alive`` (lazy deletion)."""
@@ -179,19 +173,6 @@ class HeapEventQueue:
             fire(head)
 
 
-def make_event_queue(kind: str) -> EventQueue:
-    """Build an event queue by kind: ``"heap"`` or ``"calendar"``."""
-    if kind == "heap":
-        return HeapEventQueue()
-    if kind == "calendar":
-        from repro.simkernel.calqueue import CalendarQueue  # local: avoid cycle
-
-        return CalendarQueue()
-    raise SimulationError(
-        f"unknown event queue kind {kind!r} (expected 'heap' or 'calendar')"
-    )
-
-
 class Simulator:
     """Discrete-event simulator with a deterministic pluggable event queue.
 
@@ -203,10 +184,10 @@ class Simulator:
     * :meth:`event` — create an :class:`~repro.simkernel.events.Event`,
     * :meth:`run` / :meth:`step` — advance time.
 
-    ``queue`` selects the event-queue implementation (``"heap"`` or
-    ``"calendar"``); ``None`` reads the module-level :data:`DEFAULT_QUEUE`.
-    A pre-built queue object may also be passed (micro-benchmarks tune
-    ``CalendarQueue(min_bucket=...)`` this way).
+    ``queue`` is the event queue to run on; ``None`` builds a fresh
+    :class:`~repro.simkernel.calqueue.CalendarQueue`.  Equivalence tests
+    pass a :class:`HeapEventQueue`; micro-benchmarks tune
+    ``CalendarQueue(min_bucket=...)`` this way.
 
     Example
     -------
@@ -219,16 +200,11 @@ class Simulator:
     (5.0, [5])
     """
 
-    def __init__(self, queue: Union[str, EventQueue, None] = None) -> None:
+    def __init__(self, queue: Optional[EventQueue] = None) -> None:
         self._now: float = 0.0
-        if queue is None:
-            queue = DEFAULT_QUEUE
-        if isinstance(queue, str):
-            self._queue_kind: str = queue
-            self._queue: EventQueue = make_event_queue(queue)
-        else:
-            self._queue_kind = type(queue).__name__
-            self._queue = queue
+        self._queue: EventQueue = (
+            calqueue.CalendarQueue() if queue is None else queue
+        )
         self._seq: int = 0
         self._processes_started: int = 0
         self._events_executed: int = 0
@@ -248,11 +224,6 @@ class Simulator:
     def events_executed(self) -> int:
         """Number of queue entries executed so far (diagnostics)."""
         return self._events_executed
-
-    @property
-    def queue_kind(self) -> str:
-        """Which event-queue implementation this simulator runs on."""
-        return self._queue_kind
 
     @property
     def dead_entries(self) -> int:

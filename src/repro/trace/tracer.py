@@ -29,7 +29,7 @@ from repro.trace.events import TraceEvent
 _Pending = Tuple[str, float, Optional[str], Optional[int], Optional[str],
                  Dict[str, Any]]
 
-#: Valid ``Tracer.mode`` / ``MiddlewareConfig.trace_mode`` values.
+#: Valid ``Tracer.mode`` / ``TraceConfig.mode`` values.
 TRACE_MODES = ("full", "counts", "off")
 
 
@@ -42,8 +42,7 @@ class Tracer:
 
     ``mode`` selects how much work :meth:`emit` does: ``"full"``
     (events + counts, the default), ``"counts"`` (counters only;
-    :attr:`events` stays empty) or ``"off"`` (nothing).  The legacy
-    ``enabled`` flag still mutes recording entirely when cleared.
+    :attr:`events` stays empty) or ``"off"`` (nothing).
     """
 
     def __init__(self, sim: Any, name: str = "trace",
@@ -56,7 +55,6 @@ class Tracer:
         self.name = name
         self.kernel_events = kernel_events
         self.mode = mode
-        self.enabled = True
         self.counts: Counter = Counter()
         self._events: List[TraceEvent] = []
         self._pending: List[_Pending] = []
@@ -76,8 +74,6 @@ class Tracer:
         this is one tuple append plus a counter bump — the
         :class:`TraceEvent` itself is built lazily by :attr:`events`.
         """
-        if not self.enabled:
-            return
         mode = self.mode
         if mode == "full":
             self._pending.append((kind, self.sim.now, node, cycle, cause, fields))

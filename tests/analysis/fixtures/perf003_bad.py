@@ -1,7 +1,7 @@
 """PERF003 positive: a TraceEvent built eagerly at the emit site.
 
 This pays the dataclass + boxing cost on every event regardless of the
-run's ``trace_mode``, and forges a seq number the tracer never assigned
+run's trace mode, and forges a seq number the tracer never assigned
 — exactly the overhead the lazy tracer fast path removed.
 """
 

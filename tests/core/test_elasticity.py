@@ -1,7 +1,7 @@
 """Elasticity manager decision logic, one evaluation at a time.
 
 The manager is constructed by hand over a deployed hybrid stack (with
-``elastic_enabled`` off, so no background loop interferes) and
+``elastic.enabled`` off, so no background loop interferes) and
 ``evaluate()`` is called explicitly — each test drives exactly the
 decision rounds it wants and inspects the counters, the cordons, the
 rejoin ledger and the ``elastic.decision`` trace stream.
@@ -15,6 +15,7 @@ from repro.core import MiddlewareConfig, build_hybrid_cluster
 from repro.core.elasticity import ElasticityManager, ElasticityPolicy
 from repro.errors import ConfigurationError
 from repro.hardware.node import NodeState
+from repro.sched import JobRequest
 from repro.simkernel import MINUTE
 from repro.trace.events import ELASTIC_DECISION
 
@@ -125,8 +126,8 @@ def test_pressure_resumes_lowest_named_first_with_rejoin_expected():
 
     # fill both remaining UP nodes, then one more job to back the queue up
     for index in range(3):
-        hybrid.submit_linux_job(f"pressure-{index}", nodes=1, ppn=4,
-                                runtime_s=600.0)
+        hybrid.submit("linux", JobRequest(
+            name=f"pressure-{index}", nodes=1, ppn=4, runtime_s=600.0))
     manager.evaluate()
     assert manager.resumes == 1
     resumed = decisions(hybrid, "resume")
@@ -147,7 +148,8 @@ def test_provision_only_when_boots_land_on_the_pressured_side():
         max_actions_per_cycle=4,
     )
     node_by_name(hybrid, "enode04").deprovision()
-    hybrid.submit_linux_job("pressure", nodes=4, ppn=4, runtime_s=600.0)
+    hybrid.submit("linux", JobRequest(
+        name="pressure", nodes=4, ppn=4, runtime_s=600.0))
 
     # boot flag absent: waking cold capacity would land on the wrong OS
     manager.controller = SimpleNamespace(

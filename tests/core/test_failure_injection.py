@@ -8,6 +8,7 @@ strand running jobs.
 
 from repro.core import MiddlewareConfig, build_hybrid_cluster
 from repro.hardware.node import NodeState
+from repro.sched import JobRequest
 from repro.simkernel import HOUR, MINUTE
 from repro.winhpc.job import WinJobState
 
@@ -27,14 +28,19 @@ def deployed(**kw):
 def test_daemons_stopped_jobs_still_run_but_no_switching():
     hybrid = deployed(initial_windows_nodes=1)
     hybrid.daemons.stop()
-    linux_id = hybrid.submit_linux_job("md", runtime_s=10 * MINUTE)
-    win_small = hybrid.submit_windows_job("ok", cores=4, runtime_s=10 * MINUTE)
-    win_big = hybrid.submit_windows_job("needs-switch", cores=8,
-                                        runtime_s=10 * MINUTE)
+    linux_id = hybrid.submit("linux", JobRequest(
+        name="md", nodes=1, ppn=4, runtime_s=10 * MINUTE))
+    win_small = hybrid.submit("windows", JobRequest(
+        name="ok", cores=4, runtime_s=10 * MINUTE))
+    win_big = hybrid.submit("windows", JobRequest(
+        name="needs-switch", cores=8, runtime_s=10 * MINUTE))
     hybrid.sim.run(until=hybrid.sim.now + 2 * HOUR)
+    windows = hybrid.scheduler("windows")
     assert hybrid.pbs.jobs[linux_id].exit_status == 0
-    assert win_small.state is WinJobState.FINISHED  # fits the existing node
-    assert win_big.state is WinJobState.QUEUED      # nobody switches for it
+    # fits the existing node
+    assert windows.get_job(win_small).state is WinJobState.FINISHED
+    # nobody switches for it
+    assert windows.get_job(win_big).state is WinJobState.QUEUED
     assert hybrid.recorder.switch_count == 0
 
 
@@ -42,7 +48,9 @@ def test_windows_head_offline_messages_dropped_silently():
     hybrid = deployed()
     dropped_before = hybrid.cluster.network.messages_dropped
     hybrid.cluster.linux_head.host.online = False  # linux head unreachable
-    hybrid.submit_windows_job("render", cores=4, runtime_s=10 * MINUTE)
+    hybrid.submit(
+        "windows", JobRequest(name="render", cores=4, runtime_s=10 * MINUTE)
+    )
     hybrid.sim.run(until=hybrid.sim.now + 1 * HOUR)
     # wire messages were sent and dropped at the dead host
     assert hybrid.cluster.network.messages_dropped > dropped_before
@@ -71,11 +79,13 @@ def test_bricked_node_does_not_stall_the_cluster():
     hybrid.wizard.installation.tftp.enabled = True
 
     # the rest of the cluster keeps serving both OSes
-    linux_id = hybrid.submit_linux_job("md", runtime_s=5 * MINUTE)
-    win_job = hybrid.submit_windows_job("render", cores=4,
-                                        runtime_s=5 * MINUTE)
+    linux_id = hybrid.submit("linux", JobRequest(
+        name="md", nodes=1, ppn=4, runtime_s=5 * MINUTE))
+    win_id = hybrid.submit("windows", JobRequest(
+        name="render", cores=4, runtime_s=5 * MINUTE))
     hybrid.sim.run(until=hybrid.sim.now + 90 * MINUTE)
     assert hybrid.pbs.jobs[linux_id].exit_status == 0
+    win_job = hybrid.scheduler("windows").get_job(win_id)
     assert win_job.state is WinJobState.FINISHED
     assert hybrid.cluster.failed_nodes() == [victim]
 
@@ -97,9 +107,10 @@ def test_switch_job_killed_if_target_flag_menu_corrupted():
 
 def test_node_lost_mid_switch_job_is_counted_killed():
     hybrid = deployed()
-    win_job = hybrid.submit_windows_job("render", cores=4,
-                                        runtime_s=10 * MINUTE)
+    win_id = hybrid.submit("windows", JobRequest(
+        name="render", cores=4, runtime_s=10 * MINUTE))
     hybrid.sim.run(until=hybrid.sim.now + 2 * HOUR)
+    win_job = hybrid.scheduler("windows").get_job(win_id)
     switch_jobs = [
         j for j in hybrid.pbs.jobs.values() if j.tag == "os-switch"
     ]

@@ -24,6 +24,7 @@ from repro.faults import BootHang, FaultInjector, FaultPlan
 from repro.netsvc import DhcpServer, Network, TftpServer
 from repro.pbs import JobSpec, PbsCommands, PbsServer
 from repro.pbs.job import JobState
+from repro.sched import JobRequest
 from repro.simkernel import HOUR, MINUTE, Simulator
 from repro.simkernel.rng import RngStreams
 from repro.storage import Filesystem, FsType
@@ -398,8 +399,11 @@ def test_watchdog_fails_hung_switch_order_and_reissues():
     )
     injector.arm()
     orders = hybrid.daemons.orders
-    win_job = hybrid.submit_windows_job("render", cores=4, runtime_s=5 * MINUTE)
+    win_id = hybrid.submit(
+        "windows", JobRequest(name="render", cores=4, runtime_s=5 * MINUTE)
+    )
     hybrid.sim.run(until=hybrid.sim.now + 2 * HOUR)
+    win_job = hybrid.scheduler("windows").get_job(win_id)
 
     assert injector.counters["boot-hang"] == 1
     assert orders.orders_failed == 1               # the hung node's order

@@ -9,6 +9,7 @@ import pytest
 from repro.core import MiddlewareConfig, build_hybrid_cluster
 from repro.errors import MiddlewareError
 from repro.hardware.node import NodeState
+from repro.sched import JobRequest
 from repro.simkernel import HOUR, MINUTE
 from repro.winhpc.job import WinJobState
 
@@ -67,8 +68,11 @@ def test_oversized_split_rejected():
 @pytest.mark.parametrize("version", [1, 2])
 def test_windows_demand_triggers_switch(version):
     hybrid = deployed(version)
-    job = hybrid.submit_windows_job("render", cores=4, runtime_s=10 * MINUTE)
+    jobid = hybrid.submit(
+        "windows", JobRequest(name="render", cores=4, runtime_s=10 * MINUTE)
+    )
     hybrid.sim.run(until=hybrid.sim.now + 1 * HOUR)
+    job = hybrid.scheduler("windows").get_job(jobid)
     assert job.state is WinJobState.FINISHED
     assert len(hybrid.nodes_by_os()["windows"]) == 1
     assert hybrid.recorder.switch_count >= 1
@@ -78,7 +82,8 @@ def test_windows_demand_triggers_switch(version):
 def test_linux_demand_triggers_switch_back(version):
     hybrid = deployed(version, initial_windows_nodes=4)
     assert hybrid.nodes_by_os()["linux"] == []
-    jobid = hybrid.submit_linux_job("md", nodes=1, ppn=4, runtime_s=10 * MINUTE)
+    jobid = hybrid.submit("linux", JobRequest(
+        name="md", nodes=1, ppn=4, runtime_s=10 * MINUTE))
     hybrid.sim.run(until=hybrid.sim.now + 1 * HOUR)
     job = hybrid.pbs.jobs[jobid]
     assert job.state.value == "C"
@@ -88,8 +93,10 @@ def test_linux_demand_triggers_switch_back(version):
 
 def test_multi_node_demand_switches_enough_nodes():
     hybrid = deployed(2)
-    job = hybrid.submit_windows_job("big-render", cores=12, runtime_s=10 * MINUTE)
+    jobid = hybrid.submit("windows", JobRequest(
+        name="big-render", cores=12, runtime_s=10 * MINUTE))
     hybrid.sim.run(until=hybrid.sim.now + 90 * MINUTE)
+    job = hybrid.scheduler("windows").get_job(jobid)
     assert job.state is WinJobState.FINISHED
     assert job.total_allocated_cores() == 12
     assert len(hybrid.nodes_by_os()["windows"]) >= 3
@@ -100,11 +107,15 @@ def test_busy_nodes_protected_from_switching():
     idle nodes only."""
     hybrid = deployed(2)
     linux_ids = [
-        hybrid.submit_linux_job(f"md{i}", nodes=1, ppn=4, runtime_s=2 * HOUR)
+        hybrid.submit("linux", JobRequest(
+            name=f"md{i}", nodes=1, ppn=4, runtime_s=2 * HOUR))
         for i in range(3)
     ]
-    win_job = hybrid.submit_windows_job("render", cores=4, runtime_s=10 * MINUTE)
+    win_id = hybrid.submit(
+        "windows", JobRequest(name="render", cores=4, runtime_s=10 * MINUTE)
+    )
     hybrid.sim.run(until=hybrid.sim.now + 1 * HOUR)
+    win_job = hybrid.scheduler("windows").get_job(win_id)
     # exactly the one idle node switched; the three busy ones kept working
     assert len(hybrid.nodes_by_os()["windows"]) == 1
     for jobid in linux_ids:
@@ -126,7 +137,9 @@ def test_no_demand_no_switch():
 def test_detection_latency_bounded_by_cycle():
     hybrid = deployed(2)
     submit_at = hybrid.sim.now
-    job = hybrid.submit_windows_job("render", cores=4, runtime_s=MINUTE)
+    hybrid.submit(
+        "windows", JobRequest(name="render", cores=4, runtime_s=MINUTE)
+    )
     hybrid.sim.run(until=hybrid.sim.now + 1 * HOUR)
     switch_decisions = [
         r for r in hybrid.daemons.linux.decisions if r.decision.is_switch
@@ -139,7 +152,9 @@ def test_switch_latency_under_five_minutes():
     """§III.C: booting from one OS to another takes no more than 5 min.
     Measured from the reboot starting (node leaves Linux) to Windows up."""
     hybrid = deployed(2)
-    hybrid.submit_windows_job("render", cores=4, runtime_s=MINUTE)
+    hybrid.submit(
+        "windows", JobRequest(name="render", cores=4, runtime_s=MINUTE)
+    )
     hybrid.sim.run(until=hybrid.sim.now + 1 * HOUR)
     switched = [
         n for n in hybrid.cluster.compute_nodes if len(n.boot_records) > 1

@@ -5,6 +5,7 @@ threshold policy, bootcontrol switch method."""
 from repro.boot.grub4dos import menu_path_for
 from repro.core import MiddlewareConfig, build_hybrid_cluster
 from repro.core.policy import EagerPolicy, ThresholdPolicy
+from repro.sched import JobRequest
 from repro.simkernel import HOUR, MINUTE
 from repro.winhpc.job import WinJobState
 
@@ -30,8 +31,11 @@ def test_v2_per_mac_mode_full_loop():
     by_os = hybrid.nodes_by_os()
     assert len(by_os["windows"]) == 1 and len(by_os["linux"]) == 3
 
-    job = hybrid.submit_windows_job("render", cores=8, runtime_s=10 * MINUTE)
+    jobid = hybrid.submit(
+        "windows", JobRequest(name="render", cores=8, runtime_s=10 * MINUTE)
+    )
     hybrid.sim.run(until=hybrid.sim.now + 1 * HOUR)
+    job = hybrid.scheduler("windows").get_job(jobid)
     assert job.state is WinJobState.FINISHED
     assert len(hybrid.nodes_by_os()["windows"]) >= 2
 
@@ -45,24 +49,32 @@ def test_per_mac_initial_split_does_not_need_staging():
 
 def test_eager_detectors_with_eager_policy_grow_pool_under_backlog():
     hybrid = deploy(policy=EagerPolicy(), eager_detectors=True)
-    jobs = [
-        hybrid.submit_windows_job(f"render{i}", cores=4, runtime_s=20 * MINUTE)
+    jobids = [
+        hybrid.submit("windows", JobRequest(
+            name=f"render{i}", cores=4, runtime_s=20 * MINUTE))
         for i in range(3)
     ]
     hybrid.sim.run(until=hybrid.sim.now + 90 * MINUTE)
-    assert all(j.state is WinJobState.FINISHED for j in jobs)
+    windows = hybrid.scheduler("windows")
+    assert all(
+        windows.get_job(j).state is WinJobState.FINISHED for j in jobids
+    )
     # backlog reaction: more than one node switched even though jobs ran
     assert hybrid.recorder.switch_count >= 2
 
 
 def test_fcfs_paper_rule_grows_pool_by_one():
     hybrid = deploy()
-    jobs = [
-        hybrid.submit_windows_job(f"render{i}", cores=4, runtime_s=20 * MINUTE)
+    jobids = [
+        hybrid.submit("windows", JobRequest(
+            name=f"render{i}", cores=4, runtime_s=20 * MINUTE))
         for i in range(3)
     ]
     hybrid.sim.run(until=hybrid.sim.now + 3 * HOUR)
-    assert all(j.state is WinJobState.FINISHED for j in jobs)
+    windows = hybrid.scheduler("windows")
+    assert all(
+        windows.get_job(j).state is WinJobState.FINISHED for j in jobids
+    )
     # strict stuck rule: one switch, jobs drained serially on one node
     assert hybrid.recorder.switch_count == 1
 
@@ -70,8 +82,11 @@ def test_fcfs_paper_rule_grows_pool_by_one():
 def test_threshold_policy_delays_switch_by_cycles():
     hybrid = deploy(policy=ThresholdPolicy(threshold=3))
     submit_at = hybrid.sim.now
-    job = hybrid.submit_windows_job("render", cores=4, runtime_s=5 * MINUTE)
+    jobid = hybrid.submit(
+        "windows", JobRequest(name="render", cores=4, runtime_s=5 * MINUTE)
+    )
     hybrid.sim.run(until=hybrid.sim.now + 2 * HOUR)
+    job = hybrid.scheduler("windows").get_job(jobid)
     assert job.state is WinJobState.FINISHED
     switch_time = next(
         r.time for r in hybrid.daemons.linux.decisions if r.decision.is_switch
@@ -82,8 +97,11 @@ def test_threshold_policy_delays_switch_by_cycles():
 
 def test_v1_bootcontrol_switch_method_end_to_end():
     hybrid = deploy(version=1, v1_switch_method="bootcontrol")
-    job = hybrid.submit_windows_job("render", cores=4, runtime_s=10 * MINUTE)
+    jobid = hybrid.submit(
+        "windows", JobRequest(name="render", cores=4, runtime_s=10 * MINUTE)
+    )
     hybrid.sim.run(until=hybrid.sim.now + 1 * HOUR)
+    job = hybrid.scheduler("windows").get_job(jobid)
     assert job.state is WinJobState.FINISHED
     switched = hybrid.nodes_by_os()["windows"]
     assert len(switched) == 1
@@ -96,20 +114,22 @@ def test_v1_repeated_round_trips_stay_consistent():
     """The two-step rename keeps the staged menus alive across cycles."""
     hybrid = deploy(version=1)
     for round_index in range(2):
-        win_job = hybrid.submit_windows_job(
-            f"w{round_index}", cores=4, runtime_s=5 * MINUTE
-        )
+        win_id = hybrid.submit("windows", JobRequest(
+            name=f"w{round_index}", cores=4, runtime_s=5 * MINUTE
+        ))
         hybrid.sim.run(until=hybrid.sim.now + 45 * MINUTE)
+        win_job = hybrid.scheduler("windows").get_job(win_id)
         assert win_job.state is WinJobState.FINISHED
         # pull the node back with linux pressure: occupy all linux nodes,
         # then queue one more
-        fills = [
-            hybrid.submit_linux_job(f"fill{round_index}-{i}", runtime_s=30 * MINUTE)
-            for i in range(len(hybrid.nodes_by_os()["linux"]))
-        ]
-        extra = hybrid.submit_linux_job(
-            f"extra{round_index}", runtime_s=5 * MINUTE
-        )
+        for i in range(len(hybrid.nodes_by_os()["linux"])):
+            hybrid.submit("linux", JobRequest(
+                name=f"fill{round_index}-{i}", nodes=1, ppn=4,
+                runtime_s=30 * MINUTE,
+            ))
+        hybrid.submit("linux", JobRequest(
+            name=f"extra{round_index}", nodes=1, ppn=4, runtime_s=5 * MINUTE
+        ))
         hybrid.sim.run(until=hybrid.sim.now + 80 * MINUTE)
     fat = hybrid.cluster.compute_nodes[0].disk.filesystem(6)
     present = {

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import MiddlewareConfig, build_hybrid_cluster
 from repro.errors import MiddlewareError
+from repro.sched import JobRequest
 from repro.simkernel import HOUR, MINUTE
 
 
@@ -20,7 +21,9 @@ def test_status_report_contents():
     )
     hybrid.deploy()
     hybrid.wait_for_nodes()
-    hybrid.submit_windows_job("render", cores=4, runtime_s=10 * MINUTE)
+    hybrid.submit(
+        "windows", JobRequest(name="render", cores=4, runtime_s=10 * MINUTE)
+    )
     hybrid.sim.run(until=hybrid.sim.now + 1 * HOUR)
     report = hybrid.status_report()
     assert "dualboot-oscar v2 on 2 nodes" in report

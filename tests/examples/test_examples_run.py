@@ -1,4 +1,10 @@
-"""Every example script must run to completion from a fresh interpreter."""
+"""Every example script must run to completion from a fresh interpreter.
+
+Scripts run with ``-W error::DeprecationWarning`` so an example that
+calls a deprecated spelling fails here rather than teaching it.  The
+flag applies only inside the subprocess: the test process itself loads
+third-party modules that raise their own DeprecationWarnings.
+"""
 
 import pathlib
 import subprocess
@@ -18,7 +24,8 @@ def test_examples_exist():
 @pytest.mark.parametrize("script", SCRIPTS)
 def test_example_runs_clean(script):
     result = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / script)],
+        [sys.executable, "-W", "error::DeprecationWarning",
+         str(EXAMPLES_DIR / script)],
         capture_output=True,
         text=True,
         timeout=300,

@@ -4,19 +4,20 @@ The unit properties (``tests/simkernel/test_queue_equivalence.py``)
 compare the queues on synthetic programs; this test closes the loop at
 system level: every simulation experiment is run twice in quick mode —
 once on the shipping :class:`~repro.simkernel.calqueue.CalendarQueue`
-and once with :data:`repro.simkernel.kernel.DEFAULT_QUEUE` monkeypatched
-back to the reference binary heap — and every attached trace export
-must match byte for byte.  If the calendar's bucket boundaries ever
-reordered a single tie on a *real* workload, this is the test that
-would catch it.
+and once with the class every ``Simulator()`` builds monkeypatched to
+the reference :class:`~repro.simkernel.kernel.HeapEventQueue` — and
+every attached trace export must match byte for byte.  If the
+calendar's bucket boundaries ever reordered a single tie on a *real*
+workload, this is the test that would catch it.
 """
 
 import importlib
 
 import pytest
 
-import repro.simkernel.kernel as kernel
 from repro.experiments import ALL_EXPERIMENTS
+from repro.simkernel import Simulator, calqueue
+from repro.simkernel.kernel import HeapEventQueue
 from tests.trace.test_determinism import SIMULATION_EXPERIMENTS
 
 SEED = 3
@@ -28,7 +29,7 @@ def _run(experiment_id):
 
 
 def test_calendar_is_the_shipping_default():
-    assert kernel.DEFAULT_QUEUE == "calendar"
+    assert type(Simulator()._queue) is calqueue.CalendarQueue
 
 
 @pytest.mark.parametrize("experiment_id", SIMULATION_EXPERIMENTS)
@@ -37,7 +38,7 @@ def test_heap_and_calendar_give_byte_identical_traces(
 ):
     calendar = _run(experiment_id)
 
-    monkeypatch.setattr(kernel, "DEFAULT_QUEUE", "heap")
+    monkeypatch.setattr(calqueue, "CalendarQueue", HeapEventQueue)
     heap = _run(experiment_id)
 
     assert calendar.traces, f"{experiment_id} attached no traces"

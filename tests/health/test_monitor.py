@@ -15,6 +15,7 @@ from repro.errors import ConfigurationError
 from repro.hardware.node import NodeState
 from repro.health import HealthState, HeartbeatMonitor
 from repro.pbs.job import JobState
+from repro.sched import JobRequest
 from repro.simkernel import HOUR, MINUTE, Simulator
 
 
@@ -165,9 +166,9 @@ def test_crash_fence_requeue_rejoin_end_to_end():
     hybrid.wait_for_nodes()
     sim = hybrid.sim
     t0 = sim.now
-    jobid = hybrid.submit_linux_job(
-        "victim", nodes=2, ppn=4, runtime_s=30 * MINUTE
-    )
+    jobid = hybrid.submit("linux", JobRequest(
+        name="victim", nodes=2, ppn=4, runtime_s=30 * MINUTE
+    ))
     job = hybrid.pbs.jobs[jobid]
     assert job.state is JobState.RUNNING
 

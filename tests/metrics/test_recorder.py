@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import MiddlewareConfig, build_hybrid_cluster
 from repro.metrics.utilization import usable_core_seconds
+from repro.sched import JobRequest
 from repro.simkernel import HOUR, MINUTE
 
 
@@ -15,8 +16,10 @@ def run():
     )
     hybrid.deploy()
     hybrid.wait_for_nodes()
-    hybrid.submit_linux_job("md", runtime_s=20 * MINUTE)
-    win = hybrid.submit_windows_job("render", cores=4, runtime_s=15 * MINUTE)
+    hybrid.submit("linux", JobRequest(
+        name="md", nodes=1, ppn=4, runtime_s=20 * MINUTE))
+    hybrid.submit("windows", JobRequest(
+        name="render", cores=4, runtime_s=15 * MINUTE))
     hybrid.sim.run(until=hybrid.sim.now + 2 * HOUR)
     hybrid.finalize()
     return hybrid

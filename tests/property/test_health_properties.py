@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import MiddlewareConfig, build_hybrid_cluster
 from repro.faults import FaultInjector, FaultPlan, LinkFault
 from repro.health import HealthState
+from repro.sched import JobRequest
 from repro.simkernel import MINUTE
 
 
@@ -51,7 +52,9 @@ def _run_with_network_faults(seed, loss_prob, jitter_s, hit_compute_links):
 
     # demand work on both OSes so the control loop actually reboots nodes
     # mid-degradation — planned downtime must stay fence-immune too
-    hybrid.submit_windows_job("winP", cores=4, runtime_s=8 * MINUTE)
+    hybrid.submit(
+        "windows", JobRequest(name="winP", cores=4, runtime_s=8 * MINUTE)
+    )
     sim.run(until=t0 + 40 * MINUTE)
     hybrid.finalize()
     return hybrid

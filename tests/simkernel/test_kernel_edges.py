@@ -2,20 +2,23 @@
 
 Each of these is a boundary the equivalence properties can hit only by
 luck; here they are deterministic and named.  Everything is parametrized
-over ``heap`` and ``calendar`` so the seam cannot quietly diverge.
+over both queue classes so the seam cannot quietly diverge.
 """
 
 import pytest
 
 from repro.simkernel import Simulator
 from repro.simkernel.calqueue import CalendarQueue
+from repro.simkernel.kernel import HeapEventQueue
 
-QUEUES = ("heap", "calendar")
+QUEUES = pytest.mark.parametrize(
+    "make_queue", (HeapEventQueue, CalendarQueue), ids=("heap", "calendar")
+)
 
 
-@pytest.mark.parametrize("queue", QUEUES)
-def test_run_until_on_empty_queue_leaves_clock_exactly_at_until(queue):
-    sim = Simulator(queue=queue)
+@QUEUES
+def test_run_until_on_empty_queue_leaves_clock_exactly_at_until(make_queue):
+    sim = Simulator(queue=make_queue())
     sim.run(until=123.456)
     assert sim.now == 123.456
     # and again: back-to-back bounded runs behave like a wall clock
@@ -24,9 +27,9 @@ def test_run_until_on_empty_queue_leaves_clock_exactly_at_until(queue):
     assert sim.events_executed == 0
 
 
-@pytest.mark.parametrize("queue", QUEUES)
-def test_run_until_queue_drained_early_still_advances_clock(queue):
-    sim = Simulator(queue=queue)
+@QUEUES
+def test_run_until_queue_drained_early_still_advances_clock(make_queue):
+    sim = Simulator(queue=make_queue())
     hits = []
     sim.schedule(1.0, hits.append, 1)
     sim.run(until=50.0)
@@ -34,9 +37,9 @@ def test_run_until_queue_drained_early_still_advances_clock(queue):
     assert sim.now == 50.0
 
 
-@pytest.mark.parametrize("queue", QUEUES)
-def test_cancel_of_already_fired_entry_is_a_noop(queue):
-    sim = Simulator(queue=queue)
+@QUEUES
+def test_cancel_of_already_fired_entry_is_a_noop(make_queue):
+    sim = Simulator(queue=make_queue())
     hits = []
     handle = sim.schedule(1.0, hits.append, 1)
     sim.schedule(2.0, hits.append, 2)
@@ -50,9 +53,9 @@ def test_cancel_of_already_fired_entry_is_a_noop(queue):
     assert hits == [1, 2]
 
 
-@pytest.mark.parametrize("queue", QUEUES)
-def test_peek_across_dead_heads_returns_first_live_time(queue):
-    sim = Simulator(queue=queue)
+@QUEUES
+def test_peek_across_dead_heads_returns_first_live_time(make_queue):
+    sim = Simulator(queue=make_queue())
     doomed = [sim.schedule(float(t), int) for t in (1, 2, 3)]
     sim.schedule(7.0, int)
     for handle in doomed:
@@ -64,9 +67,9 @@ def test_peek_across_dead_heads_returns_first_live_time(queue):
     assert sim.peek() == 7.0  # idempotent
 
 
-@pytest.mark.parametrize("queue", QUEUES)
-def test_peek_on_fully_cancelled_queue_is_none(queue):
-    sim = Simulator(queue=queue)
+@QUEUES
+def test_peek_on_fully_cancelled_queue_is_none(make_queue):
+    sim = Simulator(queue=make_queue())
     handles = [sim.schedule(float(t), int) for t in (1, 2)]
     for handle in handles:
         sim.cancel(handle)
@@ -107,13 +110,13 @@ def test_same_time_ordering_survives_compaction_and_bucket_resizes():
     assert sim._queue.resizes > 0  # the boundaries were actually exercised
 
 
-@pytest.mark.parametrize("queue", QUEUES)
-def test_push_below_horizon_during_drain_fires_in_order(queue):
+@QUEUES
+def test_push_below_horizon_during_drain_fires_in_order(make_queue):
     """A callback scheduling at the current time runs before later events."""
-    if queue == "calendar":
+    if make_queue is CalendarQueue:
         sim = Simulator(queue=CalendarQueue(min_bucket=2))
     else:
-        sim = Simulator(queue=queue)
+        sim = Simulator(queue=make_queue())
     fired = []
 
     def first():

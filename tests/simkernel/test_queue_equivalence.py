@@ -130,8 +130,8 @@ _PROGRAM = st.lists(
 )
 
 
-def _run_sim(queue_kind, program, slices):
-    sim = Simulator(queue=queue_kind)
+def _run_sim(queue, program, slices):
+    sim = Simulator(queue=queue)
     fired = []
     handles = []
 
@@ -168,6 +168,6 @@ def _run_sim(queue_kind, program, slices):
     slices=st.lists(_DELTAS, min_size=1, max_size=6),
 )
 def test_simulator_runs_identically_on_both_queues(program, slices):
-    heap = _run_sim("heap", program, slices)
-    calendar = _run_sim("calendar", program, slices)
+    heap = _run_sim(HeapEventQueue(), program, slices)
+    calendar = _run_sim(CalendarQueue(), program, slices)
     assert calendar == heap

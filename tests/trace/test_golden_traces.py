@@ -17,6 +17,7 @@ import os
 import pytest
 
 from repro.core import MiddlewareConfig, build_hybrid_cluster
+from repro.sched import JobRequest
 from repro.simkernel import MINUTE
 from repro.trace import check_events
 
@@ -33,7 +34,9 @@ def golden_scenario(version: int):
     )
     hybrid.deploy()
     hybrid.wait_for_nodes()
-    hybrid.submit_windows_job("mdcs", cores=4, runtime_s=5 * MINUTE)
+    hybrid.submit(
+        "windows", JobRequest(name="mdcs", cores=4, runtime_s=5 * MINUTE)
+    )
     hybrid.sim.run(until=hybrid.sim.now + 40 * MINUTE)
     return hybrid
 

@@ -79,8 +79,7 @@ def test_emit_stamps_sim_time_and_sequences(sim):
 
 
 def test_disabled_tracer_records_nothing(sim):
-    tracer = Tracer(sim)
-    tracer.enabled = False
+    tracer = Tracer(sim, mode="off")
     assert tracer.emit("a.one") is None
     assert tracer.events == []
     assert tracer.counts == {}
