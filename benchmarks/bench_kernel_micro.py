@@ -12,6 +12,9 @@ calendar queue: the drain/fire phase (the per-event cost every
 simulation pays) must be at least 5x faster than the heap's, and the
 whole push+cancel+drain cycle at least 2x.  Phases are timed
 best-of-three so allocator warm-up noise cannot fail the gate.
+
+``test_calendar_retains_only_live_entries`` gates the calendar's memory:
+it counts items, not seconds, so a noisy host cannot flake it.
 """
 
 import time
@@ -138,3 +141,32 @@ def test_bench_sim_round_trip_heap(benchmark):
 def test_bench_sim_round_trip_calendar(benchmark):
     expected = 50_000 - 50_000 // 4
     assert benchmark(_sim_round_trip, CalendarQueue) == expected
+
+
+def test_calendar_retains_only_live_entries():
+    """A long run holds its live entries plus at most ``min_bucket``.
+
+    Self-rescheduling beats put the whole queue in one bucket (horizon
+    at infinity), so no refill ever replaces the near tier; the queue
+    must still drop the tuples of fired entries instead of keeping one
+    per event of the run.
+    """
+    queue = CalendarQueue()
+    sim = Simulator(queue=queue)
+    events = 100_000
+    excess = []
+
+    def beat(step):
+        if sim.events_executed < events:
+            sim.schedule(1.0 + _PALETTE[step % len(_PALETTE)], beat, step + 1)
+            excess.append(len(queue._near) + len(queue._far) - len(queue))
+
+    for chain in range(64):
+        sim.schedule(0.0, beat, chain)
+    sim.run()
+
+    assert sim.events_executed >= events
+    assert max(excess) <= queue.min_bucket, (
+        f"calendar held {max(excess)} fired entries past its live ones "
+        f"(trim threshold {queue.min_bucket})"
+    )

@@ -31,7 +31,7 @@ an imperfect one:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.controller import BootController
 from repro.core.policy import ClusterView, SwitchDecision, SwitchPolicy
@@ -66,6 +66,16 @@ class SwitchOrders:
     ``FAILED`` and cancels its batch job if the job is still queued).
     The policy's in-flight counts come from this ledger, so a node that
     hangs at boot cannot absorb switch capacity forever.
+
+    ``orders`` is the append-only history of every order ever issued,
+    kept for analysis; nothing on the control loop reads it.  The hot
+    paths (confirmation, abort, the once-a-minute watchdog and the
+    per-cycle in-flight counts) walk only ``_pending``, an
+    insertion-ordered index that holds the unresolved orders and drops
+    each one as it resolves, so their cost and the index's size stay
+    O(orders in flight) however many switches a long run has already
+    done.  Insertion order is issue order, which keeps the oldest-first
+    confirmation and the order of ``order.failed`` events unchanged.
     """
 
     def __init__(
@@ -89,6 +99,8 @@ class SwitchOrders:
         self.orders_confirmed = 0
         self.orders_failed = 0
         self.orders: List[SwitchOrderRecord] = []
+        #: order_id -> record for every still-PENDING order, in issue order
+        self._pending: Dict[int, SwitchOrderRecord] = {}
         self._next_order_id = 1
         #: nodes whose next scheduler join is a crash recovery, not a
         #: switch landing — their join must not confirm a pending order
@@ -113,9 +125,7 @@ class SwitchOrders:
         node's reboot window (the batch job is already dead then) and
         drops when the watchdog declares the order failed.
         """
-        return sum(
-            1 for o in self.orders if o.pending and o.target_os == target_os
-        )
+        return sum(1 for o in self._pending.values() if o.target_os == target_os)
 
     # -- issuing -------------------------------------------------------------
 
@@ -143,15 +153,15 @@ class SwitchOrders:
 
     def _record(self, target_os: str, jobid: str) -> None:
         now = self.pbs.sim.now
-        self.orders.append(
-            SwitchOrderRecord(
-                order_id=self._next_order_id,
-                target_os=target_os,
-                issued_at=now,
-                deadline=now + self.order_timeout_s,
-                jobid=jobid,
-            )
+        order = SwitchOrderRecord(
+            order_id=self._next_order_id,
+            target_os=target_os,
+            issued_at=now,
+            deadline=now + self.order_timeout_s,
+            jobid=jobid,
         )
+        self.orders.append(order)
+        self._pending[order.order_id] = order
         if self.tracer is not None:
             self.tracer.emit(
                 "order.issued",
@@ -178,21 +188,24 @@ class SwitchOrders:
             # a fenced node rebooting back is not a switch landing
             self._expected_rejoins.discard(hostname)
             return
-        for order in self.orders:
-            if order.pending and order.target_os == target_os:
-                order.state = OrderState.CONFIRMED
-                order.resolved_at = self.pbs.sim.now
-                order.node = hostname
-                self.orders_confirmed += 1
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "order.confirmed",
-                        node=hostname,
-                        order_id=order.order_id,
-                        target_os=target_os,
-                        latency_s=order.resolved_at - order.issued_at,
-                    )
-                return
+        order = next(
+            (o for o in self._pending.values() if o.target_os == target_os), None
+        )
+        if order is None:
+            return
+        del self._pending[order.order_id]
+        order.state = OrderState.CONFIRMED
+        order.resolved_at = self.pbs.sim.now
+        order.node = hostname
+        self.orders_confirmed += 1
+        if self.tracer is not None:
+            self.tracer.emit(
+                "order.confirmed",
+                node=hostname,
+                order_id=order.order_id,
+                target_os=target_os,
+                latency_s=order.resolved_at - order.issued_at,
+            )
 
     # -- node-failure hooks --------------------------------------------------
 
@@ -209,14 +222,12 @@ class SwitchOrders:
         the watchdog.  Returns the number of orders aborted.
         """
         targets = {str(jobid) for jobid in jobids}
-        aborted = 0
-        for order in self.orders:
-            if not order.pending or str(order.jobid) not in targets:
-                continue
+        aborted = [o for o in self._pending.values() if str(o.jobid) in targets]
+        for order in aborted:
+            del self._pending[order.order_id]
             order.state = OrderState.FAILED
             order.resolved_at = self.pbs.sim.now
             self.orders_failed += 1
-            aborted += 1
             if self.tracer is not None:
                 self.tracer.emit(
                     "order.failed",
@@ -224,17 +235,16 @@ class SwitchOrders:
                     order_id=order.order_id,
                     target_os=order.target_os,
                 )
-        return aborted
+        return len(aborted)
 
     # -- watchdog ------------------------------------------------------------
 
     def expire(self, now: float) -> List[SwitchOrderRecord]:
         """Fail every pending order past its deadline; cancel its batch job
         if the job is still queued (it never even found a donor node)."""
-        expired = []
-        for order in self.orders:
-            if not order.pending or now < order.deadline:
-                continue
+        expired = [o for o in self._pending.values() if now >= o.deadline]
+        for order in expired:
+            del self._pending[order.order_id]
             order.state = OrderState.FAILED
             order.resolved_at = now
             self.orders_failed += 1
@@ -246,7 +256,6 @@ class SwitchOrders:
                     target_os=order.target_os,
                 )
             self._cancel_stale_job(order)
-            expired.append(order)
         return expired
 
     def _cancel_stale_job(self, order: SwitchOrderRecord) -> None:

@@ -31,6 +31,16 @@ Correctness invariants (exercised by the Hypothesis equivalence suite in
   identical to the binary heap's,
 * dead-entry accounting matches the heap exactly: cancelled entries stay
   in place until drained past or compacted away.
+
+Memory is O(live entries).  ``near[:pos]`` holds entries already fired
+or drained past; a refill replaces ``near`` and so drops them, but once
+the horizon is infinite (the whole queue fits in one bucket, which every
+long simulation reaches) no refill ever runs again.  ``push`` therefore
+trims that consumed prefix once it is longer than both ``min_bucket``
+and the live tail, so beside its queued entries the queue holds at most
+``max(min_bucket, queued)`` fired ones, and their callbacks (with
+everything a bound method keeps alive) are released.  The ``del`` moves
+at most as many items as it frees, so it amortises to O(1) per event.
 """
 
 from __future__ import annotations
@@ -91,8 +101,14 @@ class CalendarQueue:
         t = entry.time
         if t < self._horizon:
             near = self._near
-            insort(near, (t, entry.seq, entry), lo=self._pos)
-            live = len(near) - self._pos
+            pos = self._pos
+            if pos > self.min_bucket and pos > len(near) - pos:
+                # drop the consumed prefix: fired tuples (and the callbacks
+                # they hold) must not outlive their event
+                del near[:pos]
+                self._pos = pos = 0
+            insort(near, (t, entry.seq, entry), lo=pos)
+            live = len(near) - pos
             if live > (self.min_bucket << 2) and live > len(self._far):
                 self._spill()
         else:

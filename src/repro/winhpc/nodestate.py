@@ -24,10 +24,16 @@ class WinNodeRecord:
     template: str = "Default ComputeNode Template"
     #: job_id -> cores allocated on this node
     allocations: Dict[int, int] = field(default_factory=dict)
+    #: running total of ``allocations`` values, kept by the mutators below
+    #: (placement reads ``available_cores`` for every candidate node)
+    _cores_in_use: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._cores_in_use = sum(self.allocations.values())
 
     @property
     def cores_in_use(self) -> int:
-        return sum(self.allocations.values())
+        return self._cores_in_use
 
     @property
     def available_cores(self) -> int:
@@ -46,17 +52,20 @@ class WinNodeRecord:
                 f"{self.available_cores} available"
             )
         self.allocations[job_id] = self.allocations.get(job_id, 0) + count
+        self._cores_in_use += count
 
     def release(self, job_id: int) -> None:
-        self.allocations.pop(job_id, None)
+        self._cores_in_use -= self.allocations.pop(job_id, 0)
 
     def mark_online(self) -> None:
         self.state = WinNodeState.ONLINE
         self.allocations.clear()
+        self._cores_in_use = 0
 
     def mark_unreachable(self) -> None:
         self.state = WinNodeState.UNREACHABLE
         self.allocations.clear()
+        self._cores_in_use = 0
 
     def mark_draining(self) -> None:
         """Admin cordon: no new work, running allocations stay."""

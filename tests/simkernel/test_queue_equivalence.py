@@ -5,14 +5,14 @@ story is that it maintains the exact ``(time, seq)`` total order and the
 exact dead-entry accounting of the reference ``HeapEventQueue``.  These
 properties drive both queues through identical random programs —
 pushes (with deliberate time ties), cancels, pops, peeks, bounded and
-unbounded drains — and require the *entire* observation log to match:
-every fired ``(time, seq)``, every peek, and the ``len/dead/compactions``
-counters after every step.
+unbounded drains, runs of self-rescheduling events — and require the
+*entire* observation log to match: every fired ``(time, seq)``, every
+peek, and the ``len/dead/compactions`` counters after every step.
 
 Tiny ``min_bucket`` values force the calendar machinery (refill cuts,
-near-overflow spills, lazy far-sorts) to run constantly, so the
-tie-safety of the bucket boundaries is exercised far harder than the
-default configuration ever would in a real run.
+near-overflow spills, lazy far-sorts, consumed-prefix trims) to run
+constantly, so the tie-safety of the bucket boundaries is exercised far
+harder than the default configuration ever would in a real run.
 
 ``tests/experiments/test_queue_trace_equivalence.py`` closes the same
 loop at whole-experiment granularity (byte-identical traces).
@@ -28,14 +28,22 @@ from repro.simkernel.kernel import HeapEventQueue, _Entry
 # case for bucket boundaries) occur constantly.
 _DELTAS = st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0, 10.0])
 
+# "steps" fires heads that each reschedule themselves, the simulator's
+# steady state; it and "push" are listed twice so that queues build up
+# and the consumed-prefix trim runs in a good share of the examples.
+_STEPS = st.tuples(st.just("steps"), st.lists(_DELTAS, min_size=1, max_size=24))
+
 _OPS = st.lists(
     st.one_of(
+        st.tuples(st.just("push"), _DELTAS),
         st.tuples(st.just("push"), _DELTAS),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10**6)),
         st.tuples(st.just("pop"), st.none()),
         st.tuples(st.just("peek"), st.none()),
         st.tuples(st.just("drain_until"), _DELTAS),
         st.tuples(st.just("drain_all"), st.none()),
+        _STEPS,
+        _STEPS,
     ),
     max_size=80,
 )
@@ -60,12 +68,24 @@ def _run_program(queue, ops):
         entry.alive = False
         log.append(("fire", entry.time, entry.seq))
 
+    def push(delta):
+        nonlocal seq
+        entry = _Entry(now + delta, seq, int, ())
+        seq += 1
+        entries.append(entry)
+        queue.push(entry)
+
     for kind, arg in ops:
         if kind == "push":
-            entry = _Entry(now + arg, seq, int, ())
-            seq += 1
-            entries.append(entry)
-            queue.push(entry)
+            push(arg)
+        elif kind == "steps":
+            for delta in arg:
+                entry = queue.pop()
+                if entry is None:
+                    log.append(("pop", None))
+                    break
+                fire(entry)
+                push(delta)
         elif kind == "cancel":
             if entries:
                 queue.cancel(entries[arg % len(entries)])
