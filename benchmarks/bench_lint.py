@@ -5,8 +5,8 @@ fixpoint over the whole of ``src/repro``) runs in CI on every push, so
 its cost is part of every contributor's feedback loop.  These benches
 keep it honest:
 
-* one full flow lint of ``src/repro`` (the CI invocation, baseline
-  subtraction included) must finish well under the 30 s budget;
+* one full flow lint of ``src/repro`` (the CI invocation) must finish
+  well under the 30 s budget;
 * the project/call-graph build is timed separately, so a slowdown can
   be attributed to graph construction vs rule checking.
 
@@ -17,21 +17,17 @@ fixture in ``conftest.py`` (never committed — see tests/test_reports_audit).
 import pathlib
 
 from repro.analysis import build_project, lint_paths
-from repro.analysis.flow.baseline import load_baseline
 
 REPO_ROOT = pathlib.Path(__file__).parents[1]
 SRC = str(REPO_ROOT / "src" / "repro")
-BASELINE = REPO_ROOT / "reprolint-baseline.json"
 
 #: hard wall for the whole-repo flow pass (acceptance gate)
 FLOW_BUDGET_S = 30.0
 
 
 def test_bench_full_flow_lint(benchmark):
-    entries = load_baseline(BASELINE.read_text(encoding="utf-8"))
-
     def run():
-        return lint_paths([SRC], baseline=entries)
+        return lint_paths([SRC])
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     assert report.files_checked > 100

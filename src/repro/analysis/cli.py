@@ -6,9 +6,6 @@ Usage::
     repro-lint --format json src tests   # machine-readable report
     repro-lint --strict src/repro        # warnings also fail the run
     repro-lint --rules                   # print the rule catalogue
-    repro-lint --baseline reprolint-baseline.json --strict src/repro
-    repro-lint --graph-out graph.json --graph-dot graph.dot src/repro
-    repro-lint --write-baseline reprolint-baseline.json src/repro
 
 Also runnable without installation as ``python -m repro.analysis``.
 """
@@ -19,12 +16,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.flow.baseline import (
-    BASELINE_RULES,
-    load_baseline,
-    render_baseline,
-)
-from repro.analysis.flow.graphio import graph_payload, graph_to_dot, graph_to_json
 from repro.analysis.registry import all_rules
 from repro.analysis.runner import lint_paths
 from repro.analysis.suppressions import SUPPRESSION_RULES
@@ -37,8 +28,6 @@ def _print_rules() -> None:
         print(f"  {rule.id}  [{rule.default_severity.value}]{flow}  {rule.summary}")
     for rule_id, summary in sorted(SUPPRESSION_RULES.items()):
         print(f"  {rule_id}  [error]  {summary}")
-    for rule_id, summary in sorted(BASELINE_RULES.items()):
-        print(f"  {rule_id}  [warning]  {summary}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -66,76 +55,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--rules", action="store_true",
         help="list the rule catalogue and exit",
     )
-    parser.add_argument(
-        "--no-flow", action="store_true",
-        help="skip the project-wide flow pass (per-file rules only)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help=(
-            "subtract the committed findings baseline; stale entries "
-            "become BASE001 warnings (the ratchet)"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline", metavar="FILE", default=None,
-        help=(
-            "write the current findings as a fresh baseline file and "
-            "exit 0 (deliberate re-baselining only)"
-        ),
-    )
-    parser.add_argument(
-        "--graph-out", metavar="FILE", default=None,
-        help="write the import/call graph as deterministic JSON",
-    )
-    parser.add_argument(
-        "--graph-dot", metavar="FILE", default=None,
-        help="write a module-level Graphviz DOT rendering of the graph",
-    )
     args = parser.parse_args(argv)
 
     if args.rules:
         _print_rules()
         return 0
 
-    baseline = None
-    if args.baseline is not None:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            try:
-                baseline = load_baseline(fh.read())
-            except ValueError as exc:
-                print(f"error: bad baseline file {args.baseline}: {exc}",
-                      file=sys.stderr)
-                return 2
-
-    paths = args.paths or ["src/repro"]
-    report = lint_paths(
-        paths,
-        flow=not args.no_flow,
-        baseline=baseline,
-        baseline_path=args.baseline or "reprolint-baseline.json",
-    )
-
-    wants_graph = args.graph_out or args.graph_dot
-    if wants_graph:
-        if report.project is None:
-            print("error: --graph-out/--graph-dot require the flow pass "
-                  "(drop --no-flow)", file=sys.stderr)
-            return 2
-        payload = graph_payload(report.project)
-        if args.graph_out:
-            with open(args.graph_out, "w", encoding="utf-8") as fh:
-                fh.write(graph_to_json(payload))
-        if args.graph_dot:
-            with open(args.graph_dot, "w", encoding="utf-8") as fh:
-                fh.write(graph_to_dot(payload))
-
-    if args.write_baseline is not None:
-        with open(args.write_baseline, "w", encoding="utf-8") as fh:
-            fh.write(render_baseline(report.findings))
-        print(f"wrote {len(report.findings)} finding(s) to "
-              f"{args.write_baseline}")
-        return 0
+    report = lint_paths(args.paths or ["src/repro"])
 
     if args.format == "json":
         print(report.to_json())

@@ -168,23 +168,6 @@ def default_config() -> LintConfig:
                 "repro.core.elasticity": error,
             },
         ),
-        # Hot-path sorted() scans: error only in the modules the scale
-        # path indexed (docs/PERFORMANCE.md); elsewhere a sort is not
-        # per-cycle work and stays unguarded.
-        "PERF001": RulePolicy(
-            default=Severity.OFF,
-            overrides={
-                "repro.pbs.scheduler": error,
-                "repro.core.detector": error,
-            },
-        ),
-        # Eager TraceEvent construction: error everywhere except inside
-        # repro.trace itself — the tracer's lazy materialiser (and the
-        # JSONL importer) are the only legitimate record builders.
-        "PERF003": RulePolicy(
-            default=error,
-            overrides={"repro.trace": Severity.OFF},
-        ),
     }
     return LintConfig(policies=policies)
 

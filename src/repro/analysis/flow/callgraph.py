@@ -95,9 +95,6 @@ class CallGraph:
     def callers_of(self, qualname: str) -> List[CallEdge]:
         return self._in.get(qualname, [])
 
-    def observer_targets(self, attr: str) -> List[str]:
-        return self.observers.get(attr, [])
-
     def reachable(
         self,
         roots: Iterable[str],

@@ -2,20 +2,19 @@
 
 A :class:`Project` owns the parsed :class:`SourceFile` records for one
 lint invocation and lazily builds the derived structures the flow rules
-share — the import graph, the symbol table, and the call graph.  Files
-are stored sorted by module name so every derived structure (and every
-export) is deterministic regardless of how the runner discovered them.
+share — the symbol table and the call graph.  Files are stored sorted
+by module name so every derived structure is deterministic regardless
+of how the runner discovered them.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.analysis.flow.callgraph import CallGraph
-    from repro.analysis.flow.modgraph import ImportGraph
     from repro.analysis.flow.symbols import SymbolTable
 
 
@@ -35,11 +34,6 @@ class SourceFile:
     source: str
     tree: ast.Module
     is_package: bool = False
-    lines: List[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.lines:
-            self.lines = self.source.splitlines()
 
 
 def subsystem_of(module: str) -> str:
@@ -66,19 +60,10 @@ class Project:
             # sorted order keeps the winner stable
             self.modules.setdefault(sf.module, sf)
             self._path_module.setdefault(sf.path, sf.module)
-        self._imports: Optional["ImportGraph"] = None
         self._symbols: Optional["SymbolTable"] = None
         self._callgraph: Optional["CallGraph"] = None
 
     # -- derived structures (built once, shared by every flow rule) ----------
-
-    @property
-    def imports(self) -> "ImportGraph":
-        if self._imports is None:
-            from repro.analysis.flow.modgraph import ImportGraph
-
-            self._imports = ImportGraph(self)
-        return self._imports
 
     @property
     def symbols(self) -> "SymbolTable":
@@ -100,9 +85,6 @@ class Project:
 
     def module_of_path(self, path: str) -> Optional[str]:
         return self._path_module.get(path)
-
-    def has_module(self, module: str) -> bool:
-        return module in self.modules
 
     def longest_module_prefix(self, dotted: str) -> Optional[Tuple[str, str]]:
         """Split *dotted* into (project module, remainder), longest first.

@@ -392,12 +392,6 @@ class SymbolTable:
                 return found
         return None
 
-    def class_of_function(self, qualname: str) -> Optional[ClassInfo]:
-        fn = self.functions.get(qualname)
-        if fn is None or fn.class_qualname is None:
-            return None
-        return self.classes.get(fn.class_qualname)
-
 
 def _self_attr(node: ast.AST) -> Optional[str]:
     """``self.<attr>`` → attr name, else ``None``."""

@@ -4,13 +4,13 @@ Rules self-register at import time via the :func:`register` decorator;
 :mod:`repro.analysis.rules` imports every rule module so that loading the
 package populates the registry.  The registry is the single source of
 truth the runner, the CLI ``--rules`` listing, and the documentation
-self-test all read from.
+self-test (``tests/analysis/test_docs.py``) all read from.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Type
+from typing import TYPE_CHECKING, Dict, Iterator, List, Type
 
 from repro.analysis.findings import Finding, Severity
 
@@ -32,7 +32,6 @@ class RuleContext:
         self.source = source
         self.tree = tree
         self.module = module
-        self.lines = source.splitlines()
 
 
 class Rule:
@@ -130,12 +129,3 @@ def rule_ids() -> List[str]:
 
     return sorted(_REGISTRY)
 
-
-def get_rule(rule_id: str) -> Type[Rule]:
-    import repro.analysis.rules  # noqa: F401  (side effect: registration)
-
-    return _REGISTRY[rule_id]
-
-
-# Convenience alias used by rule modules.
-RuleCheck = Callable[[RuleContext], Iterator[Finding]]

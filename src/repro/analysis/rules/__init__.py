@@ -10,7 +10,6 @@ from repro.analysis.rules import (  # noqa: F401  (side effect: registration)
     hygiene,
     layering,
     ordering,
-    perf,
     tracing,
 )
 from repro.analysis.rules import (  # noqa: F401  (flow rules; they import

@@ -5,15 +5,12 @@ directories) and :func:`lint_source` (a single in-memory source string —
 what the fixture tests use).  Both return a :class:`LintReport`.
 
 :func:`lint_paths` runs in two phases.  Phase one is per-file: every
-non-flow rule checks each file in isolation, exactly as before.  Phase
-two is project-wide: the parsed files become one
+non-flow rule checks each file in isolation.  Phase two is
+project-wide: the parsed files become one
 :class:`~repro.analysis.flow.project.Project` and the graph-aware
 :class:`~repro.analysis.registry.FlowRule` s (DET006/DET007/TRC002)
 check it as a whole.  Flow findings land on real file/line locations,
-so inline suppressions apply to them unchanged; a committed findings
-baseline is then subtracted (the ratchet — see
-:mod:`repro.analysis.flow.baseline`), with stale entries surfacing as
-``BASE001`` warnings.
+so inline suppressions apply to them unchanged.
 """
 
 from __future__ import annotations
@@ -22,11 +19,10 @@ import ast
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.config import DEFAULT_CONFIG, LintConfig
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.flow.baseline import BaselineEntry, match_baseline
 from repro.analysis.flow.project import Project, SourceFile
 from repro.analysis.registry import all_rules, flow_rules
 from repro.analysis.suppressions import apply_suppressions, parse_suppressions
@@ -38,9 +34,6 @@ class LintReport:
 
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
-    #: the flow-analysis project, when :func:`lint_paths` ran with
-    #: ``flow=True`` (the CLI's ``--graph-out`` reads it)
-    project: Optional[Project] = None
 
     @property
     def errors(self) -> List[Finding]:
@@ -128,11 +121,7 @@ def lint_source(
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        report.findings.append(Finding(
-            rule="PARSE", severity=Severity.ERROR, path=path,
-            line=exc.lineno or 1, col=(exc.offset or 1) - 1,
-            message=f"syntax error: {exc.msg}",
-        ))
+        report.findings.append(_parse_error(path, exc))
         return report
 
     raw = _check_file(path, source, tree, module, config)
@@ -194,22 +183,42 @@ def _discover(paths: Iterable[str]) -> List[Tuple[str, str]]:
     return sorted(out)
 
 
-def build_project(paths: Iterable[str]) -> Project:
-    """Parse every file under *paths* into a flow-analysis project.
+def _parse_error(path: str, exc: SyntaxError) -> Finding:
+    return Finding(
+        rule="PARSE", severity=Severity.ERROR, path=path,
+        line=exc.lineno or 1, col=(exc.offset or 1) - 1,
+        message=f"syntax error: {exc.msg}",
+    )
 
-    Unparseable files are skipped (``lint_paths`` reports them; direct
-    callers like ``--graph-out`` simply analyze what parses).
+
+def _read_files(
+    paths: Iterable[str],
+) -> Tuple[List[SourceFile], List[Tuple[str, str, Finding]]]:
+    """Read and parse every ``.py`` file under *paths*.
+
+    Returns the parsed files and, for each file that does not parse,
+    ``(path, source, PARSE finding)``.
     """
     files: List[SourceFile] = []
+    broken: List[Tuple[str, str, Finding]] = []
     for path, root in _discover(paths):
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
         try:
             tree = ast.parse(source, filename=path)
-        except SyntaxError:
+        except SyntaxError as exc:
+            broken.append((path, source, _parse_error(path, exc)))
             continue
         files.append(_source_file(path, root, source, tree))
-    return Project(files)
+    return files, broken
+
+
+def build_project(paths: Iterable[str]) -> Project:
+    """Parse every file under *paths* into a flow-analysis project.
+
+    Unparseable files are skipped (``lint_paths`` reports them).
+    """
+    return Project(_read_files(paths)[0])
 
 
 def _source_file(path: str, root: str, source: str, tree: ast.Module) -> SourceFile:
@@ -226,86 +235,40 @@ def _source_file(path: str, root: str, source: str, tree: ast.Module) -> SourceF
 def lint_paths(
     paths: Iterable[str],
     config: LintConfig = DEFAULT_CONFIG,
-    flow: bool = True,
-    baseline: Optional[Sequence[BaselineEntry]] = None,
-    baseline_path: str = "reprolint-baseline.json",
 ) -> LintReport:
-    """Lint every ``.py`` file under *paths* into one merged report.
-
-    With ``flow=True`` (the default) the parsed files also run through
-    the project-wide flow rules; with a *baseline*, findings matching a
-    committed entry are subtracted and stale entries become ``BASE001``
-    warnings anchored at *baseline_path*.
-    """
-    report = LintReport()
-    parsed: List[Tuple[str, str, ast.Module, Optional[str]]] = []
+    """Lint every ``.py`` file under *paths* into one merged report,
+    per-file rules first, then the project-wide flow rules."""
+    files, broken = _read_files(paths)
     by_path: Dict[str, List[Finding]] = {}
     sources: Dict[str, str] = {}
-    project_files: List[SourceFile] = []
-    for path, root in _discover(list(paths)):
-        with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        report.files_checked += 1
+    for path, source, finding in broken:
         sources[path] = source
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            by_path.setdefault(path, []).append(Finding(
-                rule="PARSE", severity=Severity.ERROR, path=path,
-                line=exc.lineno or 1, col=(exc.offset or 1) - 1,
-                message=f"syntax error: {exc.msg}",
-            ))
-            continue
-        module = module_name_for(path)
-        parsed.append((path, source, tree, module))
-        project_files.append(_source_file(path, root, source, tree))
+        by_path.setdefault(path, []).append(finding)
+    for sf in files:
+        sources[sf.path] = sf.source
+        by_path.setdefault(sf.path, []).extend(_check_file(
+            sf.path, sf.source, sf.tree, module_name_for(sf.path), config
+        ))
 
-    for path, source, tree, module in parsed:
-        by_path.setdefault(path, []).extend(
-            _check_file(path, source, tree, module, config)
-        )
-
-    unverified = flow_rule_ids()
-    if flow:
-        unverified = frozenset()
-        project = Project(project_files)
-        report.project = project
-        for rule in flow_rules():
-            for finding in rule.check_project(project):
-                module = project.module_of_path(finding.path)
-                severity = config.severity_for(
-                    rule.id, rule.default_severity, module
-                )
-                if severity is Severity.OFF:
-                    continue
-                by_path.setdefault(finding.path, []).append(
-                    finding.with_severity(severity)
-                )
+    project = Project(files)
+    for rule in flow_rules():
+        for finding in rule.check_project(project):
+            module = project.module_of_path(finding.path)
+            severity = config.severity_for(
+                rule.id, rule.default_severity, module
+            )
+            if severity is Severity.OFF:
+                continue
+            by_path.setdefault(finding.path, []).append(
+                finding.with_severity(severity)
+            )
 
     merged: List[Finding] = []
     for path in sorted(by_path):
-        raw = by_path[path]
-        source = sources.get(path)
-        if source is None:
-            merged.extend(raw)
-            continue
-        suppressions = parse_suppressions(source)
-        merged.extend(
-            apply_suppressions(raw, suppressions, path, unverified=unverified)
-        )
+        suppressions = parse_suppressions(sources[path])
+        merged.extend(apply_suppressions(by_path[path], suppressions, path))
 
-    if baseline is not None:
-        merged, stale = match_baseline(merged, list(baseline))
-        for entry in stale:
-            merged.append(Finding(
-                rule="BASE001", severity=Severity.WARNING,
-                path=baseline_path, line=1, col=0,
-                message=(
-                    f"stale baseline entry ({entry.rule} at {entry.path}: "
-                    f"{entry.message!r}) matches no current finding — "
-                    "the debt is paid, delete the entry"
-                ),
-            ))
-
-    report.findings = sorted(merged, key=Finding.sort_key)
-    return report
+    return LintReport(
+        findings=sorted(merged, key=Finding.sort_key),
+        files_checked=len(files) + len(broken),
+    )

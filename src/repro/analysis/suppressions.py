@@ -59,7 +59,7 @@ def _comment_tokens(source: str) -> Iterator[tokenize.TokenInfo]:
         for tok in tokens:
             if tok.type == tokenize.COMMENT:
                 yield tok
-    except (tokenize.TokenizeError, IndentationError, SyntaxError):
+    except (tokenize.TokenError, IndentationError, SyntaxError):
         # The AST parse will report the real syntax problem; comments
         # found up to that point still count.
         return

@@ -34,7 +34,7 @@ def allocate_fifo(
     """
     candidates = [
         record
-        for _, record in sorted(nodes.items(), reverse=True)  # perf: cold-path reference
+        for _, record in sorted(nodes.items(), reverse=True)
         if record.state not in (PbsNodeState.DOWN, PbsNodeState.OFFLINE)
         and record.available_cores >= job.ppn
     ]
@@ -63,7 +63,7 @@ def schedulable_backlog(
     for job in queued:
         hosts = [
             name
-            for name, cores in sorted(free.items(), reverse=True)  # perf: cold-path reference
+            for name, cores in sorted(free.items(), reverse=True)
             if cores >= job.ppn
         ]
         if len(hosts) < job.nodes:

@@ -1,21 +1,11 @@
-"""Flow-layer mechanics: import graph, call graph, graph export.
+"""Flow-layer mechanics: symbol resolution and the call graph.
 
 Synthetic mini-projects are written to ``tmp_path`` and parsed with
 :func:`repro.analysis.build_project`, so each test states its whole
 world in a few lines of fixture source.
 """
 
-import json
-
-import pytest
-
 from repro.analysis import build_project
-from repro.analysis.flow.graphio import (
-    graph_from_json,
-    graph_payload,
-    graph_to_dot,
-    graph_to_json,
-)
 
 
 def write_pkg(root, name, modules):
@@ -27,29 +17,23 @@ def write_pkg(root, name, modules):
     return str(pkg)
 
 
-# -- import graph ------------------------------------------------------------
+# -- call graph --------------------------------------------------------------
 
-def test_import_cycle_detection(tmp_path):
-    pkg = write_pkg(tmp_path, "cyc", {
-        "a": "import cyc.b\n",
-        "b": "import cyc.a\n",
-        "solo": "import json\n",
-    })
-    project = build_project([pkg])
-    assert project.imports.cycles() == [["cyc.a", "cyc.b"]]
-
-
-def test_relative_import_resolution(tmp_path):
+def test_relative_import_resolves_to_call_edge(tmp_path):
     pkg = write_pkg(tmp_path, "rel", {
-        "a": "from . import b\nfrom .b import thing\n",
+        "a": (
+            "from .b import thing\n"
+            "\n"
+            "\n"
+            "def use():\n"
+            "    return thing()\n"
+        ),
         "b": "def thing():\n    return 1\n",
     })
     project = build_project([pkg])
-    assert "rel.b" in project.imports.imports_of("rel.a")
-    assert "rel.a" in project.imports.importers_of("rel.b")
+    edges = project.callgraph.callees_of("rel.a.use")
+    assert [(e.callee, e.kind) for e in edges] == [("rel.b.thing", "direct")]
 
-
-# -- call graph --------------------------------------------------------------
 
 OBSERVER_PKG = {
     "hub": (
@@ -137,50 +121,3 @@ def test_reachable_walks_self_and_direct_edges(tmp_path):
     assert "walk.m.A._mid" in reached
     assert "walk.m.leaf" in reached
     assert "walk.m.unrelated" not in reached
-
-
-# -- graph export ------------------------------------------------------------
-
-@pytest.fixture()
-def two_pkg_project(tmp_path):
-    obs = write_pkg(tmp_path, "obs", dict(OBSERVER_PKG))
-    cyc = write_pkg(tmp_path, "cyc", {
-        "a": "import cyc.b\n",
-        "b": "import cyc.a\n",
-    })
-    return [obs, cyc]
-
-
-def test_graph_json_round_trips(two_pkg_project):
-    payload = graph_payload(build_project(two_pkg_project))
-    text = graph_to_json(payload)
-    assert graph_from_json(text) == payload
-    assert text.endswith("\n")
-
-
-def test_graph_json_is_byte_identical_across_builds(two_pkg_project):
-    first = graph_to_json(graph_payload(build_project(two_pkg_project)))
-    second = graph_to_json(graph_payload(build_project(two_pkg_project)))
-    assert first == second
-
-
-def test_graph_payload_shape(two_pkg_project):
-    payload = graph_payload(build_project(two_pkg_project))
-    assert payload["version"] == 1
-    names = {m["name"] for m in payload["modules"]}
-    assert names >= {"obs.hub", "obs.user", "cyc.a", "cyc.b"}
-    assert ["cyc.a", "cyc.b"] in payload["cycles"]
-    kinds = {call["kind"] for call in payload["calls"]}
-    assert "observer" in kinds
-
-
-def test_graph_dot_renders_modules(two_pkg_project):
-    payload = graph_payload(build_project(two_pkg_project))
-    dot = graph_to_dot(payload)
-    assert dot.startswith("digraph")
-    assert '"obs.hub"' in dot and '"cyc.a"' in dot
-
-
-def test_graph_from_json_rejects_other_versions():
-    with pytest.raises(ValueError):
-        graph_from_json(json.dumps({"version": 2}))

@@ -35,14 +35,11 @@ EXPECTED = {
     "API002": {"API002"},
     "SUP001": {"SUP001"},
     "SUP002": {"SUP002"},
-    "PERF001": {"PERF001"},
-    "PERF003": {"PERF003"},
 }
 
 #: Rules that are scoped to specific modules (not package-wide): their
 #: fixtures must lint *as* a module where the rule is active.
 MODULE_FOR = {
-    "perf001": "repro.core.detector",
     "api002": "repro.core.middleware",
 }
 

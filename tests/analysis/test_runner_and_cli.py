@@ -56,6 +56,15 @@ def test_syntax_error_is_a_parse_finding():
     assert not report.ok()
 
 
+def test_unclosed_bracket_is_a_parse_finding_in_lint_paths(tmp_path):
+    """The tokenizer stops at EOF inside brackets; the run must still
+    report PARSE instead of crashing while reading suppressions."""
+    target = tmp_path / "broken.py"
+    target.write_text("def broken(:\n    pass\n")
+    report = lint_paths([str(target)])
+    assert [f.rule for f in report.findings] == ["PARSE"]
+
+
 def test_text_report_shape():
     report = lint_source(
         "def f(q=[]):\n    return q\n", path="m.py", module="repro.core.m"
@@ -115,3 +124,39 @@ def test_cli_rules_listing(capsys):
     out = capsys.readouterr().out
     for rule_id in ("DET001", "DET005", "TRC001", "API001", "SUP001", "SUP002"):
         assert rule_id in out
+
+
+def test_cli_rules_lists_flow_rules(capsys):
+    assert main(["--rules"]) == 0
+    out = capsys.readouterr().out
+    for rule_id in ("DET006", "DET007", "TRC002"):
+        assert rule_id in out
+    assert "[flow]" in out
+
+
+def test_cli_always_runs_the_flow_pass(tmp_path, capsys):
+    """A cross-module RNG leak no single file shows fails the CLI run."""
+    pkg = tmp_path / "badpkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "producer.py").write_text(
+        "from repro.simkernel.rng import RngStreams\n"
+        "\n"
+        "\n"
+        "class FaultBox:\n"
+        "    def __init__(self, rng: RngStreams) -> None:\n"
+        "        self.rng = rng\n"
+    )
+    (pkg / "consumer.py").write_text(
+        "from badpkg.producer import FaultBox\n"
+        "\n"
+        "\n"
+        "class Scheduler:\n"
+        "    def __init__(self, box: FaultBox) -> None:\n"
+        "        self.box = box\n"
+        "\n"
+        "    def jitter(self) -> float:\n"
+        "        return self.box.rng.uniform(0.0, 1.0)\n"
+    )
+    assert main([str(pkg)]) == 1
+    assert "DET006" in capsys.readouterr().out

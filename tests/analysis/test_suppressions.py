@@ -104,5 +104,3 @@ def test_flow_suppression_is_stale_when_flow_pass_runs(tmp_path):
     )
     report = lint_paths([str(target)])
     assert [f.rule for f in report.findings] == ["SUP002"]
-    report = lint_paths([str(target)], flow=False)
-    assert report.findings == []
