@@ -7,7 +7,9 @@ reads how many compute nodes the first queuing job needs."
 Every detector produces the same :class:`DetectorReport`: the Figure-5
 wire message plus the debug lines of Figure 6.  :class:`PbsDetector` and
 :class:`WinHpcDetector` (and the SLURM one in :mod:`repro.slurm.detector`)
-read the live scheduler state in O(active jobs) per check.
+read counts the scheduler keeps as jobs move: a check costs O(active
+switch jobs) plus the queue prefix up to the head job, and the Figure-6
+running list is built only when ``debug`` is read.
 
 The paper's Perl ``checkqueue.pl`` scrapes ``qstat -f`` text instead,
 because "PBS does not provide APIs ... Several Perl programs had been
@@ -25,18 +27,29 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.core.wire import QueueStateMessage
 from repro.pbs.commands import PbsCommands
 from repro.pbs.job import JobState
-from repro.winhpc.job import WinJobState, WinJobUnit
+from repro.sched.protocol import SWITCH_JOB_NAME, SWITCH_TAG
+from repro.winhpc.job import WinJobUnit
 from repro.winhpc.sdk import HpcSchedulerConnection
 
-#: The middleware's own switch jobs must not count as demand, or each
-#: switch would trigger another switch (positive feedback).
-SWITCH_TAG = "os-switch"
-SWITCH_JOB_NAME = "release_1_node"
+# The middleware's own switch jobs (SWITCH_JOB_NAME / SWITCH_TAG) must not
+# count as demand, or each switch would trigger another switch (positive
+# feedback).  The scheduler keeps them apart (``switch_jobs``), so the
+# detectors subtract them from its job counts.
+
+
+def named_switch_jobs(jobs: Iterable[Any]) -> int:
+    """How many of *jobs* carry the switch-job name."""
+    return sum(1 for job in jobs if job.name == SWITCH_JOB_NAME)
+
+
+def tagged_switch_jobs(jobs: Iterable[Any]) -> int:
+    """How many of *jobs* carry the switch tag."""
+    return sum(1 for job in jobs if job.tag == SWITCH_TAG)
 
 
 @dataclass
@@ -158,25 +171,39 @@ class PbsDetector:
 
         Equal to :func:`qstat_report` over ``qstat -f``: the listing is
         in submission order and the server's FIFO queue is too, so the
-        head queued job is the first ``Q`` job of ``queued_jobs()``.
-        Held jobs render as ``H`` and do not count.
+        head queued job is the first ``Q`` job of the queue.  Held jobs
+        render as ``H`` and do not count.
         """
         server = self.commands.server
-        running = [j for j in server.running_jobs() if j.name != SWITCH_JOB_NAME]
-        queued = [
-            j
-            for j in server.queued_jobs()
-            if j.state is JobState.QUEUED and j.name != SWITCH_JOB_NAME
-        ]
+        switch = server.switch_jobs
+        running = server.running_count() - named_switch_jobs(
+            switch.running.values()
+        )
+        queued = (
+            server.queued_count()
+            - server.held_count
+            - named_switch_jobs(
+                j for j in switch.queued.values()
+                if j.state is JobState.QUEUED
+            )
+        )
+        first: Optional[Tuple[str, int]] = None
+        if queued:
+            head = next(
+                j
+                for j in server.iter_queued()
+                if j.state is JobState.QUEUED and j.name != SWITCH_JOB_NAME
+            )
+            first = (head.jobid, head.total_cores)
         report = _build_report(
             eager=self.eager,
-            running=len(running),
-            queued=len(queued),
-            first_queued=(
-                (queued[0].jobid, queued[0].total_cores) if queued else None
-            ),
+            running=running,
+            queued=queued,
+            first_queued=first,
             running_detail=lambda: [
-                _pbs_running_line(j.jobid, j.name, j.owner) for j in running
+                _pbs_running_line(j.jobid, j.name, j.owner)
+                for j in server.running_jobs()
+                if j.name != SWITCH_JOB_NAME
             ],
         )
         _trace_check(self, "linux", report)
@@ -205,30 +232,36 @@ class WinHpcDetector:
         self.node_name = node_name
 
     def check(self) -> DetectorReport:
-        """One detector run over the SDK's job lists."""
-        running = [
-            j
-            for j in self.connection.get_job_list(WinJobState.RUNNING)
-            if j.tag != SWITCH_TAG
-        ]
-        queued = [
-            j
-            for j in self.connection.get_job_list(WinJobState.QUEUED)
-            if j.tag != SWITCH_TAG
-        ]
+        """One detector run over the connected scheduler's kept counts.
+
+        Equal to filtering the SDK's ``get_job_list(RUNNING/QUEUED)`` by
+        tag: the head is the first untagged job in queue order.
+        """
+        scheduler = self.connection.scheduler
+        switch = scheduler.switch_jobs
+        running = scheduler.running_count() - tagged_switch_jobs(
+            switch.running.values()
+        )
+        queued = scheduler.queued_count() - tagged_switch_jobs(
+            switch.queued.values()
+        )
         first: Optional[Tuple[str, int]] = None
         if queued:
-            head = queued[0]
+            head = next(
+                j for j in scheduler.iter_queued() if j.tag != SWITCH_TAG
+            )
             cores = head.amount
             if head.unit is WinJobUnit.NODE:
                 cores = head.amount * self.connection.max_node_cores()
             first = (str(head.job_id), cores)
         report = _build_report(
-            running=len(running),
-            queued=len(queued),
+            running=running,
+            queued=queued,
             first_queued=first,
             running_detail=lambda: [
-                f"{j.job_id} {j.name} Running" for j in running
+                f"{j.job_id} {j.name} Running"
+                for j in scheduler.running_jobs()
+                if j.tag != SWITCH_TAG
             ],
             eager=self.eager,
         )

@@ -22,14 +22,25 @@ defences:
   a suspended node is planned downtime, never a fenced one.
 
 Every action (and every hold) is an ``elastic.decision`` trace event.
+
+An evaluation reads state kept as it changes, never a scan of the
+cluster: the manager keeps each side's UP nodes and each side's
+SUSPENDED nodes plus the DEPROVISIONED pool through the nodes'
+``on_power_state`` observers; idle nodes come from the scheduler's kept
+idle hosts, the health filter from the monitor's unhealthy names, and
+the queued workload from the scheduler's queue length and switch jobs.
+Suspend victims are the highest-named idle nodes; wakes take the
+lowest-named candidates first.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from operator import attrgetter
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.detector import SWITCH_TAG
+from repro.core.detector import tagged_switch_jobs
 from repro.errors import ConfigurationError
 from repro.hardware.cluster import Cluster
 from repro.hardware.node import ComputeNode, NodeState
@@ -37,6 +48,28 @@ from repro.simkernel import Simulator, Timeout
 
 #: the two scheduler sides, in deterministic evaluation order
 SIDES = ("linux", "windows")
+
+#: a kept node pool: (resting power state, OS side or None)
+Pool = Tuple[NodeState, Optional[str]]
+
+
+_NAME = attrgetter("name")
+
+
+def _by_name(members: Dict[str, ComputeNode]) -> List[ComputeNode]:
+    return [members[name] for name in sorted(members)]
+
+
+def _pool_of(node: ComputeNode) -> Optional[Pool]:
+    """The pool *node* belongs in now, or ``None`` when in none."""
+    state = node.state
+    if state is NodeState.UP:
+        return state, node.os_name
+    if state is NodeState.SUSPENDED:
+        return state, node.suspended_os_name
+    if state is NodeState.DEPROVISIONED:
+        return state, None
+    return None
 
 
 @dataclass(frozen=True)
@@ -98,6 +131,30 @@ class ElasticityManager:
         self.stale_holds = 0
         self._surplus_streak: Dict[str, int] = {side: 0 for side in SIDES}
         self._process = None
+        #: pool -> {node name: node} (dicts as ordered sets), and each
+        #: pooled node's pool; seeded now, then kept by _on_power_state
+        self._pools: Dict[Pool, Dict[str, ComputeNode]] = {}
+        self._pool: Dict[str, Pool] = {}
+        for node in cluster.compute_nodes:
+            self._on_power_state(node, node.state, node.state)
+            node.on_power_state.append(self._on_power_state)
+
+    def _on_power_state(
+        self, node: ComputeNode, old: NodeState, new: NodeState
+    ) -> None:
+        name = node.name
+        pool = self._pool.pop(name, None)
+        if pool is not None:
+            del self._pools[pool][name]
+        pool = _pool_of(node)
+        if pool is not None:
+            self._pool[name] = pool
+            self._pools.setdefault(pool, {})[name] = node
+
+    def _members(
+        self, state: NodeState, side: Optional[str]
+    ) -> Dict[str, ComputeNode]:
+        return self._pools.get((state, side), {})
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -148,8 +205,8 @@ class ElasticityManager:
         self._surplus_streak[side] = 0
         # park the highest-named idle nodes (mirrors the switch policy's
         # donor order, so both mechanisms shrink the same end of the pool)
-        victims = sorted(idle, key=lambda n: n.name, reverse=True)
-        for node in victims[: min(headroom, self.policy.max_actions_per_cycle)]:
+        count = min(headroom, self.policy.max_actions_per_cycle)
+        for node in heapq.nlargest(count, idle, key=_NAME):
             self._cordon(side, node.name)
             node.suspend()
             self.suspends += 1
@@ -157,16 +214,7 @@ class ElasticityManager:
 
     def _wake(self, side: str, queued: int) -> None:
         budget = self.policy.max_actions_per_cycle
-        resumable = sorted(
-            (
-                n
-                for n in self.cluster.compute_nodes
-                if n.state is NodeState.SUSPENDED
-                and n.suspended_os_name == side
-            ),
-            key=lambda n: n.name,
-        )
-        for node in resumable[:budget]:
+        for node in self._resumable(side)[:budget]:
             if self.orders is not None:
                 self.orders.expect_rejoin(node.name)
             node.resume()
@@ -177,15 +225,7 @@ class ElasticityManager:
             )
         if budget <= 0 or not self._boots_land_on(side):
             return
-        burst = sorted(
-            (
-                n
-                for n in self.cluster.compute_nodes
-                if n.state is NodeState.DEPROVISIONED
-            ),
-            key=lambda n: n.name,
-        )
-        for node in burst[:budget]:
+        for node in self._burst()[:budget]:
             if self.orders is not None:
                 self.orders.expect_rejoin(node.name)
             node.provision()
@@ -211,39 +251,36 @@ class ElasticityManager:
         return self.sim.now - last > cap
 
     def _queued_workload(self, side: str) -> int:
+        """Queued jobs on *side* (held ones included) not tagged as
+        OS-switch jobs."""
         scheduler = self.pbs if side == "linux" else self.winhpc
-        return sum(
-            1 for job in scheduler.queued_jobs() if job.tag != SWITCH_TAG
+        return scheduler.queued_count() - tagged_switch_jobs(
+            scheduler.switch_jobs.queued.values()
         )
 
     def _online_count(self, side: str) -> int:
-        return sum(
-            1
-            for n in self.cluster.compute_nodes
-            if n.state is NodeState.UP and n.os_name == side
-        )
+        return len(self._members(NodeState.UP, side))
+
+    def _resumable(self, side: str) -> List[ComputeNode]:
+        """SUSPENDED nodes holding *side*'s OS image, lowest name first."""
+        return _by_name(self._members(NodeState.SUSPENDED, side))
+
+    def _burst(self) -> List[ComputeNode]:
+        """DEPROVISIONED burst nodes, lowest name first."""
+        return _by_name(self._members(NodeState.DEPROVISIONED, None))
 
     def _idle_nodes(self, side: str) -> List[ComputeNode]:
-        """Healthy, schedulable, zero-allocation UP nodes of *side*."""
+        """Healthy, schedulable, zero-allocation UP nodes of *side*, in
+        no particular order: the scheduler's idle hosts that are UP in
+        *side* and not unhealthy."""
         scheduler = self.pbs if side == "linux" else self.winhpc
-        out: List[ComputeNode] = []
-        for node in self.cluster.compute_nodes:
-            if node.state is not NodeState.UP or node.os_name != side:
-                continue
-            if not self._healthy(node.name):
-                continue
-            if not scheduler.node_idle(node.name):
-                continue
-            out.append(node)
-        return out
-
-    def _healthy(self, name: str) -> bool:
-        if self.health is None:
-            return True
-        try:
-            return self.health.health(name).state.value == "healthy"
-        except KeyError:
-            return True
+        up = self._members(NodeState.UP, side)
+        unhealthy = self.health.unhealthy if self.health is not None else {}
+        return [
+            up[host]
+            for host in scheduler.idle_hosts()
+            if host in up and host not in unhealthy
+        ]
 
     def _boots_land_on(self, side: str) -> bool:
         """Whether a cold boot right now comes up on *side* — provisioning

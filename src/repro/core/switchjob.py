@@ -25,9 +25,7 @@ from typing import Optional
 from repro.core.bootcontrol import BOOTCONTROL_PATH, CONTROLMENU_PATH, VALID_TARGETS
 from repro.errors import MiddlewareError
 from repro.pbs.script import JobSpec
-
-SWITCH_JOB_NAME = "release_1_node"
-SWITCH_TAG = "os-switch"
+from repro.sched.protocol import SWITCH_JOB_NAME, SWITCH_TAG
 
 
 class OrderState(enum.Enum):

@@ -89,6 +89,10 @@ class HeartbeatMonitor:
         self._order: List[str] = []
         self._index: Dict[str, int] = {}
         self._health: Dict[str, NodeHealth] = {}
+        #: names of the SUSPECT and FENCED nodes (a dict used as an
+        #: ordered set), kept by :meth:`_set_state` so readers that skip
+        #: unhealthy nodes pay O(unhealthy), not O(watched)
+        self.unhealthy: Dict[str, None] = {}
         #: nodes that might need poll attention (dict used as an ordered
         #: set; iteration is re-sorted into registration order anyway).
         #: Fed by the power-state observers and the agent hooks so the
@@ -151,7 +155,7 @@ class HeartbeatMonitor:
         health.last_beat_at = self.sim.now
         self._attention[name] = None
         if health.state is HealthState.FENCED:
-            health.state = HealthState.HEALTHY
+            self._set_state(health, HealthState.HEALTHY)
             health.recovered_at = self.sim.now
             self.recoveries += 1
             downtime = (
@@ -165,7 +169,7 @@ class HeartbeatMonitor:
                 callback(name)
         elif health.state is HealthState.SUSPECT:
             # a suspect that beats again was never dead
-            health.state = HealthState.HEALTHY
+            self._set_state(health, HealthState.HEALTHY)
 
     def agent_down(self, name: str) -> None:
         """Orderly service stop: planned downtime, beats no longer expected."""
@@ -173,7 +177,7 @@ class HeartbeatMonitor:
         health.expected = False
         health.misses = 0
         if health.state is not HealthState.FENCED:
-            health.state = HealthState.HEALTHY
+            self._set_state(health, HealthState.HEALTHY)
         self._attention[name] = None
         self._trace("health.expected_down", node=name)
 
@@ -225,7 +229,7 @@ class HeartbeatMonitor:
                 health.last_beat_at = self.sim.now
                 if health.state is HealthState.SUSPECT:
                     # a suspect that beats again was never dead
-                    health.state = HealthState.HEALTHY
+                    self._set_state(health, HealthState.HEALTHY)
                 if name not in unobserved:
                     del self._attention[name]
                 continue
@@ -234,14 +238,14 @@ class HeartbeatMonitor:
                 health.misses == self.suspect_misses
                 and health.state is HealthState.HEALTHY
             ):
-                health.state = HealthState.SUSPECT
+                self._set_state(health, HealthState.SUSPECT)
                 self.suspects += 1
                 self._trace("health.suspect", node=name, misses=health.misses)
             elif (
                 health.misses >= self.fence_misses
                 and health.state is not HealthState.FENCED
             ):
-                health.state = HealthState.FENCED
+                self._set_state(health, HealthState.FENCED)
                 health.fence_count += 1
                 health.fenced_at = self.sim.now
                 self.fences += 1
@@ -251,6 +255,13 @@ class HeartbeatMonitor:
                 )
                 for callback in self.on_fence:
                     callback(name)
+
+    def _set_state(self, health: NodeHealth, state: HealthState) -> None:
+        health.state = state
+        if state is HealthState.HEALTHY:
+            self.unhealthy.pop(health.name, None)
+        else:
+            self.unhealthy[health.name] = None
 
     # -- inspection ----------------------------------------------------------
 

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.pbs.job import PbsJob
 from repro.pbs.nodes import PbsNodeRecord, PbsNodeState
+from repro.sched.counts import NodeCounts
 
 
 def allocate_fifo(
@@ -74,7 +75,7 @@ def schedulable_backlog(
     return runnable
 
 
-class NodeIndex:
+class NodeIndex(NodeCounts):
     """Persistent free-core buckets over the node table.
 
     The reference allocator above re-sorts the whole node table on every
@@ -91,35 +92,24 @@ class NodeIndex:
     ``available_cores >= ppn`` bucket cut — the index never has to look
     at node state at all.
 
-    The index also keeps :attr:`online_count` and :attr:`idle_count`,
-    the nodes whose record reports ``online``/``idle``, so the control
-    loop reads them in O(1) instead of scanning the table every cycle.
+    As a :class:`~repro.sched.counts.NodeCounts` the index also keeps
+    the online and idle nodes, so the control loop reads them without
+    scanning the table every cycle.
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self._records: Dict[str, PbsNodeRecord] = {}
         #: hostname -> the available_cores value it is bucketed under
         self._avail: Dict[str, int] = {}
         #: available_cores -> ascending hostnames at that level
         self._buckets: Dict[int, List[str]] = {}
-        #: hostname -> its (online, idle) as last counted
-        self._flags: Dict[str, Tuple[bool, bool]] = {}
-        self.online_count = 0
-        self.idle_count = 0
-
-    def _count(self, record: PbsNodeRecord) -> None:
-        flags = (record.online, record.idle)
-        old = self._flags.get(record.hostname, (False, False))
-        if flags != old:
-            self.online_count += flags[0] - old[0]
-            self.idle_count += flags[1] - old[1]
-            self._flags[record.hostname] = flags
 
     def add(self, record: PbsNodeRecord) -> None:
         """Register a new node (its current availability is indexed)."""
         host = record.hostname
         self._records[host] = record
-        self._count(record)
+        self.count(record)
         cores = record.available_cores
         self._avail[host] = cores
         insort(self._buckets.setdefault(cores, []), host)
@@ -132,7 +122,7 @@ class NodeIndex:
         ``available_cores``, ``online`` or ``idle`` (allocate, release,
         mark_up, mark_down, cordon, uncordon).
         """
-        self._count(record)
+        self.count(record)
         host = record.hostname
         old = self._avail[host]
         new = record.available_cores

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.errors import SchedulerError
 from repro.oslayer.shell import run_script
@@ -23,6 +23,7 @@ from repro.pbs.job import JobState, PbsJob
 from repro.pbs.nodes import PbsNodeRecord
 from repro.pbs.scheduler import NodeIndex
 from repro.pbs.script import JobSpec, parse_pbs_script
+from repro.sched.counts import SwitchJobs
 from repro.sched.protocol import SWITCH_TAG, JobRequest
 from repro.simkernel import Event, Interrupt, Simulator, Timeout
 
@@ -67,8 +68,13 @@ class PbsServer:
         self.sim = sim
         self.server_name = server_name
         self.nodes: Dict[str, PbsNodeRecord] = {}
+        #: FQDN -> the name the node was registered under
+        self._names: Dict[str, str] = {}
         self.jobs: Dict[str, PbsJob] = {}
         self.queue_order: List[str] = []
+        #: HELD jobs in ``queue_order``
+        self.held_count = 0
+        self.switch_jobs = SwitchJobs()
         self._index = NodeIndex()
         #: jobs currently RUNNING (state bucket; avoids scanning self.jobs)
         self._running: Dict[str, PbsJob] = {}
@@ -107,6 +113,7 @@ class PbsServer:
         if properties:
             record.properties = list(properties)
         self.nodes[fqdn] = record
+        self._names[fqdn] = hostname
         self._index.add(record)
         if np > self._max_np:
             self._max_np = np
@@ -269,6 +276,7 @@ class PbsServer:
             job.state = JobState.QUEUED
             job.start_time = None
             self._requeue(job.jobid)
+            self.switch_jobs.requeued(job.jobid)
             self.requeues += 1
             self._trace_job(
                 "job.requeued", job, cause=cause,
@@ -346,6 +354,7 @@ class PbsServer:
         )
         self.jobs[jobid] = job
         self.queue_order.append(jobid)
+        self.switch_jobs.submitted(jobid, job)
         self._trace_job("job.submitted", job, cores=job.total_cores)
         self._notify("submitted", job)
         self._try_schedule()
@@ -361,6 +370,7 @@ class PbsServer:
                 f"(state {job.state.value})"
             )
         job.state = JobState.HELD
+        self.held_count += 1
         self._trace_job("job.held", job)
 
     def qrls(self, jobid: str) -> None:
@@ -369,6 +379,7 @@ class PbsServer:
         if job.state is not JobState.HELD:
             raise SchedulerError(f"{jobid} is not held")
         job.state = JobState.QUEUED
+        self.held_count -= 1
         self._trace_job("job.released", job)
         self._try_schedule()
 
@@ -377,6 +388,8 @@ class PbsServer:
         job = self._get(jobid)
         if job.state in (JobState.QUEUED, JobState.HELD):
             self.queue_order.remove(jobid)
+            if job.state is JobState.HELD:
+                self.held_count -= 1
             self._finish(job, KILLED_EXIT_STATUS)
         elif job.state is JobState.RUNNING:
             runner = self._runners.get(jobid)
@@ -396,6 +409,16 @@ class PbsServer:
     def queued_jobs(self) -> List[PbsJob]:
         """Queued jobs in FIFO order."""
         return [self.jobs[j] for j in self.queue_order]
+
+    def iter_queued(self) -> Iterator[PbsJob]:
+        """:meth:`queued_jobs` without building the list."""
+        return map(self.jobs.__getitem__, self.queue_order)
+
+    def queued_count(self) -> int:
+        return len(self.queue_order)
+
+    def running_count(self) -> int:
+        return len(self._running)
 
     def running_jobs(self) -> List[PbsJob]:
         # The _running bucket is keyed by start order; held jobs released
@@ -452,6 +475,10 @@ class PbsServer:
     def idle_node_count(self) -> int:
         return self._index.idle_count
 
+    def idle_hosts(self) -> List[str]:
+        names = self._names
+        return [names[host] for host in self._index.idle_hosts]
+
     def online_node_count(self) -> int:
         return self._index.online_count
 
@@ -469,11 +496,11 @@ class PbsServer:
         return self.qsub(spec, owner=owner)
 
     def pending_switch_jobs(self) -> int:
+        switch = self.switch_jobs
         return sum(
             1
-            for job in self.jobs.values()
-            if job.tag == SWITCH_TAG
-            and job.state in (JobState.QUEUED, JobState.RUNNING)
+            for job in (*switch.queued.values(), *switch.running.values())
+            if job.tag == SWITCH_TAG and job.state is not JobState.HELD
         )
 
     def cancel_if_queued(self, jobid: str) -> bool:
@@ -525,6 +552,7 @@ class PbsServer:
             for core in cores:
                 job.exec_slots.append((record.hostname, core))
         self._running[job.jobid] = job
+        self.switch_jobs.started(job.jobid)
         self._runners[job.jobid] = self.sim.spawn(
             self._run(job), name=f"pbsjob:{job.jobid}"
         )
@@ -602,6 +630,7 @@ class PbsServer:
             record.release(job.jobid)
             self._index.reindex(record)
         self._running.pop(job.jobid, None)
+        self.switch_jobs.ended(job.jobid)
         self._runners.pop(job.jobid, None)
         entry = self._walltime_entries.pop(job.jobid, None)
         if entry is not None:

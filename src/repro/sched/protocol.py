@@ -32,6 +32,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Protocol,
@@ -42,6 +43,11 @@ from typing import (
 #: such jobs from workload accounting and the detectors report them in
 #: a dedicated wire field.
 SWITCH_TAG = "os-switch"
+
+#: The conventional OS-release job name.  The PBS and SLURM detectors
+#: filter switch jobs by this name, as the ``qstat``/``squeue`` text they
+#: reproduce carries no tag.
+SWITCH_JOB_NAME = "release_1_node"
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,9 @@ class SchedulerPersonality(Protocol):
     #: callbacks ``fn(event, hostname)``; the join event is
     #: :attr:`join_event`, hostnames are short names
     node_observers: List[Callable[[str, str], None]]
+    #: the active OS-switch jobs, kept as jobs move
+    #: (a :class:`repro.sched.counts.SwitchJobs`)
+    switch_jobs: Any
 
     # -- submission and job lookup --------------------------------------
     def submit_request(self, request: JobRequest) -> str:
@@ -116,6 +125,14 @@ class SchedulerPersonality(Protocol):
         """Eligible queued jobs in dispatch order."""
         ...
 
+    def running_count(self) -> int:
+        """Number of running jobs, switch jobs included."""
+        ...
+
+    def queued_count(self) -> int:
+        """Number of queued jobs, switch and held jobs included."""
+        ...
+
     def free_cores(self) -> int:
         """Unallocated cores over this personality's nodes."""
         ...
@@ -126,6 +143,11 @@ class SchedulerPersonality(Protocol):
 
     def idle_node_count(self) -> int:
         """Number of schedulable nodes with no work placed."""
+        ...
+
+    def idle_hosts(self) -> Iterable[str]:
+        """Names (as registered) of the nodes :meth:`node_idle` accepts,
+        in no particular order; kept as nodes change, not scanned."""
         ...
 
     def online_node_count(self) -> int:

@@ -23,12 +23,13 @@ through the :mod:`repro.sched` seam.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import SchedulerError
 from repro.oslayer.shell import run_script
 from repro.pbs.scheduler import NodeIndex
-from repro.sched.protocol import SWITCH_TAG, JobRequest
+from repro.sched.counts import SwitchJobs
+from repro.sched.protocol import SWITCH_JOB_NAME, SWITCH_TAG, JobRequest
 from repro.simkernel import Event, Interrupt, Simulator, Timeout
 from repro.slurm.job import (
     PRIORITY_DEFAULT,
@@ -37,10 +38,6 @@ from repro.slurm.job import (
     SlurmJobState,
 )
 from repro.slurm.nodestate import SlurmNodeRecord
-
-#: The conventional OS-release job name (shared across personalities so
-#: every detector filters the same workload).
-SWITCH_JOB_NAME = "release_1_node"
 
 
 class SlurmController:
@@ -65,6 +62,7 @@ class SlurmController:
         self.jobs: Dict[int, SlurmJob] = {}
         #: pending job ids ordered (priority desc, submission order)
         self.queue_order: List[int] = []
+        self.switch_jobs = SwitchJobs()
         #: free-core buckets and node counts shared with PBS; duck-typed
         #: over :class:`SlurmNodeRecord` (hostname, available_cores,
         #: online, idle).
@@ -242,6 +240,7 @@ class SlurmController:
             job.state = SlurmJobState.PENDING
             job.start_time = None
             self._requeue(job)
+            self.switch_jobs.requeued(job.job_id)
             self.requeues += 1
             self._trace_job(
                 "job.requeued", job, cause=cause,
@@ -347,6 +346,7 @@ class SlurmController:
         )
         self._seq += 1
         self.jobs[job.job_id] = job
+        self.switch_jobs.submitted(job.job_id, job)
         # priority queue with FIFO ties: insert after the last job of
         # equal or greater priority (tail scan — O(1) for the common
         # equal-priority case).
@@ -385,10 +385,20 @@ class SlurmController:
         """Pending jobs in dispatch (priority, FIFO) order."""
         return [self.jobs[j] for j in self.queue_order]
 
+    def iter_queued(self) -> Iterator[SlurmJob]:
+        """:meth:`queued_jobs` without building the list."""
+        return map(self.jobs.__getitem__, self.queue_order)
+
     def running_jobs(self) -> List[SlurmJob]:
         # Sorted by job id to present a stable submission-order view
         # (priorities can start jobs out of id order).
         return sorted(self._running.values(), key=lambda j: j.job_id)
+
+    def queued_count(self) -> int:
+        return len(self.queue_order)
+
+    def running_count(self) -> int:
+        return len(self._running)
 
     def free_cores(self) -> int:
         return int(self._index.free_cores())
@@ -436,6 +446,9 @@ class SlurmController:
     def online_node_count(self) -> int:
         return int(self._index.online_count)
 
+    def idle_hosts(self) -> Iterable[str]:
+        return self._index.idle_hosts.keys()  # type: ignore[no-any-return]
+
     def drain_node(self, hostname: str) -> List[str]:
         """Cordon *hostname*; returns the job ids still running there."""
         record = self.node(hostname)
@@ -458,11 +471,11 @@ class SlurmController:
         return str(job.job_id)
 
     def pending_switch_jobs(self) -> int:
+        switch = self.switch_jobs
         return sum(
             1
-            for job in self.jobs.values()
+            for job in (*switch.queued.values(), *switch.running.values())
             if job.tag == SWITCH_TAG
-            and job.state in (SlurmJobState.PENDING, SlurmJobState.RUNNING)
         )
 
     def cancel_if_queued(self, jobid: str) -> bool:
@@ -552,6 +565,7 @@ class SlurmController:
             self._index.reindex(record)
             job.allocation[record.hostname] = cpus
         self._running[job.job_id] = job
+        self.switch_jobs.started(job.job_id)
         self._runners[job.job_id] = self.sim.spawn(
             self._run(job), name=f"slurmjob:{job.job_id}"
         )
@@ -595,6 +609,7 @@ class SlurmController:
             record.release(job.job_id)
             self._index.reindex(record)
         self._running.pop(job.job_id, None)
+        self.switch_jobs.ended(job.job_id)
         self._runners.pop(job.job_id, None)
         if cause is not None:
             self._trace_job("job.failed", job, cause=cause, state=state.value)

@@ -10,13 +10,14 @@ property tests hold the two equal.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
 from repro.core.detector import (
     SWITCH_JOB_NAME,
     DetectorReport,
     _build_report,
     _trace_check,
+    named_switch_jobs,
 )
 from repro.slurm.commands import SlurmCommands
 
@@ -90,29 +91,36 @@ class SlurmDetector:
         self.side = side
 
     def check(self) -> DetectorReport:
-        """One detector run over the live controller state.
+        """One detector run over the controller's kept counts.
 
         Equal to :func:`squeue_report` over ``squeue``, which lists the
         running jobs, then the pending ones in dispatch order.
         """
         controller = self.commands.controller
-        running = [
-            j for j in controller.running_jobs() if j.name != SWITCH_JOB_NAME
-        ]
-        queued = [
-            j for j in controller.queued_jobs() if j.name != SWITCH_JOB_NAME
-        ]
+        switch = controller.switch_jobs
+        running = controller.running_count() - named_switch_jobs(
+            switch.running.values()
+        )
+        queued = controller.queued_count() - named_switch_jobs(
+            switch.queued.values()
+        )
+        first: Optional[Tuple[str, int]] = None
+        if queued:
+            head = next(
+                j
+                for j in controller.iter_queued()
+                if j.name != SWITCH_JOB_NAME
+            )
+            first = (str(head.job_id), head.total_cores)
         report = _build_report(
             eager=self.eager,
-            running=len(running),
-            queued=len(queued),
-            first_queued=(
-                (str(queued[0].job_id), queued[0].total_cores)
-                if queued
-                else None
-            ),
+            running=running,
+            queued=queued,
+            first_queued=first,
             running_detail=lambda: [
-                f"{j.job_id} {j.name} Running" for j in running
+                f"{j.job_id} {j.name} Running"
+                for j in controller.running_jobs()
+                if j.name != SWITCH_JOB_NAME
             ],
         )
         _trace_check(self, self.side, report)

@@ -42,6 +42,10 @@ class WinNodeRecord:
         return self.cores - self.cores_in_use
 
     @property
+    def online(self) -> bool:
+        return self.state is WinNodeState.ONLINE
+
+    @property
     def idle(self) -> bool:
         return self.state is WinNodeState.ONLINE and not self.allocations
 

@@ -8,10 +8,11 @@ entirely idle machines.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import SchedulerError
 from repro.oslayer.shell import run_script
+from repro.sched.counts import NodeCounts, SwitchJobs
 from repro.sched.protocol import SWITCH_TAG, JobRequest
 from repro.simkernel import Event, Interrupt, Simulator, Timeout
 from repro.winhpc.job import (
@@ -45,6 +46,7 @@ class WinHpcScheduler:
         self.nodes: Dict[str, WinNodeRecord] = {}
         self.jobs: Dict[int, WinHpcJob] = {}
         self.queue_order: List[int] = []
+        self.switch_jobs = SwitchJobs()
         #: jobs currently RUNNING (state bucket; avoids scanning self.jobs)
         self._running: Dict[int, WinHpcJob] = {}
         #: cached ONLINE-node list in ``self.nodes`` insertion order.
@@ -53,6 +55,8 @@ class WinHpcScheduler:
         #: (the hot path) leaves it valid, so ``online_nodes()`` stops
         #: being an O(cluster) scan per scheduling decision.
         self._online_cache: Optional[List[WinNodeRecord]] = None
+        #: online/idle nodes, recounted wherever a record can change them
+        self._counts = NodeCounts()
         self._total_cores: int = 0
         #: largest per-node core count (0 until a node is added)
         self.max_node_cores: int = 0
@@ -83,6 +87,7 @@ class WinHpcScheduler:
         self._total_cores += cores
         self.max_node_cores = max(self.max_node_cores, cores)
         self._online_cache = None
+        self._counts.count(record)
         return record
 
     def node(self, hostname: str) -> WinNodeRecord:
@@ -98,6 +103,7 @@ class WinHpcScheduler:
         stranded = list(record.allocations)
         record.mark_online()
         self._online_cache = None
+        self._counts.count(record)
         if os_instance is not None:
             self._node_os[hostname] = os_instance
         for job_id in stranded:
@@ -113,6 +119,7 @@ class WinHpcScheduler:
         victims = list(record.allocations)
         record.mark_unreachable()
         self._online_cache = None
+        self._counts.count(record)
         self._node_os.pop(hostname, None)
         for observer in self.node_observers:
             observer("unreachable", hostname)
@@ -155,6 +162,7 @@ class WinHpcScheduler:
         victims = list(record.allocations)
         record.mark_unreachable()
         self._online_cache = None
+        self._counts.count(record)
         self._node_os.pop(hostname, None)
         for observer in self.node_observers:
             observer("unreachable", hostname)
@@ -168,16 +176,20 @@ class WinHpcScheduler:
 
     def cordon_node(self, hostname: str) -> None:
         """Admin drain: no new placements, running jobs keep running."""
-        self.node(hostname).mark_draining()
+        record = self.node(hostname)
+        record.mark_draining()
         self._online_cache = None
+        self._counts.count(record)
         if self.tracer is not None:
             self.tracer.emit(
                 "node.cordoned", node=hostname, scheduler="winhpc"
             )
 
     def uncordon_node(self, hostname: str) -> None:
-        self.node(hostname).resume_online()
+        record = self.node(hostname)
+        record.resume_online()
         self._online_cache = None
+        self._counts.count(record)
         if self.tracer is not None:
             self.tracer.emit(
                 "node.uncordoned", node=hostname, scheduler="winhpc"
@@ -208,7 +220,7 @@ class WinHpcScheduler:
                     durable, max(0.0, job.runtime_s - job.checkpointed_s)
                 )
         for hostname in list(job.allocation):
-            self.nodes[hostname].release(job.job_id)
+            self._release(hostname, job.job_id)
         job.allocation.clear()
         self._running.pop(job.job_id, None)
         if job.rerunnable and job.restarts < self.max_job_restarts:
@@ -218,6 +230,7 @@ class WinHpcScheduler:
             job.state = WinJobState.QUEUED
             job.start_time = None
             self._requeue(job)
+            self.switch_jobs.requeued(job.job_id)
             self.requeues += 1
             self._trace_job(
                 "job.requeued", job, cause=cause,
@@ -293,6 +306,7 @@ class WinHpcScheduler:
         )
         self._seq += 1
         self.jobs[job.job_id] = job
+        self.switch_jobs.submitted(job.job_id, job)
         # priority queue with FIFO ties: insert after the last job of equal
         # or greater priority (HPC Pack's queued scheduling mode).  The
         # queue is always sorted non-increasing by priority, so scanning
@@ -332,10 +346,20 @@ class WinHpcScheduler:
     def queued_jobs(self) -> List[WinHpcJob]:
         return [self.jobs[j] for j in self.queue_order]
 
+    def iter_queued(self) -> Iterator[WinHpcJob]:
+        """:meth:`queued_jobs` without building the list."""
+        return map(self.jobs.__getitem__, self.queue_order)
+
     def running_jobs(self) -> List[WinHpcJob]:
         # Sorted by job id to match the historical jobs-dict scan (jobs
         # can start out of id order when priorities reorder the queue).
         return sorted(self._running.values(), key=lambda j: j.job_id)
+
+    def queued_count(self) -> int:
+        return len(self.queue_order)
+
+    def running_count(self) -> int:
+        return len(self._running)
 
     # reprolint: disable=TRC002 -- read-only query; the only write is the memoised rebuild of _online_cache, invisible to any caller
     def online_nodes(self) -> List[WinNodeRecord]:
@@ -392,13 +416,14 @@ class WinHpcScheduler:
         record = self.nodes.get(hostname)
         return record is not None and record.idle
 
-    # reprolint: disable=TRC002 -- read-only query; reaches the memoised _online_cache rebuild through idle_nodes()
     def idle_node_count(self) -> int:
-        return len(self.idle_nodes())
+        return self._counts.idle_count
 
-    # reprolint: disable=TRC002 -- read-only query; reaches the memoised _online_cache rebuild through online_nodes()
     def online_node_count(self) -> int:
-        return len(self.online_nodes())
+        return self._counts.online_count
+
+    def idle_hosts(self) -> Iterable[str]:
+        return self._counts.idle_hosts.keys()
 
     def drain_node(self, hostname: str) -> List[str]:
         """Cordon *hostname*; returns the job ids still running there."""
@@ -423,11 +448,11 @@ class WinHpcScheduler:
         return str(job.job_id)
 
     def pending_switch_jobs(self) -> int:
+        switch = self.switch_jobs
         return sum(
             1
-            for job in self.jobs.values()
+            for job in (*switch.queued.values(), *switch.running.values())
             if job.tag == SWITCH_TAG
-            and job.state in (WinJobState.QUEUED, WinJobState.RUNNING)
         )
 
     def cancel_if_queued(self, jobid: str) -> bool:
@@ -474,9 +499,12 @@ class WinHpcScheduler:
         job.state = WinJobState.RUNNING
         job.start_time = self.sim.now
         for hostname, cores in placement.items():
-            self.nodes[hostname].allocate(job.job_id, cores)
+            record = self.nodes[hostname]
+            record.allocate(job.job_id, cores)
+            self._counts.count(record)
             job.allocation[hostname] = cores
         self._running[job.job_id] = job
+        self.switch_jobs.started(job.job_id)
         self._runners[job.job_id] = self.sim.spawn(
             self._run(job), name=f"winjob:{job.job_id}"
         )
@@ -518,8 +546,9 @@ class WinHpcScheduler:
         # Release only the nodes the job was placed on — the historical
         # all-nodes sweep made every completion O(cluster size).
         for hostname in job.allocation:
-            self.nodes[hostname].release(job.job_id)
+            self._release(hostname, job.job_id)
         self._running.pop(job.job_id, None)
+        self.switch_jobs.ended(job.job_id)
         self._runners.pop(job.job_id, None)
         if cause is not None:
             self._trace_job("job.failed", job, cause=cause, state=state.value)
@@ -529,6 +558,11 @@ class WinHpcScheduler:
             job.on_complete(job)
         self._notify("finished", job)
         self._try_schedule()
+
+    def _release(self, hostname: str, job_id: int) -> None:
+        record = self.nodes[hostname]
+        record.release(job_id)
+        self._counts.count(record)
 
     def _trace_job(self, kind: str, job: WinHpcJob,
                    cause: Optional[str] = None, **fields) -> None:

@@ -36,7 +36,9 @@ class HpcSchedulerConnection:
     def connected(self) -> bool:
         return self._scheduler is not None
 
-    def _require(self) -> WinHpcScheduler:
+    @property
+    def scheduler(self) -> WinHpcScheduler:
+        """The connected head node's scheduler."""
         if self._scheduler is None:
             raise SchedulerError("SDK connection not established")
         return self._scheduler
@@ -59,14 +61,14 @@ class HpcSchedulerConnection:
         )
 
     def submit_job(self, spec: WinJobSpec, owner: str = "HPCUser") -> WinHpcJob:
-        return self._require().submit(spec, owner=owner)
+        return self.scheduler.submit(spec, owner=owner)
 
     def cancel_job(self, job_id: int) -> None:
-        self._require().cancel(job_id)
+        self.scheduler.cancel(job_id)
 
     def get_job_list(self, state: Optional[WinJobState] = None) -> List[WinHpcJob]:
         """Jobs, optionally filtered by state; queued jobs in queue order."""
-        scheduler = self._require()
+        scheduler = self.scheduler
         if state is WinJobState.QUEUED:
             return scheduler.queued_jobs()
         if state is WinJobState.RUNNING:
@@ -81,7 +83,7 @@ class HpcSchedulerConnection:
     # -- node API ----------------------------------------------------------------
 
     def get_node_list(self) -> List[WinNodeRecord]:
-        return [r for _, r in sorted(self._require().nodes.items())]
+        return [r for _, r in sorted(self.scheduler.nodes.items())]
 
     def max_node_cores(self, default: int = 1) -> int:
         """Largest per-node core count, or *default* with no nodes.
@@ -89,15 +91,15 @@ class HpcSchedulerConnection:
         The detector needs this to convert NODE-unit requests into CPU
         counts.
         """
-        return self._require().max_node_cores or default
+        return self.scheduler.max_node_cores or default
 
     def get_counters(self) -> dict:
         """Cluster-wide counters (the SDK's ``ISchedulerCounters``)."""
-        scheduler = self._require()
+        scheduler = self.scheduler
         return {
             "total_cores": sum(r.cores for r in scheduler.nodes.values()),
             "idle_cores": scheduler.free_cores(),
-            "online_nodes": len(scheduler.online_nodes()),
-            "queued_jobs": len(scheduler.queued_jobs()),
-            "running_jobs": len(scheduler.running_jobs()),
+            "online_nodes": scheduler.online_node_count(),
+            "queued_jobs": scheduler.queued_count(),
+            "running_jobs": scheduler.running_count(),
         }

@@ -15,8 +15,9 @@ from repro.core import MiddlewareConfig, build_hybrid_cluster
 from repro.core.elasticity import ElasticityManager, ElasticityPolicy
 from repro.errors import ConfigurationError
 from repro.hardware.node import NodeState
+from repro.health import HealthState, HeartbeatMonitor
 from repro.sched import JobRequest
-from repro.simkernel import MINUTE
+from repro.simkernel import MINUTE, Simulator
 from repro.trace.events import ELASTIC_DECISION
 
 
@@ -201,16 +202,21 @@ def test_unhealthy_nodes_are_not_suspend_candidates():
         hysteresis_cycles=1, idle_surplus=0, min_online=0,
         max_actions_per_cycle=10,
     )
-    # fake a non-healthy verdict for the would-be first victim
-    real_health = hybrid.health
+    # a real monitor whose view of the would-be first victim has missed
+    # two beats while the machine itself still reads UP: SUSPECT
+    clock = Simulator()
+    monitor = HeartbeatMonitor(
+        clock, beat_s=60.0, suspect_misses=2, fence_misses=5
+    )
+    beacon = SimpleNamespace(name="enode04", state=NodeState.UP)
+    monitor.watch(beacon)
+    monitor.agent_up(beacon.name)
+    monitor.start()
+    beacon.state = NodeState.OFF
+    clock.run(until=2 * 60.0 + 1)
+    assert monitor.health("enode04").state is HealthState.SUSPECT
 
-    class Judgy:
-        def health(self, name):
-            if name == "enode04":
-                return SimpleNamespace(state=SimpleNamespace(value="suspect"))
-            return real_health.health(name)
-
-    manager.health = Judgy()
+    manager.health = monitor
     manager.evaluate()
     assert node_by_name(hybrid, "enode04").state is NodeState.UP
     assert "enode04" not in [e.node for e in decisions(hybrid, "suspend")]

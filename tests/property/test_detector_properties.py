@@ -5,20 +5,32 @@ paper's ``checkqueue.pl`` scraped ``qstat -f`` instead.  After every
 operation of a random history (submissions, holds, node churn, time
 passing) the report rebuilt from the rendered text must equal the live
 one, field for field, with and without the eager CPU field.  The same
-holds for SLURM and ``squeue``.  The indexed idle/online node counts must
-equal a scan of the node table.
+holds for SLURM and ``squeue``.  WinHPC has no text path: its live check
+must equal the report the detector used to build from the SDK's
+``get_job_list(RUNNING/QUEUED)`` lists.  The kept idle/online node
+counts must equal a scan of the node table.
 """
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.detector import PbsDetector, qstat_report
+from repro.core.detector import (
+    PbsDetector,
+    WinHpcDetector,
+    _build_report,
+    qstat_report,
+)
 from repro.pbs import JobSpec, PbsCommands, PbsServer
 from repro.pbs.job import JobState
+from repro.sched.protocol import SWITCH_TAG
 from repro.simkernel import Simulator
 from repro.slurm.commands import SlurmCommands
 from repro.slurm.controller import SlurmController
 from repro.slurm.detector import SlurmDetector, squeue_report
 from repro.slurm.job import SlurmJobSpec
+from repro.winhpc.job import WinJobSpec, WinJobState, WinJobUnit
+from repro.winhpc.scheduler import WinHpcScheduler
+from repro.winhpc.nodestate import WinNodeState
+from repro.winhpc.sdk import HpcSchedulerConnection
 
 NUM_NODES = 3
 CORES = 4
@@ -46,12 +58,21 @@ slurm_submit = st.tuples(
     st.sampled_from([None, 500.0, 3000.0]),
 )
 
+# a job tagged as a switch job whatever its name: workload to the PBS
+# detector unless it is also named like one
+pbs_tagged = st.tuples(
+    st.just("tagged"), names, st.integers(min_value=1, max_value=CORES)
+)
+
 # submissions are listed twice so that queues actually build up
 pbs_ops = st.lists(
     st.one_of(
         pbs_submit,
         pbs_submit,
-        st.tuples(st.sampled_from(["qhold", "qrls"]), st.integers(0, 20)),
+        pbs_tagged,
+        st.tuples(
+            st.sampled_from(["qhold", "qrls", "qdel"]), st.integers(0, 20)
+        ),
         node_ops,
         run_op,
     ),
@@ -63,6 +84,28 @@ slurm_ops = st.lists(
     st.one_of(
         slurm_submit,
         slurm_submit,
+        st.tuples(st.just("cancel"), st.integers(0, 20)),
+        node_ops,
+        run_op,
+    ),
+    min_size=4,
+    max_size=30,
+)
+
+
+win_submit = st.tuples(
+    st.just("submit"), names,
+    st.sampled_from(["", SWITCH_TAG]),
+    st.sampled_from([WinJobUnit.CORE, WinJobUnit.NODE]),
+    st.integers(min_value=1, max_value=2),
+    st.sampled_from([60.0, 400.0, 2000.0]),
+    st.sampled_from([1000, 2000, 3000]),
+)
+
+win_ops = st.lists(
+    st.one_of(
+        win_submit,
+        win_submit,
         st.tuples(st.just("cancel"), st.integers(0, 20)),
         node_ops,
         run_op,
@@ -107,6 +150,47 @@ def _assert_slurm_matches(controller, commands):
     assert controller.idle_node_count() == sum(1 for r in up if r.idle)
 
 
+def winhpc_reference(connection, eager):
+    """The WinHPC check as it was: filter the SDK's job lists by tag."""
+    running = [
+        j
+        for j in connection.get_job_list(WinJobState.RUNNING)
+        if j.tag != SWITCH_TAG
+    ]
+    queued = [
+        j
+        for j in connection.get_job_list(WinJobState.QUEUED)
+        if j.tag != SWITCH_TAG
+    ]
+    first = None
+    if queued:
+        head = queued[0]
+        cores = head.amount
+        if head.unit is WinJobUnit.NODE:
+            cores = head.amount * connection.max_node_cores()
+        first = (str(head.job_id), cores)
+    return _build_report(
+        running=len(running),
+        queued=len(queued),
+        first_queued=first,
+        running_detail=lambda: [
+            f"{j.job_id} {j.name} Running" for j in running
+        ],
+        eager=eager,
+    )
+
+
+def _assert_winhpc_matches(scheduler, connection):
+    for eager in (False, True):
+        live = WinHpcDetector(connection, eager=eager).check()
+        _same(live, winhpc_reference(connection, eager))
+    online = [
+        r for r in scheduler.nodes.values() if r.state is WinNodeState.ONLINE
+    ]
+    assert scheduler.online_node_count() == len(online)
+    assert scheduler.idle_node_count() == sum(1 for r in online if r.idle)
+
+
 @settings(max_examples=60, deadline=None)
 @given(ops=pbs_ops)
 # a held job, a queued and a running switch job, then the head finishes
@@ -115,6 +199,12 @@ def _assert_slurm_matches(controller, commands):
     ("submit", "release_1_node", 1, 4, 60.0), ("qhold", 0),
     ("submit", "sleep", 1, 2, 60.0), ("run", 1000.0), ("qrls", 0),
     ("fence", 3), ("run", 1000.0),
+])
+# a running switch job requeued by a fence, and a held job deleted
+@example(ops=[
+    ("submit", "release_1_node", 1, 4, 2000.0),
+    ("submit", "md", 3, 4, 60.0), ("qhold", 0), ("fence", 3),
+    ("qdel", 1), ("run", 30.0),
 ])
 def test_pbs_check_equals_qstat_text_report(ops):
     sim = Simulator()
@@ -130,11 +220,19 @@ def test_pbs_check_equals_qstat_text_report(ops):
         if kind == "submit":
             _, name, nodes, ppn, runtime = op
             server.qsub(JobSpec(name=name, nodes=nodes, ppn=ppn, runtime_s=runtime))
+        elif kind == "tagged":
+            server.qsub(JobSpec(
+                name=op[1], ppn=op[2], runtime_s=400.0, tag=SWITCH_TAG
+            ))
         elif kind in ("qhold", "qrls"):
             wanted = JobState.QUEUED if kind == "qhold" else JobState.HELD
             jobs = [j.jobid for j in server.queued_jobs() if j.state is wanted]
             if jobs:
                 getattr(server, kind)(jobs[op[1] % len(jobs)])
+        elif kind == "qdel":
+            jobs = [j.jobid for j in server.queued_jobs()]
+            if jobs:
+                server.qdel(jobs[op[1] % len(jobs)])
         elif kind == "run":
             sim.run(until=sim.now + op[1])
         else:
@@ -186,3 +284,54 @@ def test_slurm_check_equals_squeue_text_report(ops):
                 controller.cordon_node, controller.uncordon_node,
             )
         _assert_slurm_matches(controller, commands)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=win_ops)
+# a tagged job at the head of a full cluster's queue, then a NODE-unit
+# head behind it, then the queue drains empty
+@example(ops=[
+    ("submit", "md", "", WinJobUnit.NODE, 2, 2000.0, 2000),
+    ("submit", "sleep", "", WinJobUnit.CORE, 2, 400.0, 2000),
+    ("submit", "release_1_node", SWITCH_TAG, WinJobUnit.NODE, 1, 60.0, 3000),
+    ("submit", "render", "", WinJobUnit.NODE, 2, 60.0, 2000),
+    ("run", 1000.0), ("crash", 1), ("fence", 1), ("run", 2000.0),
+    ("run", 2000.0),
+])
+# a switch-named job without the tag is workload on this side
+@example(ops=[
+    ("submit", "release_1_node", "", WinJobUnit.NODE, 2, 400.0, 2000),
+    ("submit", "md", "", WinJobUnit.CORE, 2, 60.0, 1000),
+    ("down", 2), ("cancel", 0), ("run", 200.0),
+])
+def test_winhpc_check_equals_sdk_job_list_report(ops):
+    sim = Simulator()
+    scheduler = WinHpcScheduler(sim)
+    hosts = [f"wnode{i:02d}" for i in range(1, NUM_NODES + 1)]
+    for host in hosts:
+        scheduler.add_node(host, cores=CORES)
+        scheduler.node_online(host)
+    connection = HpcSchedulerConnection()
+    connection.connect(scheduler)
+    _assert_winhpc_matches(scheduler, connection)
+    for op in ops:
+        kind = op[0]
+        if kind == "submit":
+            _, name, tag, unit, amount, runtime, priority = op
+            scheduler.submit(WinJobSpec(
+                name=name, unit=unit, amount=amount, runtime_s=runtime,
+                tag=tag, priority=priority,
+            ))
+        elif kind == "cancel":
+            jobs = scheduler.queued_jobs() + scheduler.running_jobs()
+            if jobs:
+                scheduler.cancel(jobs[op[1] % len(jobs)].job_id)
+        elif kind == "run":
+            sim.run(until=sim.now + op[1])
+        else:
+            _apply_node_op(
+                scheduler, kind, hosts[op[1] - 1],
+                scheduler.node_online, scheduler.node_unreachable,
+                scheduler.cordon_node, scheduler.uncordon_node,
+            )
+        _assert_winhpc_matches(scheduler, connection)
