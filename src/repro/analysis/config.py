@@ -156,11 +156,13 @@ def default_config() -> LintConfig:
         # engine only reports *definite* source-to-sink flows.
         "DET007": RulePolicy(default=error),
         # Trace coverage (flow): scoped to the audited control-plane
-        # classes; host-side and bookkeeping classes mutate counters
+        # classes (the shared job lifecycle and the three personalities
+        # built on it); host-side and bookkeeping classes mutate counters
         # without trace obligations.
         "TRC002": RulePolicy(
             default=Severity.OFF,
             overrides={
+                "repro.sched.lifecycle": error,
                 "repro.pbs.server": error,
                 "repro.winhpc.scheduler": error,
                 "repro.slurm.controller": error,

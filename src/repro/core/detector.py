@@ -7,9 +7,10 @@ reads how many compute nodes the first queuing job needs."
 Every detector produces the same :class:`DetectorReport`: the Figure-5
 wire message plus the debug lines of Figure 6.  :class:`PbsDetector` and
 :class:`WinHpcDetector` (and the SLURM one in :mod:`repro.slurm.detector`)
-read counts the scheduler keeps as jobs move: a check costs O(active
-switch jobs) plus the queue prefix up to the head job, and the Figure-6
-running list is built only when ``debug`` is read.
+share one check, :func:`live_report`, over counts the scheduler keeps as
+jobs move: a check costs O(active switch jobs) plus the queue prefix up
+to the head job, and the Figure-6 running list is built only when
+``debug`` is read.
 
 The paper's Perl ``checkqueue.pl`` scrapes ``qstat -f`` text instead,
 because "PBS does not provide APIs ... Several Perl programs had been
@@ -27,11 +28,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.core.wire import QueueStateMessage
 from repro.pbs.commands import PbsCommands
-from repro.pbs.job import JobState
 from repro.sched.protocol import SWITCH_JOB_NAME, SWITCH_TAG
 from repro.winhpc.job import WinJobUnit
 from repro.winhpc.sdk import HpcSchedulerConnection
@@ -39,12 +40,17 @@ from repro.winhpc.sdk import HpcSchedulerConnection
 # The middleware's own switch jobs (SWITCH_JOB_NAME / SWITCH_TAG) must not
 # count as demand, or each switch would trigger another switch (positive
 # feedback).  The scheduler keeps them apart (``switch_jobs``), so the
-# detectors subtract them from its job counts.
+# detectors subtract them from its job counts.  The PBS and SLURM
+# detectors know them by name, as the qstat/squeue text does; the WinHPC
+# one by tag.
 
 
-def named_switch_jobs(jobs: Iterable[Any]) -> int:
-    """How many of *jobs* carry the switch-job name."""
-    return sum(1 for job in jobs if job.name == SWITCH_JOB_NAME)
+def is_named_switch(job: Any) -> bool:
+    return job.name == SWITCH_JOB_NAME
+
+
+def is_tagged_switch(job: Any) -> bool:
+    return job.tag == SWITCH_TAG
 
 
 def tagged_switch_jobs(jobs: Iterable[Any]) -> int:
@@ -174,40 +180,12 @@ class PbsDetector:
         head queued job is the first ``Q`` job of the queue.  Held jobs
         render as ``H`` and do not count.
         """
-        server = self.commands.server
-        switch = server.switch_jobs
-        running = server.running_count() - named_switch_jobs(
-            switch.running.values()
+        return live_report(
+            self, self.commands.server, "linux",
+            is_switch=is_named_switch,
+            head_cores=attrgetter("total_cores"),
+            running_line=lambda j: _pbs_running_line(j.jobid, j.name, j.owner),
         )
-        queued = (
-            server.queued_count()
-            - server.held_count
-            - named_switch_jobs(
-                j for j in switch.queued.values()
-                if j.state is JobState.QUEUED
-            )
-        )
-        first: Optional[Tuple[str, int]] = None
-        if queued:
-            head = next(
-                j
-                for j in server.iter_queued()
-                if j.state is JobState.QUEUED and j.name != SWITCH_JOB_NAME
-            )
-            first = (head.jobid, head.total_cores)
-        report = _build_report(
-            eager=self.eager,
-            running=running,
-            queued=queued,
-            first_queued=first,
-            running_detail=lambda: [
-                _pbs_running_line(j.jobid, j.name, j.owner)
-                for j in server.running_jobs()
-                if j.name != SWITCH_JOB_NAME
-            ],
-        )
-        _trace_check(self, "linux", report)
-        return report
 
 
 # -- Windows side (SDK) -------------------------------------------------------
@@ -237,39 +215,74 @@ class WinHpcDetector:
         Equal to filtering the SDK's ``get_job_list(RUNNING/QUEUED)`` by
         tag: the head is the first untagged job in queue order.
         """
-        scheduler = self.connection.scheduler
-        switch = scheduler.switch_jobs
-        running = scheduler.running_count() - tagged_switch_jobs(
-            switch.running.values()
+        return live_report(
+            self, self.connection.scheduler, "windows",
+            is_switch=is_tagged_switch,
+            head_cores=self._head_cores,
         )
-        queued = scheduler.queued_count() - tagged_switch_jobs(
-            switch.queued.values()
-        )
-        first: Optional[Tuple[str, int]] = None
-        if queued:
-            head = next(
-                j for j in scheduler.iter_queued() if j.tag != SWITCH_TAG
-            )
-            cores = head.amount
-            if head.unit is WinJobUnit.NODE:
-                cores = head.amount * self.connection.max_node_cores()
-            first = (str(head.job_id), cores)
-        report = _build_report(
-            running=running,
-            queued=queued,
-            first_queued=first,
-            running_detail=lambda: [
-                f"{j.job_id} {j.name} Running"
-                for j in scheduler.running_jobs()
-                if j.tag != SWITCH_TAG
-            ],
-            eager=self.eager,
-        )
-        _trace_check(self, "windows", report)
-        return report
+
+    def _head_cores(self, head: Any) -> int:
+        """A NODE-unit job wants whole nodes of the largest size."""
+        if head.unit is WinJobUnit.NODE:
+            return head.amount * self.connection.max_node_cores()
+        return head.amount
 
 
 # -- shared report assembly ---------------------------------------------------
+
+
+def _running_line(job: Any) -> str:
+    return f"{job.key} {job.name} Running"
+
+
+def live_report(
+    detector: Any,
+    scheduler: Any,
+    side: str,
+    is_switch: Callable[[Any], bool],
+    head_cores: Callable[[Any], int],
+    running_line: Callable[[Any], str] = _running_line,
+) -> DetectorReport:
+    """One detector run over *scheduler*'s kept counts, traced for *side*.
+
+    Switch jobs (*is_switch*) and held jobs are not demand: they come
+    off the scheduler's running and queued counts, and the head is the
+    first queued job that is neither.  *head_cores* is the CPU figure
+    the wire reports for the head; *running_line* renders one Figure-6
+    running line, and only when ``debug`` is read.
+    """
+    switch = scheduler.switch_jobs
+    held = scheduler.held_state
+    running = scheduler.running_count() - sum(
+        1 for j in switch.running.values() if is_switch(j)
+    )
+    queued = (
+        scheduler.queued_count()
+        - scheduler.held_count
+        - sum(
+            1 for j in switch.queued.values()
+            if is_switch(j) and j.state is not held
+        )
+    )
+    first: Optional[Tuple[str, int]] = None
+    if queued:
+        head = next(
+            j for j in scheduler.iter_queued()
+            if j.state is not held and not is_switch(j)
+        )
+        first = (head.key, head_cores(head))
+    report = _build_report(
+        eager=detector.eager,
+        running=running,
+        queued=queued,
+        first_queued=first,
+        running_detail=lambda: [
+            running_line(j) for j in scheduler.running_jobs()
+            if not is_switch(j)
+        ],
+    )
+    _trace_check(detector, side, report)
+    return report
 
 
 def _trace_check(detector: Any, side: str, report: DetectorReport) -> None:

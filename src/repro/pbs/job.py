@@ -48,7 +48,7 @@ class PbsJob:
     end_time: Optional[float] = None
     exit_status: Optional[int] = None
     exec_slots: List[Tuple[str, int]] = field(default_factory=list)
-    #: node-failure recovery bookkeeping (see ``PbsServer.fence_node``)
+    #: node-failure recovery bookkeeping (see ``repro.sched.lifecycle``)
     restarts: int = 0
     checkpointed_s: float = 0.0
     lost_work_s: float = 0.0

@@ -109,7 +109,7 @@ class NodeIndex(NodeCounts):
         """Register a new node (its current availability is indexed)."""
         host = record.hostname
         self._records[host] = record
-        self.count(record)
+        super().reindex(record)
         cores = record.available_cores
         self._avail[host] = cores
         insort(self._buckets.setdefault(cores, []), host)
@@ -122,7 +122,7 @@ class NodeIndex(NodeCounts):
         ``available_cores``, ``online`` or ``idle`` (allocate, release,
         mark_up, mark_down, cordon, uncordon).
         """
-        self.count(record)
+        super().reindex(record)
         host = record.hostname
         old = self._avail[host]
         new = record.available_cores

@@ -16,8 +16,8 @@ from repro.sched.protocol import SWITCH_JOB_NAME, SWITCH_TAG
 class NodeCounts:
     """Online and idle nodes over a personality's node records.
 
-    :meth:`count` must be called after every mutation that can change a
-    record's ``online`` or ``idle`` predicate.  ``idle_hosts`` is an
+    :meth:`reindex` must be called after every mutation that can change
+    a record's ``online`` or ``idle`` predicate.  ``idle_hosts`` is an
     insertion-ordered set (a dict) of the idle records' hostnames.
     """
 
@@ -31,7 +31,7 @@ class NodeCounts:
     def idle_count(self) -> int:
         return len(self.idle_hosts)
 
-    def count(self, record: Any) -> None:
+    def reindex(self, record: Any) -> None:
         host = record.hostname
         flags = (record.online, record.idle)
         old = self._flags.get(host, (False, False))

@@ -1,12 +1,14 @@
 """The scheduler-personality protocol.
 
 This module is dependency-free on purpose: it names the *entire* seam
-the dual-boot control plane uses against a batch scheduler, so that a
-new scheduler personality can be written against this one file.  The
-concrete personalities (:class:`repro.pbs.server.PbsServer`,
+the dual-boot control plane uses against a batch scheduler — the
+control plane's view, and nothing more.  The concrete personalities
+(:class:`repro.pbs.server.PbsServer`,
 :class:`repro.winhpc.scheduler.WinHpcScheduler`,
-:class:`repro.slurm.controller.SlurmController`) implement it
-structurally — there is no base class to inherit.
+:class:`repro.slurm.controller.SlurmController`) share one job-lifecycle
+core, :class:`repro.sched.lifecycle.BatchScheduler`, which implements
+most of the protocol; the control plane never names that class and
+checks personalities against this protocol structurally.
 
 Vocabulary
 ----------

@@ -10,14 +10,15 @@ property tests hold the two equal.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, List, Optional
 
 from repro.core.detector import (
     SWITCH_JOB_NAME,
     DetectorReport,
     _build_report,
-    _trace_check,
-    named_switch_jobs,
+    is_named_switch,
+    live_report,
 )
 from repro.slurm.commands import SlurmCommands
 
@@ -96,32 +97,8 @@ class SlurmDetector:
         Equal to :func:`squeue_report` over ``squeue``, which lists the
         running jobs, then the pending ones in dispatch order.
         """
-        controller = self.commands.controller
-        switch = controller.switch_jobs
-        running = controller.running_count() - named_switch_jobs(
-            switch.running.values()
+        return live_report(
+            self, self.commands.controller, self.side,
+            is_switch=is_named_switch,
+            head_cores=attrgetter("total_cores"),
         )
-        queued = controller.queued_count() - named_switch_jobs(
-            switch.queued.values()
-        )
-        first: Optional[Tuple[str, int]] = None
-        if queued:
-            head = next(
-                j
-                for j in controller.iter_queued()
-                if j.name != SWITCH_JOB_NAME
-            )
-            first = (str(head.job_id), head.total_cores)
-        report = _build_report(
-            eager=self.eager,
-            running=running,
-            queued=queued,
-            first_queued=first,
-            running_detail=lambda: [
-                f"{j.job_id} {j.name} Running"
-                for j in controller.running_jobs()
-                if j.name != SWITCH_JOB_NAME
-            ],
-        )
-        _trace_check(self, self.side, report)
-        return report

@@ -72,7 +72,7 @@ class SlurmJob:
     on_complete: Optional[Callable[["SlurmJob"], None]] = None
     tag: str = ""
     rerunnable: bool = True
-    #: node-failure recovery bookkeeping (see ``SlurmController.fence_node``)
+    #: node-failure recovery bookkeeping (see ``repro.sched.lifecycle``)
     restarts: int = 0
     checkpointed_s: float = 0.0
     lost_work_s: float = 0.0

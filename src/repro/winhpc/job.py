@@ -66,7 +66,7 @@ class WinHpcJob:
     on_complete: Optional[Callable[["WinHpcJob"], None]] = None
     tag: str = ""
     rerunnable: bool = True
-    #: node-failure recovery bookkeeping (see ``WinHpcScheduler.fence_node``)
+    #: node-failure recovery bookkeeping (see ``repro.sched.lifecycle``)
     restarts: int = 0
     checkpointed_s: float = 0.0
     lost_work_s: float = 0.0

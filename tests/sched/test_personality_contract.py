@@ -8,6 +8,8 @@ identically against PBS, WinHPC and SLURM.  A fourth personality earns
 its place by passing this file unmodified.
 """
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +26,7 @@ NUM_NODES = 3
 CORES = 4
 
 
-def build(kind, num_nodes=NUM_NODES, cores=CORES):
+def build(kind, num_nodes=NUM_NODES, cores=CORES, os_instance=None):
     """A personality with *num_nodes* online nodes of *cores* cores.
 
     Node observers are attached *before* bring-up so the join events are
@@ -37,14 +39,50 @@ def build(kind, num_nodes=NUM_NODES, cores=CORES):
         lambda event, host: node_events.append((event, host))
     )
     for i in range(1, num_nodes + 1):
-        name = f"n{i:02d}"
-        if kind == "pbs":
-            scheduler.create_node(name, np=cores)
-            scheduler.node_up(name)
-        else:
-            scheduler.add_node(name, cores=cores)
-            scheduler.node_online(name)
+        join(scheduler, f"n{i:02d}", cores, os_instance)
     return sim, scheduler, node_events
+
+
+def join(scheduler, name, cores=CORES, os_instance=None):
+    """Register node *name* and report its daemon in, the native way."""
+    if scheduler.kind == "pbs":
+        scheduler.create_node(name, np=cores)
+        scheduler.node_up(name, os_instance)
+    else:
+        scheduler.add_node(name, cores=cores)
+        scheduler.node_online(name, os_instance)
+
+
+def rejoin(scheduler, name):
+    """The daemon of an already registered node reports in again."""
+    if scheduler.kind == "pbs":
+        scheduler.node_up(name)
+    else:
+        scheduler.node_online(name)
+
+
+def submit(scheduler, name="job", runtime=100.0):
+    """A whole-node job; returns ``(jobid, job)``."""
+    jobid = scheduler.submit_request(
+        JobRequest(name=name, cores=CORES, runtime_s=runtime)
+    )
+    return jobid, scheduler.get_job(jobid)
+
+
+def host_of(job):
+    return next(iter(job.allocation_by_host()))
+
+
+def is_running(scheduler, job):
+    return any(j is job for j in scheduler.running_jobs())
+
+
+def is_queued(scheduler, job):
+    return any(j is job for j in scheduler.queued_jobs())
+
+
+def ids(jobids):
+    return [str(jobid) for jobid in jobids]
 
 
 @pytest.fixture(params=SCHEDULER_KINDS)
@@ -208,6 +246,115 @@ def test_create_detector_reports_the_queue(kind):
     assert report.running == 1
     assert report.queued == 0
     assert report.wire  # non-empty wire message for the communicator
+
+
+# -- node-failure recovery ------------------------------------------------
+
+
+def test_retry_budget_exhaustion_fails_the_job(kind):
+    sim, scheduler, _ = build(kind)
+    scheduler.max_job_restarts = 1
+    jobid, job = submit(scheduler)
+    sim.run(until=10.0)
+    assert ids(scheduler.fence_node(host_of(job))["requeued"]) == [jobid]
+    sim.run(until=20.0)
+    assert is_running(scheduler, job)  # rerunning on a surviving node
+    out = scheduler.fence_node(host_of(job))
+    assert out["requeued"] == [] and ids(out["failed"]) == [jobid]
+    assert job.restarts == 1
+    assert job.end_time == 20.0
+    assert scheduler.requeues == 1
+    assert scheduler.jobs_failed_on_fence == 1
+    assert scheduler.running_jobs() == scheduler.queued_jobs() == []
+
+
+def test_checkpoint_interval_credits_durable_work(kind):
+    sim, scheduler, _ = build(kind)
+    scheduler.checkpoint_interval_s = 30.0
+    jobid, job = submit(scheduler)
+    sim.run(until=70.0)
+    scheduler.fence_node(host_of(job))
+    # floor(70/30)*30 = 60s durable, 10s lost
+    assert job.checkpointed_s == 60.0
+    assert job.lost_work_s == 10.0
+    sim.run()
+    # the second run only needs the remaining 40s: 70 + 40
+    assert job.end_time == 110.0
+
+
+def test_checkpoint_credit_is_capped_at_the_runtime_owed(kind):
+    """A job parked on a silently dead node accrues elapsed time but
+    no progress: its credit never exceeds the runtime it still owes."""
+    sim, scheduler, _ = build(
+        kind, num_nodes=1, os_instance=SimpleNamespace(running=False)
+    )
+    scheduler.checkpoint_interval_s = 30.0
+    jobid, job = submit(scheduler, runtime=50.0)
+    sim.run(until=70.0)
+    join(scheduler, "n02")
+    assert ids(scheduler.fence_node("n01")["requeued"]) == [jobid]
+    # floor(70/30)*30 = 60s would be credited; only 50s are owed
+    assert job.checkpointed_s == 50.0
+    assert job.lost_work_s == 20.0
+    sim.run()
+    assert job.end_time == 70.0  # nothing left to run on n02
+
+
+def test_fast_rejoin_recovers_stranded_jobs(kind):
+    """A node that crashes and reboots before the fence: its daemon
+    reports in with old jobs still booked; the rejoin reconciles them."""
+    sim, scheduler, _ = build(kind)
+    jobid, job = submit(scheduler)
+    victim = host_of(job)
+    sim.run(until=10.0)
+    # kill the runner the way the crash hook does, then rejoin directly
+    scheduler.node_crashed(victim)
+    assert job.interrupted_at == 10.0
+    sim.run(until=40.0)
+    assert is_running(scheduler, job)  # nobody has noticed yet
+    rejoin(scheduler, victim)
+    assert job.restarts == 1
+    assert is_running(scheduler, job)
+    # lost work is charged to the crash instant, not the rejoin instant
+    assert job.lost_work_s == 10.0
+    sim.run()
+    assert job.end_time == 140.0  # a full rerun from the rejoin
+
+
+def test_cordon_drains_without_killing(kind):
+    sim, scheduler, _ = build(kind)
+    jobid, job = submit(scheduler)
+    host = host_of(job)
+    scheduler.cordon_node(host)
+    assert is_running(scheduler, job)  # running work is untouched
+    # a job wanting every node cannot start while one is cordoned
+    big = scheduler.get_job(scheduler.submit_request(
+        JobRequest(name="big", nodes=NUM_NODES, ppn=CORES, runtime_s=10.0)
+    ))
+    assert is_queued(scheduler, big)
+    sim.run()
+    assert job.end_time == 100.0
+    assert is_queued(scheduler, big)  # the cordon outlives the job
+    scheduler.uncordon_node(host)
+    sim.run()
+    assert big.end_time == 110.0
+
+
+def test_job_on_silently_dead_node_parks_until_fenced(kind):
+    """Zombie-start guard: a job placed onto a node whose OS died
+    silently must not fake progress — it parks until the fence."""
+    sim, scheduler, _ = build(
+        kind, num_nodes=1, os_instance=SimpleNamespace(running=False)
+    )
+    jobid, job = submit(scheduler)
+    assert is_running(scheduler, job)
+    sim.run(until=1000.0)
+    assert is_running(scheduler, job)  # parked, not completing
+    assert job.end_time is None
+    assert ids(scheduler.fence_node("n01")["requeued"]) == [jobid]
+    assert is_queued(scheduler, job)  # no nodes left: waits
+    sim.run()
+    assert is_queued(scheduler, job)
 
 
 @settings(max_examples=25, deadline=None)
