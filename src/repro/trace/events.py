@@ -101,8 +101,16 @@ FAULT_NODE_RESTART = "fault.node_restart"
 FAULT_PREFIX = "fault."
 
 
+#: Types :func:`_jsonable` passes through untouched.  Checked by exact
+#: type, so subclasses (``np.float64``, ``np.bool_``, enums) still take
+#: the coercing path below.
+_ATOMS = frozenset((str, bool, int, float, type(None)))
+
+
 def _jsonable(value: Any) -> Any:
     """Coerce a field value to something canonically JSON-serialisable."""
+    if type(value) in _ATOMS:
+        return value
     if value is None or isinstance(value, (str, bool)):
         return value
     if isinstance(value, numbers.Integral):
@@ -131,7 +139,13 @@ def callback_name(fn: Any) -> str:
     return type(fn).__name__
 
 
-@dataclass(frozen=True)
+#: The canonical encoder, built once: what ``json.dumps`` would build on
+#: every call with these arguments.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            ensure_ascii=True)
+
+
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One structured event in a simulation trace.
 
@@ -168,10 +182,7 @@ class TraceEvent:
 
     def to_json(self) -> str:
         """Canonical single-line JSON (sorted keys, no whitespace)."""
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":"),
-            ensure_ascii=True,
-        )
+        return _ENCODER.encode(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TraceEvent":

@@ -12,7 +12,9 @@ experiment's trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from itertools import count
+from typing import (Any, Callable, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.trace import events as ev
 from repro.trace.events import TraceEvent
@@ -90,12 +92,14 @@ def check_confirmed_order_has_boot(
     """
     out: List[Violation] = []
     issued_at: Dict[str, float] = {}
+    boots: Dict[Optional[str], List[Tuple[float, Any]]] = {}  # node -> (t, os)
     for e in events:
         if e.kind == ev.ORDER_ISSUED:
             order_id = e.fields.get("order_id")
             if order_id is not None:
                 issued_at[str(order_id)] = e.time
-    boots = [e for e in events if e.kind == ev.BOOT_COMPLETE]
+        elif e.kind == ev.BOOT_COMPLETE:
+            boots.setdefault(e.node, []).append((e.time, e.fields.get("os")))
     for e in events:
         if e.kind != ev.ORDER_CONFIRMED:
             continue
@@ -108,10 +112,9 @@ def check_confirmed_order_has_boot(
             continue
         t_issue = issued_at[order_id]
         matched = any(
-            b.node == e.node
-            and b.fields.get("os") == target_os
-            and t_issue - _TIME_EPS <= b.time <= e.time + _TIME_EPS
-            for b in boots)
+            os_name == target_os
+            and t_issue - _TIME_EPS <= t_boot <= e.time + _TIME_EPS
+            for t_boot, os_name in boots.get(e.node, ()))
         if not matched:
             out.append(_violate(
                 "confirmed-order-has-boot",
@@ -289,21 +292,39 @@ def check_no_job_lost(events: Sequence[TraceEvent]) -> List[Violation]:
     was running on a node when ``health.fenced`` hit it must be resolved
     (requeued, failed, or finished) at-or-after the fence — a fenced
     node's jobs cannot simply vanish.
+
+    Attempts are indexed by short host name, so a fence costs the jobs
+    on the fenced node, not every running job.  A fence that hits
+    several jobs takes them in the order their attempts started (an
+    attempt restarted without an intervening requeue keeps its place),
+    and the trailing reports follow the order the fences took them.
     """
     name = "no-job-lost"
     out: List[Violation] = []
     JOB_KINDS = (ev.JOB_SUBMITTED, ev.JOB_STARTED, ev.JOB_FINISHED,
                  ev.JOB_REQUEUED, ev.JOB_FAILED)
     state: Dict[tuple, str] = {}          # key -> queued|running|done
-    hosts: Dict[tuple, List[str]] = {}    # key -> current attempt's hosts
+    # key -> (start order, current attempt's short host names)
+    attempt: Dict[tuple, Tuple[int, List[str]]] = {}
+    on_host: Dict[str, Dict[tuple, int]] = {}  # host -> {key: start order}
+    starts = count()
     pending_fence: Dict[tuple, TraceEvent] = {}  # key -> the fence event
+
+    def end_attempt(key: tuple) -> None:
+        ended = attempt.pop(key, None)
+        if ended is not None:
+            for host in ended[1]:
+                on_host[host].pop(key, None)
+
     for e in events:
         if e.kind == ev.HEALTH_FENCED:
             if e.node is None:
                 continue
-            for key, running_hosts in hosts.items():
-                if state.get(key) == "running" and e.node in running_hosts:
-                    pending_fence.setdefault(key, e)
+            hit = on_host.get(e.node)
+            if hit:
+                for key in sorted(hit, key=hit.__getitem__):
+                    if state.get(key) == "running":
+                        pending_fence.setdefault(key, e)
             continue
         if e.kind not in JOB_KINDS:
             continue
@@ -328,19 +349,25 @@ def check_no_job_lost(events: Sequence[TraceEvent]) -> List[Violation]:
                 out.append(_violate(
                     name, f"job {key} started while {current}", e))
             state[key] = "running"
-            hosts[key] = [
+            previous = attempt.get(key)
+            order = next(starts) if previous is None else previous[0]
+            end_attempt(key)
+            started_on = [
                 str(h).split(".")[0] for h in e.fields.get("hosts", ())
             ]
+            attempt[key] = (order, started_on)
+            for host in started_on:
+                on_host.setdefault(host, {})[key] = order
         elif e.kind == ev.JOB_REQUEUED:
             if current != "running":
                 out.append(_violate(
                     name, f"job {key} requeued while {current}", e))
             state[key] = "queued"
-            hosts.pop(key, None)
+            end_attempt(key)
             pending_fence.pop(key, None)
         else:  # finished / failed: terminal
             state[key] = "done"
-            hosts.pop(key, None)
+            end_attempt(key)
             pending_fence.pop(key, None)
     for key, fence in pending_fence.items():
         out.append(_violate(

@@ -21,13 +21,9 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.trace.events import TraceEvent
-
-#: Pending record layout: ``(kind, time, node, cycle, cause, fields)``.
-_Pending = Tuple[str, float, Optional[str], Optional[int], Optional[str],
-                 Dict[str, Any]]
 
 #: Valid ``Tracer.mode`` / ``TraceConfig.mode`` values.
 TRACE_MODES = ("full", "counts", "off")
@@ -57,9 +53,11 @@ class Tracer:
         self.mode = mode
         self.counts: Counter = Counter()
         self._events: List[TraceEvent] = []
-        self._pending: List[_Pending] = []
+        # Pending records ``(kind, time, node, cycle, cause, fields)``;
+        # _materialize swaps each for its event in place.
+        self._pending: List[Any] = []
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         n = len(self._events) + len(self._pending)
         return f"Tracer(name={self.name!r}, events={n})"
 
@@ -89,17 +87,20 @@ class Tracer:
         Kind strings are interned: most are module-level constants from
         :mod:`repro.trace.events` already, and interning makes the kind
         filters in :meth:`events_of` pointer-compare in the common case.
+
+        Each event replaces its pending record in place, so the record is
+        freed as soon as its event exists.  The trace is never held twice:
+        peak memory stays lower, and the GC-tracked object count does not
+        grow by the whole trace, which would set off a full collection
+        over every live object of the run.
         """
         pending = self._pending
-        events = self._events
-        seq = len(events)
         intern = sys.intern
-        append = events.append
-        for kind, time, node, cycle, cause, fields in pending:
-            append(TraceEvent(seq=seq, time=float(time), kind=intern(kind),
-                              node=node, cycle=cycle, cause=cause,
-                              fields=fields))
-            seq += 1
+        seq = len(self._events)
+        for i, (kind, time, node, cycle, cause, fields) in enumerate(pending):
+            pending[i] = TraceEvent(seq + i, float(time), intern(kind), node,
+                                    cycle, cause, fields)
+        self._events += pending
         pending.clear()
 
     @property
@@ -143,12 +144,3 @@ class Tracer:
     def read_jsonl(path: Any) -> List[TraceEvent]:
         with open(path, "r", encoding="ascii") as fh:
             return Tracer.load_jsonl(fh.read())
-
-
-def merge_events(traces: Iterable[Tracer]) -> List[TraceEvent]:
-    """All events from several tracers, ordered by (time, tracer, seq)."""
-    merged: List[TraceEvent] = []
-    for tracer in traces:
-        merged.extend(tracer.events)
-    merged.sort(key=lambda e: (e.time, e.seq))
-    return merged

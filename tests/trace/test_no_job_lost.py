@@ -177,3 +177,37 @@ def test_fence_of_idle_node_imposes_no_obligation():
 
 def test_registered_in_battery():
     assert "no-job-lost" in INVARIANTS
+
+
+def test_fence_hitting_several_jobs_reports_them_in_start_order():
+    """One fence hits several running jobs over several hosts.  The
+    trailing reports follow the order the fences took the jobs, and a
+    fence takes its jobs in the order their attempts started: a job
+    requeued and restarted goes to the back, a job restarted without a
+    requeue keeps its place."""
+    events = make_events(
+        *[(0.0, "job.submitted", None, job(j)) for j in "ABCDE"],
+        (1.0, "job.started", None, job("C", hosts=["enode02", "enode01"])),
+        (2.0, "job.started", None, job("A", hosts=["enode01.cluster",
+                                                   "enode03"])),
+        (3.0, "job.started", None, job("B", hosts=["enode03"])),
+        (4.0, "job.started", None, job("D", hosts=["enode01"])),
+        (5.0, "job.started", None, job("E", hosts=["enode04"])),
+        (6.0, "job.requeued", None, job("D", restarts=1)),
+        (7.0, "job.started", None, job("D", hosts=["enode01"])),
+        (8.0, "job.started", None, job("C", hosts=["enode01"])),
+        (50.0, "health.fenced", "enode03", {"misses": 5}),
+        (60.0, "health.fenced", "enode01", {"misses": 5}),
+        (70.0, "job.finished", None, job("B", exit_status=0)),
+        (80.0, "health.fenced", "enode04", {"misses": 5}),
+        (90.0, "health.fenced", "enode02", {"misses": 5}),
+    )
+    lost = ("job ('pbs', '{}') was running on fenced node {} and was "
+            "never requeued, failed, or finished")
+    assert [(v.seq, v.message) for v in violations_of(events)] == [
+        (12, "job ('pbs', 'C') started while running"),
+        (13, lost.format("A", "enode03")),
+        (14, lost.format("C", "enode01")),
+        (14, lost.format("D", "enode01")),
+        (16, lost.format("E", "enode04")),
+    ]

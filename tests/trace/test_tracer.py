@@ -1,12 +1,12 @@
 """Unit tests for TraceEvent / Tracer: canonical JSONL, querying, gating."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from repro.simkernel import Simulator
 from repro.trace import TraceEvent, Tracer, callback_name
-from repro.trace.tracer import merge_events
 
 
 @pytest.fixture()
@@ -138,11 +138,44 @@ def test_jsonl_export_roundtrip(sim, tmp_path):
     assert Tracer.read_jsonl(path) == tracer.events
 
 
-def test_merge_events_orders_by_time_then_seq(sim):
-    a, b = Tracer(sim, name="a"), Tracer(sim, name="b")
-    a.emit("x")
-    sim.schedule_at(5.0, lambda: b.emit("y"))
-    sim.schedule_at(9.0, lambda: a.emit("z"))
-    sim.run()
-    merged = merge_events([a, b])
-    assert [e.kind for e in merged] == ["x", "y", "z"]
+
+# -- lazy materialisation ----------------------------------------------------
+
+
+def test_partial_reads_keep_events_summary_and_repr_in_step(sim):
+    tracer = Tracer(sim)
+    for i in range(3):
+        tracer.emit("a.one", n=i)
+    assert [e.seq for e in tracer.events] == [0, 1, 2]
+    tracer.emit("a.two", node="n1")
+    tracer.emit("a.one", n=3)
+    assert repr(tracer) == "Tracer(name='trace', events=5)"
+    events = tracer.events
+    assert [(e.seq, e.kind) for e in events] == [
+        (0, "a.one"), (1, "a.one"), (2, "a.one"), (3, "a.two"), (4, "a.one"),
+    ]
+    assert events[3].node == "n1" and events[4].fields == {"n": 3}
+    assert tracer.summary() == {"a.one": 4, "a.two": 1}
+    assert repr(tracer) == "Tracer(name='trace', events=5)"
+
+
+def test_reading_the_trace_never_holds_it_twice(sim):
+    """Materialising swaps each pending record for its event, so reading
+    the trace never keeps all records and all events alive at once."""
+    tracer = Tracer(sim)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for i in range(10_000):
+            tracer.emit("a.one", node="n1", n=i, x=0.5)
+        recorded = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert len(tracer.events) == 10_000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Held once, reading adds the new seq ints and the events list.  Held
+    # twice, it also adds every event while every record is still alive:
+    # about 40 % of what recording took, against about 20 % held once.
+    assert peak - recorded < (recorded - start) * 0.3
+
