@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.flow.project import Project
 from repro.analysis.flow.symbols import (
@@ -94,27 +94,6 @@ class CallGraph:
 
     def callers_of(self, qualname: str) -> List[CallEdge]:
         return self._in.get(qualname, [])
-
-    def reachable(
-        self,
-        roots: Iterable[str],
-        kinds: Optional[Set[str]] = None,
-        max_depth: int = 50,
-    ) -> Set[str]:
-        """Transitive callee closure of *roots* (roots included)."""
-        seen: Set[str] = set()
-        frontier = [(root, 0) for root in sorted(set(roots))]
-        while frontier:
-            qualname, depth = frontier.pop()
-            if qualname in seen or depth > max_depth:
-                continue
-            seen.add(qualname)
-            for edge in self.callees_of(qualname):
-                if kinds is not None and edge.kind not in kinds:
-                    continue
-                if edge.callee not in seen:
-                    frontier.append((edge.callee, depth + 1))
-        return seen
 
     # -- observer registration scan ------------------------------------------
 

@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.controller import BootController
 from repro.core.policy import ClusterView, SwitchDecision, SwitchPolicy
-from repro.core.switchjob import OrderState, SwitchOrderRecord
+from repro.core.switchjob import PBS_USER, OrderState, SwitchOrderRecord
 from repro.core.wire import QueueStateMessage
 from repro.errors import MiddlewareError
 from repro.netsvc.network import Host, Message, PortListener
@@ -83,7 +83,6 @@ class SwitchOrders:
         pbs: Any,
         winhpc: Any,
         controller: BootController,
-        pbs_user: str = "sliang",
         order_timeout_s: float = DEFAULT_ORDER_TIMEOUT_S,
         tracer: Optional[Any] = None,
     ) -> None:
@@ -92,7 +91,6 @@ class SwitchOrders:
         self.pbs = pbs
         self.winhpc = winhpc
         self.controller = controller
-        self.pbs_user = pbs_user
         self.order_timeout_s = order_timeout_s
         self.tracer = tracer
         self.orders_issued = 0
@@ -143,7 +141,7 @@ class SwitchOrders:
                 self.tracer.emit("control.flag_set", target=target)
         if target == "windows":
             donor, script = self.pbs, self.controller.linux_switch_script("windows")
-            owner = self.pbs_user
+            owner = PBS_USER
         else:
             donor, script = self.winhpc, self.controller.windows_switch_script("linux")
             owner = "dualboot-oscar"
@@ -273,10 +271,10 @@ class LinuxCommunicator:
         detector: Any,
         policy: SwitchPolicy,
         orders: SwitchOrders,
-        cores_per_node: int = 4,
-        host: Optional[Host] = None,
-        ack_port: Optional[int] = None,
-        cycle_s: Optional[float] = None,
+        cores_per_node: int,
+        host: Host,
+        ack_port: int,
+        cycle_s: float,
         staleness_cycles: int = 3,
         tracer: Optional[Any] = None,
     ) -> None:
@@ -307,10 +305,8 @@ class LinuxCommunicator:
     # -- views & decisions ---------------------------------------------------
 
     @property
-    def staleness_cap_s(self) -> Optional[float]:
-        """Oldest acceptable report age, or ``None`` when cycle-agnostic."""
-        if self.cycle_s is None:
-            return None
+    def staleness_cap_s(self) -> float:
+        """Oldest acceptable report age."""
         return self.staleness_cycles * self.cycle_s
 
     def views(self, windows_state: QueueStateMessage):
@@ -375,8 +371,7 @@ class LinuxCommunicator:
                 fields["target_os"] = decision.target_os
             if self.last_report_at is not None:
                 fields["report_age_s"] = self.sim.now - self.last_report_at
-            if self.staleness_cap_s is not None:
-                fields["staleness_cap_s"] = self.staleness_cap_s
+            fields["staleness_cap_s"] = self.staleness_cap_s
             self.tracer.emit("control.decision", **fields)
         self.orders.issue(decision)
         return decision
@@ -408,11 +403,10 @@ class LinuxCommunicator:
                 via="network",
                 src=message.src,
             )
-        if self.host is not None and self.ack_port is not None:
-            self.host.send(message.src, self.ack_port, ("ack", wire))
-            self.acks_sent += 1
-            if self.tracer is not None:
-                self.tracer.emit("comm.ack_sent", wire=wire, dst=message.src)
+        self.host.send(message.src, self.ack_port, ("ack", wire))
+        self.acks_sent += 1
+        if self.tracer is not None:
+            self.tracer.emit("comm.ack_sent", wire=wire, dst=message.src)
         return self._evaluate(windows_state, wire)
 
     def tick(self) -> None:
@@ -426,8 +420,6 @@ class LinuxCommunicator:
           guard that keeps stale data from triggering reboots.
         """
         cap = self.staleness_cap_s
-        if cap is None or self.cycle_s is None:
-            return
         age = self.sim.now - (
             self.last_report_at if self.last_report_at is not None else self._epoch
         )
@@ -468,11 +460,11 @@ class WindowsCommunicator:
         linux_head: str,
         port: int,
         cycle_s: float,
-        ack_listener: Optional[PortListener] = None,
+        ack_listener: PortListener,
+        rng: RngStreams,
         max_retries: int = 2,
         retry_base_s: float = 5.0,
         ack_timeout_s: float = 10.0,
-        rng: Optional[RngStreams] = None,
         tracer: Optional[Any] = None,
     ) -> None:
         if cycle_s <= 0:
@@ -506,13 +498,8 @@ class WindowsCommunicator:
             )
 
     def _send_report(self, wire: str):
-        """Send one report; with an ack channel, retry with backoff+jitter."""
-        if self.ack_listener is None:
-            # fire-and-forget, exactly the paper's implementation
-            self.host.send(self.linux_head, self.port, wire)
-            self.reports_sent += 1
-            self._trace("comm.report_sent", wire=wire, attempt=0)
-            return
+        """Send one report and wait for its ack; retry unacked sends with
+        exponential backoff plus seeded jitter."""
         for attempt in range(self.max_retries + 1):
             while self.ack_listener.try_get() is not None:
                 pass  # drain acks from earlier cycles
@@ -529,11 +516,9 @@ class WindowsCommunicator:
                 return
             if attempt < self.max_retries:
                 self.retries += 1
-                backoff = self.retry_base_s * (2 ** attempt)
-                if self.rng is not None:
-                    backoff += self.rng.uniform(
-                        "commswin:retry-jitter", 0.0, self.retry_base_s
-                    )
+                backoff = self.retry_base_s * (2 ** attempt) + self.rng.uniform(
+                    "commswin:retry-jitter", 0.0, self.retry_base_s
+                )
                 self._trace("comm.retry", attempt=attempt, backoff_s=backoff)
                 yield Timeout(backoff)
         self.reports_failed += 1

@@ -56,12 +56,10 @@ class ControllerV1(BootController):
         spec: DualBootMenuSpec,
         fat_partition: int = 6,
         switch_method: str = "rename",
-        pbs_user: str = "sliang",
     ) -> None:
         self.spec = spec
         self.fat_partition = fat_partition
         self.switch_method = switch_method
-        self.pbs_user = pbs_user
 
     # -- provisioning --------------------------------------------------------
 
@@ -126,9 +124,7 @@ class ControllerV1(BootController):
     # -- switch jobs -------------------------------------------------------------
 
     def linux_switch_script(self, target_os: str) -> str:
-        return pbs_switch_script_v1(
-            target_os, user=self.pbs_user, method=self.switch_method
-        )
+        return pbs_switch_script_v1(target_os, method=self.switch_method)
 
     def windows_switch_script(self, target_os: str) -> str:
         return windows_switch_bat_v1(target_os)

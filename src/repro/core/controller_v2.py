@@ -26,7 +26,11 @@ from repro.boot.grub4dos import (
 from repro.boot.grubcfg import parse_grub_config
 from repro.core.bootcontrol import switch_grub_default
 from repro.core.controller import BootController, DualBootMenuSpec, make_dualboot_menu
-from repro.core.switchjob import pbs_switch_script_v2, windows_switch_bat_v2
+from repro.core.switchjob import (
+    PBS_USER,
+    pbs_switch_script_v2,
+    windows_switch_bat_v2,
+)
 from repro.errors import MiddlewareError
 from repro.hardware.node import ComputeNode
 from repro.netsvc.dhcp import DhcpServer
@@ -52,23 +56,19 @@ class ControllerV2(BootController):
         tftp: TftpServer,
         dhcp: DhcpServer,
         per_mac_menus: bool = False,
-        pbs_user: str = "sliang",
     ) -> None:
         self.spec = spec
         self.tftp = tftp
         self.dhcp = dhcp
         self.per_mac_menus = per_mac_menus
-        self.pbs_user = pbs_user
 
     # -- provisioning ----------------------------------------------------------
 
-    def prepare_cluster(self, initial_os: str = "linux") -> None:
-        """Serve the ROM, point DHCP at it, write the initial flag."""
+    def prepare_cluster(self) -> None:
+        """Serve the ROM, point DHCP at it, write the initial (Linux) flag."""
         self.tftp.put(GRLDR_PATH, GRUB4DOS_ROM)
         self.dhcp.default_bootfile = GRLDR_PATH
-        self.tftp.put(
-            default_menu_path(), make_dualboot_menu(self.spec, initial_os)
-        )
+        self.tftp.put(default_menu_path(), make_dualboot_menu(self.spec))
 
     def prepare_node(self, node: ComputeNode, initial_os: str = "linux") -> None:
         node.firmware = Firmware.pxe_first()
@@ -122,7 +122,7 @@ class ControllerV2(BootController):
                 "#PBS -j oe\n"
                 "#PBS -o reboot_log.out\n"
                 "#PBS -r n\n"
-                f"echo \\$PBS_JOBID >>/home/{self.pbs_user}/reboot_log/"
+                f"echo \\$PBS_JOBID >>/home/{PBS_USER}/reboot_log/"
                 "rebootjob.log\n"
                 f"sudo {FLICK_BINARY_LINUX} {target_os} "
                 "#send ID + flick this node's toggle on the head\n"
@@ -130,7 +130,7 @@ class ControllerV2(BootController):
                 "sleep 10\n"
             )
         del target_os  # the single flag, not the script, carries the target
-        return pbs_switch_script_v2(user=self.pbs_user)
+        return pbs_switch_script_v2()
 
     def windows_switch_script(self, target_os: str) -> str:
         if self.per_mac_menus:

@@ -29,6 +29,7 @@ from repro.core.communicator import (
     SwitchOrders,
     WindowsCommunicator,
 )
+from repro.core.config import COMMUNICATOR_PORT
 from repro.core.controller import BootController
 from repro.core.policy import SwitchPolicy
 from repro.errors import MiddlewareError
@@ -36,7 +37,6 @@ from repro.hardware.cluster import Cluster
 from repro.netsvc.network import Host
 from repro.sched import create_detector
 from repro.simkernel import MINUTE, Process, Simulator, Timeout
-from repro.simkernel.rng import RngStreams
 
 
 def _ticker_loop(linux: LinuxCommunicator, cycle_s: float):
@@ -48,9 +48,10 @@ def _ticker_loop(linux: LinuxCommunicator, cycle_s: float):
         yield Timeout(cycle_s)
 
 
-def _watchdog_loop(sim: Simulator, orders: SwitchOrders, poll_s: float):
+def _watchdog_loop(sim: Simulator, orders: SwitchOrders):
+    """Expire overdue switch orders once a simulated minute."""
     while True:
-        yield Timeout(poll_s)
+        yield Timeout(MINUTE)
         orders.expire(sim.now)
 
 
@@ -63,12 +64,12 @@ class DualBootDaemons:
     linux_process: Process
     windows_process: Process
     orders: SwitchOrders
-    sim: Optional[Simulator] = None
-    linux_host: Optional[Host] = None
-    windows_host: Optional[Host] = None
-    ticker_process: Optional[Process] = None
-    watchdog_process: Optional[Process] = None
-    cycle_s: float = 10 * MINUTE
+    sim: Simulator
+    linux_host: Host
+    windows_host: Host
+    ticker_process: Process
+    watchdog_process: Process
+    cycle_s: float
     _crashed: Set[str] = field(default_factory=set)
     tracer: Optional[Any] = None
 
@@ -80,8 +81,7 @@ class DualBootDaemons:
             self.ticker_process,
             self.watchdog_process,
         ):
-            if process is not None:
-                process.kill()
+            process.kill()
 
     # -- crash / restart (fault injection entry points) ----------------------
 
@@ -91,23 +91,15 @@ class DualBootDaemons:
         if side in self._crashed:
             return
         self._crashed.add(side)
+        host = self.linux_host if side == "linux" else self.windows_host
         if self.tracer is not None:
-            host = self.linux_host if side == "linux" else self.windows_host
-            self.tracer.emit(
-                "daemon.crash",
-                node=host.name if host is not None else None,
-                side=side,
-            )
+            self.tracer.emit("daemon.crash", node=host.name, side=side)
         if side == "linux":
             self.linux_process.kill()
-            if self.ticker_process is not None:
-                self.ticker_process.kill()
-            if self.linux_host is not None:
-                self.linux_host.online = False
+            self.ticker_process.kill()
         else:
             self.windows_process.kill()
-            if self.windows_host is not None:
-                self.windows_host.online = False
+        host.online = False
 
     def restart(self, side: str) -> None:
         """Bring a crashed daemon back (communicator state persists — the
@@ -116,28 +108,18 @@ class DualBootDaemons:
         if side not in self._crashed:
             return
         self._crashed.discard(side)
-        if self.sim is None:
-            raise MiddlewareError("daemons were started without a simulator handle")
+        host = self.linux_host if side == "linux" else self.windows_host
         if self.tracer is not None:
-            host = self.linux_host if side == "linux" else self.windows_host
-            self.tracer.emit(
-                "daemon.restart",
-                node=host.name if host is not None else None,
-                side=side,
-            )
+            self.tracer.emit("daemon.restart", node=host.name, side=side)
+        host.online = True
         if side == "linux":
-            if self.linux_host is not None:
-                self.linux_host.online = True
             self.linux_process = self.sim.spawn(
                 self.linux.run(), name="daemon:linux"
             )
-            if self.ticker_process is not None:
-                self.ticker_process = self.sim.spawn(
-                    _ticker_loop(self.linux, self.cycle_s), name="daemon:ticker"
-                )
+            self.ticker_process = self.sim.spawn(
+                _ticker_loop(self.linux, self.cycle_s), name="daemon:ticker"
+            )
         else:
-            if self.windows_host is not None:
-                self.windows_host.online = True
             self.windows_process = self.sim.spawn(
                 self.windows.run(), name="daemon:windows"
             )
@@ -155,71 +137,54 @@ def start_daemons(
     controller: BootController,
     policy: SwitchPolicy,
     cycle_s: float,
-    port: int,
-    pbs_user: str = "sliang",
-    cores_per_node: Optional[int] = None,
     eager_detectors: bool = False,
-    acks: bool = True,
-    max_retries: int = 2,
-    retry_base_s: float = 5.0,
-    ack_timeout_s: float = 10.0,
-    staleness_cycles: int = 3,
     order_timeout_s: float = DEFAULT_ORDER_TIMEOUT_S,
-    watchdog_poll_s: float = MINUTE,
-    rng: Optional[RngStreams] = None,
     tracer: Optional[Any] = None,
 ) -> DualBootDaemons:
-    """Stand up the control plane and return its handles."""
-    sim = cluster.sim
-    if cores_per_node is None:
-        cores_per_node = (
-            cluster.compute_nodes[0].cores if cluster.compute_nodes else 4
-        )
-    if rng is None:
-        rng = cluster.rng
+    """Stand up the control plane and return its handles.
 
+    Reports go to :data:`~repro.core.config.COMMUNICATOR_PORT` on the
+    Linux head and acks come back on the next port up; the cores per node
+    come from the cluster's first compute node and the retry jitter from
+    the cluster's seeded streams.
+    """
+    sim = cluster.sim
+    linux_host = cluster.linux_head.host
+    windows_host = cluster.windows_head.host
     orders = SwitchOrders(
-        pbs, winhpc, controller, pbs_user=pbs_user,
+        pbs, winhpc, controller,
         order_timeout_s=order_timeout_s,
         tracer=tracer,
     )
 
-    listener = cluster.linux_head.host.listen(port)
-    ack_listener = (
-        cluster.windows_head.host.listen(port + 1) if acks else None
-    )
     linux_daemon = LinuxCommunicator(
         sim=sim,
-        listener=listener,
+        listener=linux_host.listen(COMMUNICATOR_PORT),
         detector=create_detector(
             pbs, eager=eager_detectors,
-            tracer=tracer, node_name=cluster.linux_head.name, user=pbs_user,
+            tracer=tracer, node_name=cluster.linux_head.name,
         ),
         policy=policy,
         orders=orders,
-        cores_per_node=cores_per_node,
-        host=cluster.linux_head.host if acks else None,
-        ack_port=port + 1 if acks else None,
+        cores_per_node=cluster.compute_nodes[0].cores,
+        host=linux_host,
+        ack_port=COMMUNICATOR_PORT + 1,
         cycle_s=cycle_s,
-        staleness_cycles=staleness_cycles,
         tracer=tracer,
     )
 
     windows_daemon = WindowsCommunicator(
         sim=sim,
-        host=cluster.windows_head.host,
+        host=windows_host,
         detector=create_detector(
             winhpc, eager=eager_detectors,
             tracer=tracer, node_name=cluster.windows_head.name,
         ),
         linux_head=cluster.linux_head.name,
-        port=port,
+        port=COMMUNICATOR_PORT,
         cycle_s=cycle_s,
-        ack_listener=ack_listener,
-        max_retries=max_retries,
-        retry_base_s=retry_base_s,
-        ack_timeout_s=ack_timeout_s,
-        rng=rng.spawn("communicator") if rng is not None else None,
+        ack_listener=windows_host.listen(COMMUNICATOR_PORT + 1),
+        rng=cluster.rng.spawn("communicator"),
         tracer=tracer,
     )
 
@@ -230,13 +195,13 @@ def start_daemons(
         windows_process=sim.spawn(windows_daemon.run(), name="daemon:windows"),
         orders=orders,
         sim=sim,
-        linux_host=cluster.linux_head.host,
-        windows_host=cluster.windows_head.host,
+        linux_host=linux_host,
+        windows_host=windows_host,
         ticker_process=sim.spawn(
             _ticker_loop(linux_daemon, cycle_s), name="daemon:ticker"
         ),
         watchdog_process=sim.spawn(
-            _watchdog_loop(sim, orders, watchdog_poll_s), name="daemon:watchdog"
+            _watchdog_loop(sim, orders), name="daemon:watchdog"
         ),
         cycle_s=cycle_s,
         tracer=tracer,

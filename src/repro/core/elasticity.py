@@ -74,7 +74,7 @@ def _pool_of(node: ComputeNode) -> Optional[Pool]:
 
 @dataclass(frozen=True)
 class ElasticityPolicy:
-    """Knobs of the power-aware loop (see ``MiddlewareConfig`` defaults)."""
+    """Knobs of the power-aware loop; these defaults are the deployment's."""
 
     #: never suspend below this many UP nodes per side
     min_online: int = 1

@@ -30,11 +30,16 @@ from typing import Any, Dict, List, Optional
 from repro.core.config import MiddlewareConfig
 from repro.core.controller import BootController, DualBootMenuSpec
 from repro.core.controller_v1 import ControllerV1, redirect_menu_lst
-from repro.core.controller_v2 import ControllerV2
+from repro.core.controller_v2 import (
+    FLICK_BINARY_LINUX,
+    FLICK_BINARY_WINDOWS,
+    ControllerV2,
+)
 from repro.core.bootcontrol import register_bootcontrol
 from repro.core.daemon import DualBootDaemons, start_daemons
-from repro.core.elasticity import ElasticityManager, ElasticityPolicy
+from repro.core.elasticity import ElasticityManager
 from repro.core.policy import FcfsPolicy, SwitchPolicy
+from repro.core.switchjob import PBS_USER
 from repro.energy import EnergyMeter
 from repro.errors import MiddlewareError
 from repro.hardware.cluster import Cluster, build_cluster
@@ -54,6 +59,7 @@ from repro.storage.diskpart import (
     MODIFIED_DISKPART_TXT_V1,
     REIMAGE_DISKPART_TXT_V2,
 )
+from repro.storage.geometry import WINDOWS_PARTITION_MB
 from repro.storage.mbr import BootCode
 from repro.windeploy.deploytool import WindowsDeployTool
 from repro.windeploy.installshare import InstallShare
@@ -86,14 +92,17 @@ class DualBootOscar:
             mode=self.config.trace.mode,
         )
         cluster.sim.tracer = self.tracer
+        #: node-failure resilience and energy accounting, always on;
+        #: deploy() attaches the nodes and schedulers and starts them
+        self.health = HeartbeatMonitor(self.sim, tracer=self.tracer)
+        self.health.on_fence.append(self._on_node_fenced)
+        self.energy = EnergyMeter(self.sim, tracer=self.tracer)
 
         self.wizard = OscarWizard(cluster)
-        linux_scheduler = self.wizard.installation.pbs
-        linux_scheduler.default_owner = self.config.pbs_user
         #: per-OS-side scheduler personalities (insertion order linux,
         #: windows — fencing/metering loops rely on it for determinism)
         self.schedulers: Dict[str, SchedulerPersonality] = {
-            "linux": linux_scheduler,
+            "linux": self.wizard.installation.pbs,
             "windows": create_scheduler(
                 self.config.windows_scheduler,
                 cluster.sim,
@@ -105,8 +114,6 @@ class DualBootOscar:
         self.controller: Optional[BootController] = None
         self.daemons: Optional[DualBootDaemons] = None
         self.menu_spec: Optional[DualBootMenuSpec] = None
-        self.health: Optional[HeartbeatMonitor] = None
-        self.energy: Optional[EnergyMeter] = None
         self.elasticity: Optional[ElasticityManager] = None
         self._deployed = False
 
@@ -129,7 +136,7 @@ class DualBootOscar:
 
     @property
     def pbs_commands(self) -> Any:
-        return self.pbs.make_commands(default_user=self.config.pbs_user)
+        return self.pbs.make_commands()
 
     @property
     def version(self) -> int:
@@ -153,10 +160,6 @@ class DualBootOscar:
         if self._deployed:
             raise MiddlewareError("already deployed")
         config = self.config
-        if config.initial_windows_nodes > len(self.cluster.compute_nodes):
-            raise MiddlewareError(
-                "initial_windows_nodes exceeds the cluster size"
-            )
         if (
             config.initial_windows_nodes + config.burst_nodes
             > len(self.cluster.compute_nodes)
@@ -169,39 +172,22 @@ class DualBootOscar:
         image = self._deploy_linux_side()
         self._build_controller(image)
         self._prepare_nodes()
-        # node-failure resilience: recovery policy + heartbeat monitor
+        # node-failure resilience: checkpoint credit on requeue
         for scheduler in self.schedulers.values():
             scheduler.tracer = self.tracer
-            scheduler.max_job_restarts = config.job_max_restarts
             scheduler.checkpoint_interval_s = config.checkpoint_interval_s
-        if config.health_monitoring:
-            self.health = HeartbeatMonitor(
-                self.sim,
-                beat_s=config.health_beat_s,
-                suspect_misses=config.health_suspect_misses,
-                fence_misses=config.health_fence_misses,
-                tracer=self.tracer,
-            )
-            self.health.on_fence.append(self._on_node_fenced)
-        if config.energy.metering:
-            self.energy = EnergyMeter(self.sim, tracer=self.tracer)
         for node in self.cluster.compute_nodes:
             node.provisioners.append(self._dualboot_provisioner)
             node.tracer = self.tracer
             node.on_crash.append(self._on_node_crash)
-            if self.health is not None:
-                self.health.watch(node)
+            self.health.watch(node)
             self.recorder.attach_node(node)
-            if self.energy is not None:
-                self.energy.attach_node(node)
+            self.energy.attach_node(node)
         for personality in self.schedulers.values():
             self.recorder.attach_scheduler(personality)
-        if self.energy is not None:
-            for personality in self.schedulers.values():
-                self.energy.attach_scheduler(personality)
+            self.energy.attach_scheduler(personality)
         self._deployed = True
-        if self.health is not None:
-            self.health.start()
+        self.health.start()
         self._initial_power_on()
         self.daemons = start_daemons(
             cluster=self.cluster,
@@ -210,17 +196,8 @@ class DualBootOscar:
             controller=self.controller,
             policy=self.policy,
             cycle_s=config.check_cycle_s,
-            port=config.communicator_port,
-            pbs_user=config.pbs_user,
             eager_detectors=config.eager_detectors,
-            acks=config.comm_acks,
-            max_retries=config.comm_max_retries,
-            retry_base_s=config.comm_retry_base_s,
-            ack_timeout_s=config.comm_ack_timeout_s,
-            staleness_cycles=config.staleness_cycles,
             order_timeout_s=config.order_timeout_s,
-            watchdog_poll_s=config.watchdog_poll_s,
-            rng=self.cluster.rng,
             tracer=self.tracer,
         )
         if config.elastic.enabled:
@@ -229,13 +206,6 @@ class DualBootOscar:
                 cluster=self.cluster,
                 pbs=self.pbs,
                 winhpc=self.winhpc,
-                policy=ElasticityPolicy(
-                    min_online=config.elastic.min_online,
-                    hysteresis_cycles=config.elastic.hysteresis_cycles,
-                    idle_surplus=config.elastic.idle_surplus,
-                    max_actions_per_cycle=config.elastic.max_actions,
-                ),
-                cycle_s=config.elastic.cycle_s,
                 orders=self.daemons.orders,
                 health=self.health,
                 linux_comm=self.daemons.linux,
@@ -247,10 +217,7 @@ class DualBootOscar:
     def _deploy_windows_side(self) -> None:
         """InstallShare patch + Windows on every node (the paper's order:
         'the Windows partition has to be installed first', §III.C.2)."""
-        script = MODIFIED_DISKPART_TXT_V1.replace(
-            "size=150000", f"size={int(self.config.windows_partition_mb)}"
-        )
-        self.share.write_diskpart(script)
+        self.share.write_diskpart(MODIFIED_DISKPART_TXT_V1)
         self.effort.record(
             "edit-script",
             "InstallShare diskpart.txt: claim only the Windows share of the "
@@ -274,15 +241,12 @@ class DualBootOscar:
         wizard.configure_packages(include_dualboot=True)
 
         if self.config.version == 1:
-            layout_text = IDE_DISK_V1_MANUAL.replace(
-                "150000", str(int(self.config.windows_partition_mb))
-            )
             self.effort.record(
                 "edit-script",
                 "ide.disk: reserve Windows + FAT control partitions by hand "
                 "(§III.C.1 item 1)",
             )
-            layout = parse_ide_disk(layout_text)
+            layout = parse_ide_disk(IDE_DISK_V1_MANUAL)
             spec = DualBootMenuSpec(
                 boot_partition=layout.boot_partition(),
                 root_partition=layout.root_partition(),
@@ -296,7 +260,7 @@ class DualBootOscar:
         else:
             apply_v2_patches(self.wizard.installation)
             layout_text = IDE_DISK_V2.replace(
-                "16000", str(int(self.config.windows_partition_mb))
+                "16000", str(int(WINDOWS_PARTITION_MB))
             )
             layout = parse_ide_disk(layout_text)
             image = wizard.build_image(layout, include_dualboot_files=False)
@@ -316,7 +280,6 @@ class DualBootOscar:
                 self.menu_spec,
                 fat_partition=6,
                 switch_method=self.config.v1_switch_method,
-                pbs_user=self.config.pbs_user,
             )
         else:
             installation = self.wizard.installation
@@ -325,33 +288,24 @@ class DualBootOscar:
                 tftp=installation.tftp,
                 dhcp=installation.dhcp,
                 per_mac_menus=self.config.v2_per_mac_menus,
-                pbs_user=self.config.pbs_user,
             )
-            self.controller.prepare_cluster(initial_os=self.config.initial_os)
+            self.controller.prepare_cluster()
 
     def _prepare_nodes(self) -> None:
         windows_first = self.config.initial_windows_nodes
         for index, node in enumerate(self.cluster.compute_nodes):
-            initial = "windows" if index < windows_first else self.config.initial_os
-            if self.config.version == 1 or self.config.v2_per_mac_menus:
-                self.controller.prepare_node(node, initial_os=initial)
-            else:
-                self.controller.prepare_node(node)
+            initial = "windows" if index < windows_first else "linux"
+            self.controller.prepare_node(node, initial_os=initial)
 
     def _dualboot_provisioner(self, node: ComputeNode, os_instance: OSInstance) -> None:
         """Per-boot wiring: the switch scripts' dependencies must exist."""
-        if self.health is not None:
-            # the heartbeat agent rides both OSes, so an OS switch never
-            # looks like a node death
-            self.health.attach_agent(node, os_instance)
+        # the heartbeat agent rides both OSes, so an OS switch never looks
+        # like a node death
+        self.health.attach_agent(node, os_instance)
         if os_instance.kind == "linux":
             register_bootcontrol(os_instance)
-            os_instance.mkdir(f"/home/{self.config.pbs_user}/reboot_log")
+            os_instance.mkdir(f"/home/{PBS_USER}/reboot_log")
         if self.config.version == 2 and self.config.v2_per_mac_menus:
-            from repro.core.controller_v2 import (
-                FLICK_BINARY_LINUX,
-                FLICK_BINARY_WINDOWS,
-            )
 
             def flick(instance: OSInstance, args):
                 target = args[0]
@@ -408,13 +362,12 @@ class DualBootOscar:
                 node.deprovision()
             nodes = nodes[: len(nodes) - burst]
         split = self.config.initial_windows_nodes
-        single_flag = self.config.version == 2 and not self.config.v2_per_mac_menus
-        if single_flag and 0 < split:
+        if self.controller.has_cluster_flag and 0 < split:
             self.controller.set_target_os("windows")
             for node in nodes[:split]:
                 node.power_on()
             self.sim.run(until=self.sim.now + 1.0)  # resolve before the flip
-            self.controller.set_target_os(self.config.initial_os)
+            self.controller.set_target_os("linux")
             for node in nodes[split:]:
                 node.power_on()
         else:
@@ -463,8 +416,7 @@ class DualBootOscar:
     def finalize(self) -> None:
         """Close metric intervals at the current time (call before analysis)."""
         self.recorder.finalize(self.sim.now)
-        if self.energy is not None:
-            self.energy.finalize()
+        self.energy.finalize()
 
     def status_report(self) -> str:
         """An operator's one-screen view of the hybrid cluster."""
@@ -555,10 +507,7 @@ class DualBootOscar:
             image.apply_all_manual_edits(self.effort)
 
     def _reprepare(self, node: ComputeNode) -> None:
-        if self.config.version == 1 or self.config.v2_per_mac_menus:
-            self.controller.prepare_node(node, initial_os="linux")
-        else:
-            self.controller.prepare_node(node)
+        self.controller.prepare_node(node, initial_os="linux")
 
     def _require_deployed(self) -> None:
         if not self._deployed:

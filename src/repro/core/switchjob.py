@@ -61,6 +61,10 @@ class SwitchOrderRecord:
     def pending(self) -> bool:
         return self.state is OrderState.PENDING
 
+#: The PBS account that owns the switch jobs and their reboot log
+#: (Figure 4's ``/home/sliang/reboot_log``).
+PBS_USER = "sliang"
+
 #: Pre-staged control menus on the FAT partition (§III.B.1).
 STAGED_MENU = {
     "linux": "controlmenu_to_linux.lst",
@@ -73,9 +77,7 @@ def _check_target(target_os: str) -> None:
         raise MiddlewareError(f"unknown switch target {target_os!r}")
 
 
-def pbs_switch_script_v1(
-    target_os: str, user: str = "sliang", method: str = "bootcontrol"
-) -> str:
+def pbs_switch_script_v1(target_os: str, method: str = "bootcontrol") -> str:
     """The Figure-4 PBS job: book a full node, flip GRUB, reboot.
 
     ``method="bootcontrol"`` reproduces Figure 4 verbatim (Carter's Perl
@@ -121,7 +123,7 @@ def pbs_switch_script_v1(
         "#####################################\n"
         "# Section 3: Executing Commands #\n"
         "#####################################\n"
-        f"echo \\$PBS_JOBID >>/home/{user}/reboot_log/rebootjob.log "
+        f"echo \\$PBS_JOBID >>/home/{PBS_USER}/reboot_log/rebootjob.log "
         "#write logs\n"
         f"{action}\n"
         "sudo reboot #reboot node\n"
@@ -144,7 +146,7 @@ def windows_switch_bat_v1(target_os: str) -> str:
     )
 
 
-def pbs_switch_script_v2(user: str = "sliang") -> str:
+def pbs_switch_script_v2() -> str:
     """v2: the flag is on the head node; the job only logs and reboots."""
     return (
         "#!/bin/bash\n"
@@ -154,7 +156,7 @@ def pbs_switch_script_v2(user: str = "sliang") -> str:
         "#PBS -j oe\n"
         "#PBS -o reboot_log.out\n"
         "#PBS -r n\n"
-        f"echo \\$PBS_JOBID >>/home/{user}/reboot_log/rebootjob.log\n"
+        f"echo \\$PBS_JOBID >>/home/{PBS_USER}/reboot_log/rebootjob.log\n"
         "sudo reboot #reboot into the flagged OS\n"
         "sleep 10 #keep the node booked until the reboot lands\n"
     )

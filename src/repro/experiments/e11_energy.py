@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.compare import HybridSystem
-from repro.core.config import ElasticConfig, EnergyConfig, MiddlewareConfig
+from repro.core.config import ElasticConfig, MiddlewareConfig
 from repro.experiments import ExperimentOutput
 from repro.metrics.report import Table
 from repro.simkernel import HOUR, MINUTE, Timeout
@@ -85,8 +85,7 @@ def _energy_run(
         config=MiddlewareConfig(
             version=2,
             check_cycle_s=10 * MINUTE,
-            energy=EnergyConfig(metering=True),
-            elastic=ElasticConfig(enabled=power_aware, cycle_s=5 * MINUTE),
+            elastic=ElasticConfig(enabled=power_aware),
             burst_nodes=burst,
         ),
     )
@@ -127,10 +126,9 @@ def _energy_run(
     ]
     useful_core_s = sum(j.runtime_s * j.cores for j in completed_jobs)
     job_hours = sum(j.runtime_s for j in completed_jobs) / HOUR
-    joules = meter.total_joules() if meter is not None else 0.0
+    joules = meter.total_joules()
     capacity_core_s = middleware.cluster.total_cores * horizon_s
     elasticity = middleware.elasticity
-    health = middleware.health
     metrics = {
         "submitted": len(jobs),
         "completed": len(completed_jobs),
@@ -141,15 +139,13 @@ def _energy_run(
         "utilisation": round(useful_core_s / capacity_core_s, 6),
         "joules_by_state": {
             state: round(value, 3)
-            for state, value in sorted(
-                (meter.joules_by_state() if meter is not None else {}).items()
-            )
+            for state, value in sorted(meter.joules_by_state().items())
         },
         "suspends": elasticity.suspends if elasticity is not None else 0,
         "resumes": elasticity.resumes if elasticity is not None else 0,
         "provisions": elasticity.provisions if elasticity is not None else 0,
         "stale_holds": elasticity.stale_holds if elasticity is not None else 0,
-        "fences": health.fences if health is not None else 0,
+        "fences": middleware.health.fences,
     }
     return metrics, middleware.tracer
 

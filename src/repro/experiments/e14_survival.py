@@ -110,8 +110,6 @@ def _rejoin_ok(middleware) -> bool:
     """Every fenced node that is powered up again is healthy and
     schedulable on whichever OS it rebooted into."""
     health = middleware.health
-    if health is None:
-        return False
     pbs_by_short = {
         record.hostname.split(".")[0]: record
         for record in middleware.pbs.nodes.values()
@@ -218,8 +216,8 @@ def _survival_run(
         "evicted_jobs": evicted,
         "evicted_survived": survived,
         "survival_rate": survived / evicted if evicted else 1.0,
-        "fences": health.fences if health else 0,
-        "recoveries": health.recoveries if health else 0,
+        "fences": health.fences,
+        "recoveries": health.recoveries,
         "lost_core_s": round(lost_core_s, 3),
         "lost_work_fraction": round(
             lost_core_s / (lost_core_s + useful_core_s), 6

@@ -28,6 +28,7 @@ the lossy scenario twice.
 from __future__ import annotations
 
 from repro.core import MiddlewareConfig, build_hybrid_cluster
+from repro.core.config import COMMUNICATOR_PORT
 from repro.experiments import ExperimentOutput
 from repro.faults import (
     BootHang,
@@ -112,7 +113,6 @@ def _chaos_run(version: int, scenario: str, seed: int,
             version=version,
             check_cycle_s=5 * MINUTE,
             order_timeout_s=12 * MINUTE,
-            watchdog_poll_s=MINUTE,
         ),
     )
     hybrid.deploy()
@@ -122,7 +122,7 @@ def _chaos_run(version: int, scenario: str, seed: int,
     installation = hybrid.wizard.installation
     plan = _plan(
         scenario, sim.now, cluster.linux_head.name,
-        cluster.windows_head.name, hybrid.config.communicator_port,
+        cluster.windows_head.name, COMMUNICATOR_PORT,
     )
     injector = FaultInjector(
         sim, cluster.network, cluster.rng, plan,
@@ -177,12 +177,11 @@ def _chaos_run(version: int, scenario: str, seed: int,
         "orders_confirmed": daemons.orders.orders_confirmed,
         "orders_failed": daemons.orders.orders_failed,
         "switches": hybrid.recorder.switch_count,
-        "node_fences": hybrid.health.fences if hybrid.health else 0,
-        "node_recoveries": hybrid.health.recoveries if hybrid.health else 0,
+        "node_fences": hybrid.health.fences,
+        "node_recoveries": hybrid.health.recoveries,
         "requeued_jobs": hybrid.pbs.requeues + hybrid.winhpc.requeues,
         "jobs_done": win_done + (1 if lin_done else 0),
-        "daemons_alive": all(p is not None and p.alive
-                             for p in daemon_processes),
+        "daemons_alive": all(p.alive for p in daemon_processes),
         "fault_counters": dict(sorted(injector.counters.items())),
     }, hybrid.tracer
 

@@ -50,7 +50,6 @@ def create_detector(
     eager: bool = False,
     tracer: Any = None,
     node_name: Optional[str] = None,
-    user: str = "sliang",
 ) -> Any:
     """Build the queue-state detector matching *personality*.
 
@@ -63,7 +62,7 @@ def create_detector(
         from repro.core.detector import PbsDetector
 
         return PbsDetector(
-            personality.make_commands(default_user=user),
+            personality.make_commands(),
             eager=eager,
             tracer=tracer,
             node_name=node_name,
@@ -82,7 +81,7 @@ def create_detector(
         from repro.slurm.detector import SlurmDetector
 
         return SlurmDetector(
-            SlurmCommands(personality, default_user=user),
+            SlurmCommands(personality),
             eager=eager,
             tracer=tracer,
             node_name=node_name,

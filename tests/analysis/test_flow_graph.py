@@ -95,7 +95,7 @@ def test_reexport_resolves_through_package(tmp_path):
     assert "pkg2.impl.Widget.ping" in callees
 
 
-def test_reachable_walks_self_and_direct_edges(tmp_path):
+def test_self_and_direct_call_edges(tmp_path):
     pkg = write_pkg(tmp_path, "walk", {
         "m": (
             "class A:\n"
@@ -115,9 +115,9 @@ def test_reachable_walks_self_and_direct_edges(tmp_path):
         ),
     })
     project = build_project([pkg])
-    reached = project.callgraph.reachable(
-        ["walk.m.A.top"], kinds=("direct", "self")
-    )
-    assert "walk.m.A._mid" in reached
-    assert "walk.m.leaf" in reached
-    assert "walk.m.unrelated" not in reached
+    graph = project.callgraph
+    top = [(e.callee, e.kind) for e in graph.callees_of("walk.m.A.top")]
+    assert ("walk.m.A._mid", "self") in top
+    mid = [(e.callee, e.kind) for e in graph.callees_of("walk.m.A._mid")]
+    assert ("walk.m.leaf", "direct") in mid
+    assert graph.callers_of("walk.m.unrelated") == []

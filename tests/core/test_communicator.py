@@ -1,4 +1,8 @@
-"""Communicator + SwitchOrders unit tests (outside the full middleware)."""
+"""Communicator + SwitchOrders unit tests (outside the full middleware).
+
+The rig wires the communicators exactly as ``start_daemons`` does: acked
+reports on the next port up, a fixed cycle, seeded retry jitter.
+"""
 
 import pytest
 
@@ -16,6 +20,7 @@ from repro.errors import MiddlewareError
 from repro.netsvc import DhcpServer, Network, TftpServer
 from repro.pbs import JobSpec, PbsCommands, PbsServer
 from repro.simkernel import MINUTE, Simulator
+from repro.simkernel.rng import RngStreams
 from repro.storage import Filesystem, FsType
 from repro.winhpc import HpcSchedulerConnection, WinHpcScheduler, WinJobSpec
 
@@ -52,6 +57,9 @@ def rig():
         policy=FcfsPolicy(),
         orders=orders,
         cores_per_node=4,
+        host=linhead,
+        ack_port=5801,
+        cycle_s=10 * MINUTE,
     )
     sdk = HpcSchedulerConnection()
     sdk.connect(winhpc)
@@ -62,18 +70,22 @@ def rig():
         linux_head="eridani",
         port=5800,
         cycle_s=10 * MINUTE,
+        ack_listener=winhead.listen(5801),
+        rng=RngStreams(11).spawn("communicator"),
     )
     return sim, pbs, winhpc, controller, orders, linux, windows, listener
 
 
 def test_windows_communicator_reports_every_cycle(rig):
-    sim, *_, windows, listener = rig
+    sim, *_, linux, windows, listener = rig
+    sim.spawn(linux.run())
     sim.spawn(windows.run())
     sim.run(until=35 * MINUTE)
     assert windows.reports_sent == 4  # t=0,10,20,30
-    assert len(listener) == 4
-    message = listener.try_get()
-    assert message.payload == "00000none"
+    assert windows.reports_acked == 4
+    assert linux.reports_received == 4
+    assert len(listener) == 0  # the Linux daemon consumed every report
+    assert linux.last_windows_wire == "00000none"
 
 
 def test_cycle_validation(rig):
@@ -82,6 +94,7 @@ def test_cycle_validation(rig):
         WindowsCommunicator(
             sim=sim, host=windows.host, detector=windows.detector,
             linux_head="eridani", port=1, cycle_s=0,
+            ack_listener=windows.ack_listener, rng=windows.rng,
         )
 
 

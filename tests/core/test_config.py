@@ -1,41 +1,69 @@
-"""Middleware configuration: nested knob groups and their validation.
+"""Middleware configuration: the twelve settable values and their validation.
 
-The elasticity/energy/trace knobs live in nested dataclasses
-(:class:`ElasticConfig`, :class:`EnergyConfig`, :class:`TraceConfig`);
-those groups are the only way to set them.
+The elasticity and trace values live in nested dataclasses
+(:class:`ElasticConfig`, :class:`TraceConfig`); those groups are the
+only way to set them.  Every other default lives in the component class
+that uses it, so the field lists below are pinned: a new knob has to be
+added here on purpose.
 """
+
+import dataclasses
 
 import pytest
 
-from repro.core.config import (
-    ElasticConfig,
-    EnergyConfig,
-    MiddlewareConfig,
-    TraceConfig,
-)
+from repro.core.config import ElasticConfig, MiddlewareConfig, TraceConfig
 from repro.errors import ConfigurationError
+
+
+def _fields(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def test_the_deployment_surface_is_pinned():
+    assert _fields(MiddlewareConfig) == [
+        "version",
+        "check_cycle_s",
+        "initial_windows_nodes",
+        "v1_switch_method",
+        "v2_per_mac_menus",
+        "eager_detectors",
+        "order_timeout_s",
+        "checkpoint_interval_s",
+        "burst_nodes",
+        "windows_scheduler",
+        "elastic",
+        "trace",
+    ]
+    assert _fields(ElasticConfig) == ["enabled"]
+    assert _fields(TraceConfig) == ["mode"]
 
 
 def test_nested_groups_are_the_canonical_spelling():
     config = MiddlewareConfig(
-        elastic=ElasticConfig(enabled=True, cycle_s=120.0, max_actions=4),
-        energy=EnergyConfig(metering=False),
+        elastic=ElasticConfig(enabled=True),
         trace=TraceConfig(mode="counts"),
     )
     assert config.elastic.enabled is True
-    assert config.elastic.cycle_s == 120.0
-    assert config.elastic.max_actions == 4
-    assert config.energy.metering is False
     assert config.trace.mode == "counts"
 
 
 def test_group_validation_runs_for_nested_groups():
     with pytest.raises(ConfigurationError):
-        ElasticConfig(cycle_s=0.0)
-    with pytest.raises(ConfigurationError):
-        ElasticConfig(hysteresis_cycles=0)
-    with pytest.raises(ConfigurationError):
         TraceConfig(mode="everything")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"version": 3},
+    {"check_cycle_s": 0.0},
+    {"initial_windows_nodes": -1},
+    {"v1_switch_method": "telepathy"},
+    {"order_timeout_s": 0.0},
+    {"checkpoint_interval_s": 0.0},
+    {"burst_nodes": -1},
+])
+def test_bad_values_are_rejected(kwargs):
+    with pytest.raises(ConfigurationError):
+        MiddlewareConfig(**kwargs)
 
 
 def test_windows_scheduler_is_validated():
@@ -58,7 +86,25 @@ def test_windows_scheduler_is_validated():
     "elastic_max_actions",
     "energy_metering",
     "trace_mode",
+    # values whose defaults now live in the component that uses them
+    "windows_partition_mb",
+    "initial_os",
+    "communicator_port",
+    "pbs_user",
+    "comm_acks",
+    "comm_max_retries",
+    "comm_retry_base_s",
+    "comm_ack_timeout_s",
+    "staleness_cycles",
+    "watchdog_poll_s",
+    "health_monitoring",
+    "health_beat_s",
+    "health_suspect_misses",
+    "health_fence_misses",
+    "job_max_restarts",
+    "energy",
 ])
 def test_unknown_keywords_fail_loudly(keyword):
     with pytest.raises(TypeError):
         MiddlewareConfig(**{keyword: True})
+

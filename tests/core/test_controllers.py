@@ -121,7 +121,7 @@ def v2_setup():
 
 def test_v2_prepare_cluster_serves_rom_and_flag():
     sim, tftp, dhcp, controller = v2_setup()
-    controller.prepare_cluster(initial_os="linux")
+    controller.prepare_cluster()
     assert tftp.fetch("/grldr") == GRUB4DOS_ROM
     assert dhcp.default_bootfile == "/grldr"
     assert controller.current_target() == "linux"
@@ -134,7 +134,7 @@ def test_v2_flag_flip_changes_boot_outcome():
     dhcp = DhcpServer(next_server="eridani")
     # the test disk uses the v1 geometry (root on sda7)
     controller = ControllerV2(V1_SPEC, tftp=tftp, dhcp=dhcp)
-    controller.prepare_cluster(initial_os="linux")
+    controller.prepare_cluster()
     disk = make_v1_disk()
     node = make_node(sim, disk=disk)
     controller.prepare_node(node)

@@ -30,11 +30,11 @@ def rig():
     return sim, cluster, pbs, winhpc, controller
 
 
-def start(rig, **kw):
+def start(rig):
     sim, cluster, pbs, winhpc, controller = rig
     return start_daemons(
         cluster=cluster, pbs=pbs, winhpc=winhpc, controller=controller,
-        policy=FcfsPolicy(), cycle_s=10 * MINUTE, port=5800, **kw,
+        policy=FcfsPolicy(), cycle_s=10 * MINUTE,
     )
 
 
@@ -51,11 +51,6 @@ def test_daemons_run_and_report(rig):
 def test_cores_per_node_inferred_from_cluster(rig):
     daemons = start(rig)
     assert daemons.linux.cores_per_node == 4  # Q8200 quad core
-
-
-def test_cores_per_node_override(rig):
-    daemons = start(rig, cores_per_node=8)
-    assert daemons.linux.cores_per_node == 8
 
 
 def test_stop_kills_both_processes(rig):

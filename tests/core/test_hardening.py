@@ -146,12 +146,14 @@ def test_retry_config_validation(rig):
     with pytest.raises(MiddlewareError):
         WindowsCommunicator(
             sim=sim, host=winhead, detector=windows.detector,
-            linux_head="eridani", port=1, cycle_s=CYCLE, max_retries=-1,
+            linux_head="eridani", port=1, cycle_s=CYCLE,
+            ack_listener=windows.ack_listener, rng=windows.rng, max_retries=-1,
         )
     with pytest.raises(MiddlewareError):
         WindowsCommunicator(
             sim=sim, host=winhead, detector=windows.detector,
-            linux_head="eridani", port=1, cycle_s=CYCLE, retry_base_s=0.0,
+            linux_head="eridani", port=1, cycle_s=CYCLE,
+            ack_listener=windows.ack_listener, rng=windows.rng, retry_base_s=0.0,
         )
 
 
@@ -215,38 +217,13 @@ def test_tick_never_decides_on_a_report_past_the_cap(rig):
     assert orders.orders_issued == issued_before
 
 
-def test_tick_without_cycle_is_a_noop():
-    """Communicators built the old way (no cycle_s) never tick-decide."""
-    sim = Simulator()
-    network = Network(sim)
-    linhead = network.register("eridani")
-    pbs = PbsServer(sim)
-    winhpc = WinHpcScheduler(sim)
-    controller = ControllerV2(
-        DualBootMenuSpec(boot_partition=2, root_partition=6),
-        tftp=TftpServer(Filesystem(FsType.EXT3)),
-        dhcp=DhcpServer(),
-    )
-    controller.prepare_cluster()
-    linux = LinuxCommunicator(
-        sim=sim,
-        listener=linhead.listen(5800),
-        detector=PbsDetector(PbsCommands(pbs)),
-        policy=FcfsPolicy(),
-        orders=SwitchOrders(pbs, winhpc, controller),
-    )
-    assert linux.staleness_cap_s is None
-    sim.run(until=1 * HOUR)
-    linux.tick()
-    assert linux.decisions == []
-
-
 def test_staleness_validation(rig):
     sim, _, pbs, winhpc, orders, linux, *_ = rig
     with pytest.raises(MiddlewareError):
         LinuxCommunicator(
             sim=sim, listener=linux.listener, detector=linux.detector,
-            policy=linux.policy, orders=orders, staleness_cycles=0,
+            policy=linux.policy, orders=orders, cores_per_node=4,
+            host=linux.host, ack_port=5801, cycle_s=CYCLE, staleness_cycles=0,
         )
 
 
@@ -389,7 +366,7 @@ def test_watchdog_fails_hung_switch_order_and_reissues():
     """ISSUE acceptance: inject hang-at-boot under a switch order; the
     order must fail, in-flight must return to zero, and a later cycle
     must re-issue the switch."""
-    hybrid = deployed(order_timeout_s=10 * MINUTE, watchdog_poll_s=MINUTE)
+    hybrid = deployed(order_timeout_s=10 * MINUTE)
     injector = FaultInjector(
         hybrid.sim,
         hybrid.cluster.network,

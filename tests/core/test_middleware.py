@@ -58,10 +58,14 @@ def test_initial_windows_split_v1():
     assert len(hybrid.nodes_by_os()["windows"]) == 1
 
 
-def test_oversized_split_rejected():
-    config = MiddlewareConfig(version=2, initial_windows_nodes=9)
+@pytest.mark.parametrize("windows, burst", [(9, 0), (2, 3)],
+                         ids=["windows", "windows-plus-burst"])
+def test_oversized_split_rejected(windows, burst):
+    config = MiddlewareConfig(
+        version=2, initial_windows_nodes=windows, burst_nodes=burst
+    )
     hybrid = build_hybrid_cluster(num_nodes=4, version=2, config=config)
-    with pytest.raises(MiddlewareError):
+    with pytest.raises(MiddlewareError, match="exceeds the cluster size"):
         hybrid.deploy()
 
 

@@ -223,7 +223,7 @@ class _UnguardedLinuxCommunicator(LinuxCommunicator):
     re-evaluates the last Windows state no matter how old it is."""
 
     def tick(self):
-        if self.last_windows_state is None or self.cycle_s is None:
+        if self.last_windows_state is None:
             return
         # BUG: no staleness-cap check before consuming the report
         self._evaluate(self.last_windows_state, self.last_windows_wire)
