@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Union
 
 from repro.errors import BootError, StorageError
 from repro.boot.grubcfg import (
     GrubConfig,
-    GrubEntry,
+    GrubMenu,
     parse_device,
-    parse_grub_config,
+    parse_grub_menu,
     split_device_path,
 )
 from repro.storage.disk import Disk
@@ -87,19 +87,19 @@ class GrubExecutor:
 
     # -- public API -------------------------------------------------------
 
-    def execute(self, config: GrubConfig) -> BootTarget:
+    def execute(self, config: Union[GrubConfig, GrubMenu]) -> BootTarget:
         """Resolve *config*'s default entry into a :class:`BootTarget`."""
         return self._execute(config, depth=0, trace=[], root=None)
 
     def execute_text(self, text: str) -> BootTarget:
         """Parse then execute ``menu.lst`` text."""
-        return self.execute(parse_grub_config(text))
+        return self.execute(parse_grub_menu(text))
 
     # -- internals -----------------------------------------------------------
 
     def _execute(
         self,
-        config: GrubConfig,
+        config: Union[GrubConfig, GrubMenu],
         depth: int,
         trace: List[str],
         root: Optional[int],
@@ -123,7 +123,7 @@ class GrubExecutor:
                 if depth + 1 > MAX_CONFIGFILE_DEPTH:
                     raise BootError("configfile indirection loop")
                 text = self._read(root, arg, trace)
-                sub = parse_grub_config(text)
+                sub = parse_grub_menu(text)
                 trace.append(f"configfile {arg} ({len(sub.entries)} entries)")
                 return self._execute(sub, depth + 1, trace, root)
             elif verb == "kernel":

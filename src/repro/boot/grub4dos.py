@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from repro.errors import BootError, NetworkError
 from repro.boot.grub import BootTarget, GrubExecutor
-from repro.boot.grubcfg import parse_grub_config
 from repro.netsvc.dhcp import normalize_mac
 from repro.netsvc.tftp import TftpServer
 from repro.storage.disk import Disk
@@ -77,8 +76,7 @@ class Grub4DosPxe:
     def boot(self, mac: str) -> BootTarget:
         """Resolve the boot target for the node with *mac*."""
         text = self.locate_menu(mac)
-        config = parse_grub_config(text)
         executor = GrubExecutor(self.disk, net_fetch=self.tftp.fetch)
-        target = executor.execute(config)
+        target = executor.execute_text(text)
         target.trace.insert(0, f"grub4dos menu for {normalize_mac(mac)}")
         return target

@@ -12,9 +12,10 @@ of v2 use the same syntax.  Quirks preserved deliberately:
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import BootError
 
@@ -74,14 +75,7 @@ class GrubConfig:
 
     def default_entry(self) -> GrubEntry:
         """The entry selected at boot; raises if ``default`` is dangling."""
-        if not self.entries:
-            raise BootError("GRUB config has no menu entries")
-        if not 0 <= self.default < len(self.entries):
-            raise BootError(
-                f"default={self.default} but config has "
-                f"{len(self.entries)} entries"
-            )
-        return self.entries[self.default]
+        return _select(self.default, self.entries)
 
     def entry_index_by_title_suffix(self, suffix: str) -> int:
         """Index of the first entry whose title ends with *suffix*.
@@ -109,15 +103,73 @@ _ENTRY_VERBS = (
 )
 
 
+class MenuEntry(NamedTuple):
+    """One ``title`` stanza of a :class:`GrubMenu` (read-only)."""
+
+    title: str
+    commands: Tuple[Tuple[str, str], ...]
+
+
+class GrubMenu(NamedTuple):
+    """A read-only parse of one ``menu.lst`` text, shared by every reader
+    of that text (see :func:`parse_grub_menu`)."""
+
+    default: int
+    timeout: Optional[int]
+    splashimage: Optional[str]
+    hiddenmenu: bool
+    entries: Tuple[MenuEntry, ...]
+
+    def default_entry(self) -> MenuEntry:
+        """The entry selected at boot; raises if ``default`` is dangling."""
+        return _select(self.default, self.entries)
+
+
+_E = TypeVar("_E", GrubEntry, MenuEntry)
+
+
+def _select(default: int, entries: Sequence[_E]) -> _E:
+    if not entries:
+        raise BootError("GRUB config has no menu entries")
+    if not 0 <= default < len(entries):
+        raise BootError(
+            f"default={default} but config has {len(entries)} entries"
+        )
+    return entries[default]
+
+
 def parse_grub_config(text: str) -> GrubConfig:
-    """Parse ``menu.lst`` text into a :class:`GrubConfig`.
+    """Parse ``menu.lst`` text into a new, editable :class:`GrubConfig`.
 
     Unknown lines raise :class:`BootError` — a corrupted control file must
     fail loudly in the simulation, because on real hardware it would leave
     the node at a GRUB prompt.
     """
-    config = GrubConfig()
-    current: Optional[GrubEntry] = None
+    menu = parse_grub_menu(text)
+    return GrubConfig(
+        default=menu.default,
+        timeout=menu.timeout,
+        splashimage=menu.splashimage,
+        hiddenmenu=menu.hiddenmenu,
+        entries=[GrubEntry(e.title, list(e.commands)) for e in menu.entries],
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def parse_grub_menu(text: str) -> GrubMenu:
+    """Parse ``menu.lst`` text into a read-only :class:`GrubMenu`.
+
+    Every node of a cluster boots the same few menus, so each distinct
+    text is parsed once: the memo is keyed by the text itself, so a menu
+    edited on disk is a new key, and a text that fails to parse raises
+    :class:`BootError` on every call.
+    """
+    default = 0
+    timeout: Optional[int] = None
+    splashimage: Optional[str] = None
+    hiddenmenu = False
+    entries: List[Tuple[str, List[Tuple[str, str]]]] = []
+    current: Optional[List[Tuple[str, str]]] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -131,24 +183,30 @@ def parse_grub_config(text: str) -> GrubConfig:
         value = value.strip()
 
         if key == "title":
-            current = GrubEntry(title=value)
-            config.entries.append(current)
+            current = []
+            entries.append((value, current))
         elif current is None:
             if key == "default":
-                config.default = _parse_int(value, lineno)
+                default = _parse_int(value, lineno)
             elif key == "timeout":
-                config.timeout = _parse_int(value, lineno)
+                timeout = _parse_int(value, lineno)
             elif key == "splashimage":
-                config.splashimage = value
+                splashimage = value
             elif key == "hiddenmenu":
-                config.hiddenmenu = True
+                hiddenmenu = True
             else:
                 raise BootError(f"line {lineno}: unknown global directive {key!r}")
         else:
             if key not in _ENTRY_VERBS:
                 raise BootError(f"line {lineno}: unknown entry command {key!r}")
-            current.commands.append((key, value))
-    return config
+            current.append((key, value))
+    return GrubMenu(
+        default,
+        timeout,
+        splashimage,
+        hiddenmenu,
+        tuple(MenuEntry(title, tuple(commands)) for title, commands in entries),
+    )
 
 
 def _parse_int(value: str, lineno: int) -> int:

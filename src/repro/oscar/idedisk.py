@@ -40,11 +40,14 @@ class IdeDiskEntry:
     mountpoint: Optional[str] = None
     options: str = ""
     bootable: bool = False
+    #: N of ``/dev/sdXN``, read from ``device`` once; ``None`` off-disk
+    partition_number: Optional[int] = field(init=False, repr=False, compare=False)
 
-    @property
-    def partition_number(self) -> Optional[int]:
+    def __post_init__(self) -> None:
         m = _SDA_RE.match(self.device)
-        return int(m.group(1)) if m else None
+        object.__setattr__(
+            self, "partition_number", int(m.group(1)) if m else None
+        )
 
     @property
     def is_disk_partition(self) -> bool:

@@ -71,7 +71,7 @@ class RngStreams:
         self, name: str, mean: float, std: float, low: float, high: float
     ) -> float:
         """Normal draw clipped into [low, high] (boot-time jitter model)."""
-        return float(np.clip(self.stream(name).normal(mean, std), low, high))
+        return float(min(max(self.stream(name).normal(mean, std), low), high))
 
     def lognormal(self, name: str, mean: float, sigma: float) -> float:
         """Lognormal draw with the given *linear-space* mean.

@@ -16,21 +16,26 @@ real tool has.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional
+from types import MappingProxyType
+from typing import Any, List, Mapping, Optional, Tuple
 
 from repro.errors import StorageError
 from repro.storage.disk import Disk
 from repro.storage.partition import FsType, Partition, PartitionKind
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiskpartCommand:
-    """One parsed script line."""
+    """One parsed script line (read-only: parses are shared)."""
 
     verb: str
-    args: dict
+    args: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "args", MappingProxyType(dict(self.args)))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.verb} {self.args}"
@@ -43,14 +48,21 @@ _FORMAT_RE = re.compile(
 )
 
 
-def parse_diskpart_script(text: str) -> List[DiskpartCommand]:
-    """Parse a diskpart script into commands; raises on unknown syntax."""
+@functools.lru_cache(maxsize=64)
+def parse_diskpart_script(text: str) -> Tuple[DiskpartCommand, ...]:
+    """Parse a diskpart script into commands; raises on unknown syntax.
+
+    Every node of a deployment runs the same script, so each distinct
+    text is parsed once: the memo is keyed by the text itself, and a text
+    that fails to parse raises on every call.  ``rem`` (any case) starts
+    a comment only as a whole word, so ``remove`` is a command.
+    """
     commands: List[DiskpartCommand] = []
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("rem") or line.startswith("#"):
-            continue
         lower = line.lower()
+        if not line or line.startswith("#") or lower.split()[0] == "rem":
+            continue
         if lower.startswith("select disk"):
             commands.append(
                 DiskpartCommand("select_disk", {"index": int(lower.split()[-1])})
@@ -60,7 +72,7 @@ def parse_diskpart_script(text: str) -> List[DiskpartCommand]:
                 DiskpartCommand("select_partition", {"number": int(lower.split()[-1])})
             )
         elif lower == "clean":
-            commands.append(DiskpartCommand("clean", {}))
+            commands.append(DiskpartCommand("clean"))
         elif lower.startswith("create partition primary"):
             size_match = re.search(r"size=(\d+)", lower)
             size = float(size_match.group(1)) if size_match else None
@@ -85,13 +97,13 @@ def parse_diskpart_script(text: str) -> List[DiskpartCommand]:
                 )
             )
         elif lower == "active":
-            commands.append(DiskpartCommand("active", {}))
+            commands.append(DiskpartCommand("active"))
         elif lower == "exit":
-            commands.append(DiskpartCommand("exit", {}))
+            commands.append(DiskpartCommand("exit"))
             break
         else:
             raise StorageError(f"unknown diskpart command: {line!r}")
-    return commands
+    return tuple(commands)
 
 
 @dataclass
@@ -149,23 +161,23 @@ class DiskpartInterpreter:
             raise StorageError("no partition selected")
         return self._selected
 
-    def _cmd_select_disk(self, args: dict, result: DiskpartResult) -> None:
+    def _cmd_select_disk(self, args: Mapping[str, Any], result: DiskpartResult) -> None:
         if args["index"] != 0:
             raise StorageError(f"only disk 0 exists, asked for {args['index']}")
         self._disk_selected = True
         self._selected = None
 
-    def _cmd_select_partition(self, args: dict, result: DiskpartResult) -> None:
+    def _cmd_select_partition(self, args: Mapping[str, Any], result: DiskpartResult) -> None:
         self._require_disk()
         self._selected = self.disk.partition(args["number"])
 
-    def _cmd_clean(self, args: dict, result: DiskpartResult) -> None:
+    def _cmd_clean(self, args: Mapping[str, Any], result: DiskpartResult) -> None:
         self._require_disk()
         self.disk.clean()
         self._selected = None
         result.cleaned = True
 
-    def _cmd_create_primary(self, args: dict, result: DiskpartResult) -> None:
+    def _cmd_create_primary(self, args: Mapping[str, Any], result: DiskpartResult) -> None:
         self._require_disk()
         size = args["size_mb"]
         if size is None:
@@ -177,11 +189,11 @@ class DiskpartInterpreter:
         self._selected = part
         result.created.append(part.number)
 
-    def _cmd_assign(self, args: dict, result: DiskpartResult) -> None:
+    def _cmd_assign(self, args: Mapping[str, Any], result: DiskpartResult) -> None:
         part = self._require_partition()
         result.drive_letters[args["letter"].upper()] = part.number
 
-    def _cmd_format(self, args: dict, result: DiskpartResult) -> None:
+    def _cmd_format(self, args: Mapping[str, Any], result: DiskpartResult) -> None:
         part = self._require_partition()
         fstype = _FS_MAP.get(args["fs"])
         if fstype is None:
@@ -189,12 +201,12 @@ class DiskpartInterpreter:
         part.format(fstype, label=args["label"])
         result.formatted.append(part.number)
 
-    def _cmd_active(self, args: dict, result: DiskpartResult) -> None:
+    def _cmd_active(self, args: Mapping[str, Any], result: DiskpartResult) -> None:
         part = self._require_partition()
         self.disk.set_active(part.number)
         result.activated = part.number
 
-    def _cmd_exit(self, args: dict, result: DiskpartResult) -> None:
+    def _cmd_exit(self, args: Mapping[str, Any], result: DiskpartResult) -> None:
         pass
 
 

@@ -29,7 +29,19 @@ def normalize(path: str) -> str:
 
     >>> normalize("boot/grub//menu.lst")
     '/boot/grub/menu.lst'
+
+    A path that is already normal comes back unchanged, the same object:
+    absolute, no backslash, no empty segment and no segment starting with
+    a dot (so none is ``.`` or ``..``).
     """
+    if (
+        path[:1] == "/"
+        and "\\" not in path
+        and "//" not in path
+        and "/." not in path
+        and (path[-1] != "/" or path == "/")
+    ):
+        return path
     parts = [p for p in path.replace("\\", "/").split("/") if p and p != "."]
     out: List[str] = []
     for part in parts:

@@ -175,3 +175,23 @@ def test_firmware_validation():
     with pytest.raises(ConfigurationError):
         fw.Firmware(boot_order=("floppy",))
     assert fw.Firmware.pxe_first().boot_order == ("pxe", "disk")
+
+
+# -- menus are parsed once per text, never once per disk ------------------------
+
+
+def test_renamed_controlmenu_is_seen_by_the_next_boot(v1_disk):
+    """The v1 switch renames a staged menu over ``controlmenu.lst``; the
+    next boot of the same disk must read the new text."""
+    first = resolve_boot(v1_disk, Firmware.disk_first(), MAC, BootEnvironment())
+    assert first.os_name == "linux"
+    v1_disk.filesystem(6).rename("/controlmenu_to_windows.lst", "/controlmenu.lst")
+    second = resolve_boot(v1_disk, Firmware.disk_first(), MAC, BootEnvironment())
+    assert second.os_name == "windows"
+
+
+def test_corrupt_menu_fails_every_boot(v1_disk):
+    v1_disk.filesystem(2).write("/grub/menu.lst", "frobnicate on\n")
+    for _ in range(2):
+        with pytest.raises(BootError, match="unknown global directive"):
+            resolve_boot(v1_disk, Firmware.disk_first(), MAC, BootEnvironment())

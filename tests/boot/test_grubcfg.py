@@ -6,6 +6,7 @@ from repro.errors import BootError
 from repro.boot.grubcfg import (
     parse_device,
     parse_grub_config,
+    parse_grub_menu,
     render_grub_config,
     split_device_path,
 )
@@ -117,3 +118,33 @@ def test_render_roundtrip_fig2_style():
     assert "hiddenmenu" in text
     cfg2 = parse_grub_config(text)
     assert cfg2.hiddenmenu and cfg2.timeout == 5
+
+
+def test_parse_returns_a_fresh_editable_config_every_call():
+    """Boots share one parse of each menu text; callers that edit a
+    config (the switch scripts) must never edit that shared parse."""
+    first = parse_grub_config(CONTROLMENU_FIG3)
+    second = parse_grub_config(CONTROLMENU_FIG3)
+    assert first is not second
+    assert first.entries[0] is not second.entries[0]
+    first.default = 1
+    first.entries[0].title = "edited"
+    first.entries[0].commands.append(("boot", ""))
+    first.entries.pop()
+    again = parse_grub_config(CONTROLMENU_FIG3)
+    assert again.default == 0
+    assert [e.title for e in again.entries] == [
+        "CentOS-5.4_Oscar-5b2-linux", "Win_Server_2K8_R2-windows",
+    ]
+    assert again.entries[0].commands == second.entries[0].commands
+    assert ("boot", "") not in again.entries[0].commands
+
+
+def test_shared_menu_parse_is_read_only():
+    menu = parse_grub_menu(CONTROLMENU_FIG3)
+    assert parse_grub_menu(CONTROLMENU_FIG3) is menu
+    with pytest.raises(AttributeError):
+        menu.default = 1  # type: ignore[misc]
+    assert isinstance(menu.entries, tuple)
+    assert isinstance(menu.entries[0].commands, tuple)
+    assert menu.default_entry().title == "CentOS-5.4_Oscar-5b2-linux"

@@ -1,10 +1,17 @@
 """ide.disk parsing & validation (Figure 14)."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.oscar import parse_ide_disk
-from repro.oscar.idedisk import IDE_DISK_STOCK, IDE_DISK_V1_MANUAL, IDE_DISK_V2
+from repro.oscar.idedisk import (
+    IDE_DISK_STOCK,
+    IDE_DISK_V1_MANUAL,
+    IDE_DISK_V2,
+    IdeDiskEntry,
+)
 
 
 def test_parse_figure14_v2_layout():
@@ -96,3 +103,13 @@ def test_entry_for_missing_partition():
     layout = parse_ide_disk(IDE_DISK_V2)
     with pytest.raises(ConfigurationError):
         layout.entry_for(3)
+
+
+def test_partition_number_is_read_once_from_the_device():
+    entry = IdeDiskEntry(device="/dev/sdb12", size_mb=10.0, label="ext3")
+    assert entry.partition_number == 12
+    assert IdeDiskEntry(device="/dev/shm", size_mb=None, label="tmpfs").partition_number is None
+    assert replace(entry, device="/dev/sda3").partition_number == 3
+    assert entry == IdeDiskEntry(device="/dev/sdb12", size_mb=10.0, label="ext3")
+    with pytest.raises(FrozenInstanceError):
+        entry.partition_number = 1  # type: ignore[misc]

@@ -140,3 +140,31 @@ def test_image_tree_without_matching_mount_rejected():
     image.trees["/scratch"] = {"/x": "y"}
     with pytest.raises(DeploymentError, match="no matching ide.disk entry"):
         deploy_image_to_disk(image, fresh_disk())
+
+
+def test_disks_deployed_from_one_image_share_no_files():
+    image = v1_ready_image()
+    image.trees["/"] = {"/etc/motd": "welcome"}
+    first, second = fresh_disk(), fresh_disk()
+    deploy_image_to_disk(image, first)
+    deploy_image_to_disk(image, second)
+    first.filesystem(7).write("/etc/motd", "edited on node 1")
+    first.filesystem(7).write("/etc/extra", "node 1 only")
+    assert second.filesystem(7).read("/etc/motd") == "welcome"
+    assert not second.filesystem(7).exists("/etc/extra")
+    assert image.trees["/"] == {"/etc/motd": "welcome"}
+
+
+def test_manual_edits_after_a_failed_deploy_apply_to_the_next_node():
+    """The §III.C.1 loop: deploy, fail, edit the image, deploy again."""
+    image = build_image(
+        parse_ide_disk(IDE_DISK_V1_MANUAL), include_dualboot_files=True
+    )
+    with pytest.raises(DeploymentError):
+        deploy_image_to_disk(image, fresh_disk())
+    image.apply_all_manual_edits()
+    disk = fresh_disk()
+    deploy_image_to_disk(image, disk)
+    assert disk.filesystem(6).isfile("/bootcontrol.pl")
+    outcome = resolve_boot(disk, Firmware.disk_first(), MAC, BootEnvironment())
+    assert outcome.os_name == "linux"

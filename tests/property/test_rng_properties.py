@@ -9,10 +9,12 @@ Two properties carry the reproduction's determinism story:
   so values survive process restarts (where ``PYTHONHASHSEED`` changes).
 """
 
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.simkernel.rng import RngStreams, _derive_seed
@@ -119,3 +121,62 @@ def test_streams_stable_across_process_restart(tmp_path):
         f"{rng.exponential('service', 10.0)!r}\n"
     )
     assert outputs == {expected}
+
+
+# -- normal_clipped ------------------------------------------------------------
+
+
+def seed_normal_clipped(
+    self: RngStreams, name: str, mean: float, std: float, low: float, high: float
+) -> float:
+    """``RngStreams.normal_clipped`` before it clipped with ``min``/``max``,
+    kept verbatim as the oracle."""
+    return float(np.clip(self.stream(name).normal(mean, std), low, high))
+
+
+def bits(x: float) -> bytes:
+    assert type(x) is float
+    return struct.pack("<d", x)
+
+
+bound = st.one_of(
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.integers(min_value=-4, max_value=4),
+)
+
+
+@settings(max_examples=150)
+@given(
+    seed=seeds, name=names,
+    mean=st.floats(min_value=-1e3, max_value=1e3),
+    std=st.floats(min_value=0.0, max_value=1e3),
+    a=bound, b=bound,
+)
+def test_normal_clipped_is_bit_identical_to_np_clip(seed, name, mean, std, a, b):
+    # bounds in standard deviations around the mean, so that draws clip
+    # at either end as often as they pass through
+    low = mean + min(a, b) * std
+    high = mean + max(a, b) * std
+    ours, oracle = RngStreams(seed), RngStreams(seed)
+    for _ in range(16):
+        assert bits(ours.normal_clipped(name, mean, std, low, high)) == bits(
+            seed_normal_clipped(oracle, name, mean, std, low, high)
+        )
+
+
+def test_normal_clipped_hits_both_bounds_like_np_clip():
+    ours, oracle = RngStreams(7), RngStreams(7)
+    draws = []
+    for _ in range(64):
+        x = ours.normal_clipped("jitter", 0.0, 1.0, -0.5, 0.5)
+        assert bits(x) == bits(seed_normal_clipped(oracle, "jitter", 0.0, 1.0, -0.5, 0.5))
+        draws.append(x)
+    assert -0.5 in draws and 0.5 in draws
+    assert any(-0.5 < x < 0.5 for x in draws)
+
+
+def test_normal_clipped_integer_bounds_still_give_floats():
+    ours, oracle = RngStreams(3), RngStreams(3)
+    for _ in range(16):
+        x = ours.normal_clipped("boot", 30.0, 20.0, 15, 60)
+        assert bits(x) == bits(seed_normal_clipped(oracle, "boot", 30.0, 20.0, 15, 60))

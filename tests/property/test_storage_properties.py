@@ -1,5 +1,7 @@
 """Property-based tests for partition-table invariants."""
 
+from typing import List
+
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
@@ -112,3 +114,48 @@ def test_filesystem_read_back_what_you_wrote(files):
     for key, content in expected.items():
         assert fs.read(key) == content
     assert fs.file_count == len(expected)
+
+
+def seed_normalize(path: str) -> str:
+    """``normalize`` before it returned already-normal paths unchanged,
+    kept verbatim as the oracle."""
+    parts = [p for p in path.replace("\\", "/").split("/") if p and p != "."]
+    out: List[str] = []
+    for part in parts:
+        if part == "..":
+            if out:
+                out.pop()
+        else:
+            out.append(part)
+    return "/" + "/".join(out)
+
+
+path_segments = st.sampled_from(
+    ["", ".", "..", "...", ".hidden", "C:", "c:", "boot", "menu.lst", "a b"]
+)
+separators = st.sampled_from(["/", "\\", "//", "\\/"])
+
+
+@st.composite
+def raw_paths(draw):
+    segments = draw(st.lists(path_segments, max_size=6))
+    path = ""
+    for segment in segments:
+        path += draw(separators) + segment
+    if draw(st.booleans()):  # relative
+        path = path.lstrip("/\\")
+    if draw(st.booleans()):  # trailing slash
+        path += draw(separators)
+    return path
+
+
+@settings(max_examples=300)
+@given(path=st.one_of(raw_paths(), st.text(alphabet="/\\.aC:", max_size=12)))
+def test_normalize_matches_the_seed_implementation(path):
+    out = normalize(path)
+    assert out == seed_normalize(path)
+    assert normalize(out) == out
+    if "/." not in out:
+        # a normal path comes back as the same object, so every node's
+        # filesystem shares the image's key strings
+        assert normalize(out) is out

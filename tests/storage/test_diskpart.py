@@ -140,3 +140,30 @@ def test_create_primary_without_space_fails(disk):
         DiskpartInterpreter(disk).run(
             "select disk 0\ncreate partition primary\n"
         )
+
+
+def test_uppercase_rem_is_a_comment():
+    """``REM`` is how Windows scripts usually spell a comment."""
+    cmds = parse_diskpart_script("REM wipe the disk\nRem again\nselect disk 0\n")
+    assert [c.verb for c in cmds] == ["select_disk"]
+
+
+def test_remove_is_a_command_not_a_comment():
+    """Only the whole word ``rem`` starts a comment: ``remove`` is an
+    (unsupported) diskpart command and fails like any other."""
+    with pytest.raises(StorageError, match="unknown diskpart command"):
+        parse_diskpart_script("select disk 0\nremove letter=c\n")
+
+
+def test_parsed_commands_are_read_only():
+    """Every node shares one parse of a script: it cannot be edited."""
+    cmds = parse_diskpart_script(MODIFIED_DISKPART_TXT_V1)
+    with pytest.raises(TypeError):
+        cmds[2].args["size_mb"] = 1.0
+    assert parse_diskpart_script(MODIFIED_DISKPART_TXT_V1)[2].args["size_mb"] == 150_000.0
+
+
+def test_a_bad_script_fails_on_every_parse():
+    for _ in range(2):
+        with pytest.raises(StorageError, match="frobnicate"):
+            parse_diskpart_script("select disk 0\nfrobnicate\n")

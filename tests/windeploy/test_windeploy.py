@@ -147,3 +147,19 @@ def test_node_reboot_marks_unreachable(share):
     # windows comes back (active partition), node re-onlines
     assert node.os_name == "windows"
     assert scheduler.node("enode01").state is WinNodeState.ONLINE
+
+
+def test_script_edited_on_disk_between_nodes_is_seen(share, head_os):
+    """Each node reads the script as it is now, even though every node of
+    a deployment shares one parse of each text."""
+    sim = Simulator()
+    tool = WindowsDeployTool(share, WinHpcScheduler(sim))
+    first, second = make_node(sim, "enode01", 1), make_node(sim, "enode02", 2)
+    first.disk, second.disk = make_v1_disk(), make_v1_disk()
+    share.write_diskpart(MODIFIED_DISKPART_TXT_V1)
+    assert tool.deploy_node(first).destroyed_linux
+    head_os.write(DISKPART_PATH, REIMAGE_DISKPART_TXT_V2)
+    report = tool.deploy_node(second)
+    assert not report.cleaned_disk
+    assert not report.destroyed_linux
+    assert second.disk.filesystem(7).isfile("/etc/fstab")
