@@ -18,11 +18,7 @@ from repro.boot.firmware import Firmware
 from repro.boot.grub import BootTarget, GrubExecutor
 from repro.boot.grub4dos import GRUB4DOS_ROM, Grub4DosPxe
 from repro.boot.pxelinux import PXELINUX_ROM, Pxelinux
-from repro.boot.windowsboot import (
-    WINDOWS_BOOT_MARKER,
-    boot_active_partition,
-    vbr_bootable,
-)
+from repro.boot.windowsboot import boot_active_partition, vbr_bootable
 from repro.netsvc.dhcp import DhcpServer
 from repro.netsvc.tftp import TftpServer
 from repro.storage.disk import Disk

@@ -41,6 +41,7 @@ from repro.errors import MiddlewareError
 from repro.netsvc.network import Host, Message, PortListener
 from repro.simkernel import MINUTE, Simulator, Timeout
 from repro.simkernel.rng import RngStreams
+from repro.trace import Tracer
 
 #: Default watchdog deadline for one switch order: a reboot costs 3-5
 #: minutes (E1), so three times that is unambiguous failure.
@@ -55,6 +56,20 @@ class DecisionRecord:
     windows_wire: str
     linux_wire: str
     decision: SwitchDecision
+
+
+def _trace_check(tracer: Tracer, host: Host, side: str, report: Any) -> None:
+    """Record one detector run; each communicator calls this right after
+    its detector's ``check()`` returns."""
+    tracer.emit(
+        "detector.check",
+        node=host.name,
+        side=side,
+        wire=report.wire,
+        running=report.running,
+        queued=report.queued,
+        stuck=report.message.stuck,
+    )
 
 
 class SwitchOrders:
@@ -84,7 +99,6 @@ class SwitchOrders:
         winhpc: Any,
         controller: BootController,
         order_timeout_s: float = DEFAULT_ORDER_TIMEOUT_S,
-        tracer: Optional[Any] = None,
     ) -> None:
         if order_timeout_s <= 0:
             raise MiddlewareError("order timeout must be positive")
@@ -92,7 +106,7 @@ class SwitchOrders:
         self.winhpc = winhpc
         self.controller = controller
         self.order_timeout_s = order_timeout_s
-        self.tracer = tracer
+        self.tracer = pbs.sim.tracer
         self.orders_issued = 0
         self.orders_confirmed = 0
         self.orders_failed = 0
@@ -137,8 +151,7 @@ class SwitchOrders:
             # lands; otherwise the switch job itself carries the target
             # (v1 controlmenu edits, v2 per-MAC Figure-12 flow)
             self.controller.set_target_os(target)
-            if self.tracer is not None:
-                self.tracer.emit("control.flag_set", target=target)
+            self.tracer.emit("control.flag_set", target=target)
         if target == "windows":
             donor, script = self.pbs, self.controller.linux_switch_script("windows")
             owner = PBS_USER
@@ -160,14 +173,13 @@ class SwitchOrders:
         )
         self.orders.append(order)
         self._pending[order.order_id] = order
-        if self.tracer is not None:
-            self.tracer.emit(
-                "order.issued",
-                order_id=self._next_order_id,
-                target_os=target_os,
-                jobid=jobid,
-                deadline_s=self.order_timeout_s,
-            )
+        self.tracer.emit(
+            "order.issued",
+            order_id=self._next_order_id,
+            target_os=target_os,
+            jobid=jobid,
+            deadline_s=self.order_timeout_s,
+        )
         self._next_order_id += 1
         self.orders_issued += 1
 
@@ -196,14 +208,13 @@ class SwitchOrders:
         order.resolved_at = self.pbs.sim.now
         order.node = hostname
         self.orders_confirmed += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                "order.confirmed",
-                node=hostname,
-                order_id=order.order_id,
-                target_os=target_os,
-                latency_s=order.resolved_at - order.issued_at,
-            )
+        self.tracer.emit(
+            "order.confirmed",
+            node=hostname,
+            order_id=order.order_id,
+            target_os=target_os,
+            latency_s=order.resolved_at - order.issued_at,
+        )
 
     # -- node-failure hooks --------------------------------------------------
 
@@ -226,13 +237,12 @@ class SwitchOrders:
             order.state = OrderState.FAILED
             order.resolved_at = self.pbs.sim.now
             self.orders_failed += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "order.failed",
-                    cause=cause,
-                    order_id=order.order_id,
-                    target_os=order.target_os,
-                )
+            self.tracer.emit(
+                "order.failed",
+                cause=cause,
+                order_id=order.order_id,
+                target_os=order.target_os,
+            )
         return len(aborted)
 
     # -- watchdog ------------------------------------------------------------
@@ -246,13 +256,12 @@ class SwitchOrders:
             order.state = OrderState.FAILED
             order.resolved_at = now
             self.orders_failed += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "order.failed",
-                    cause="watchdog deadline passed",
-                    order_id=order.order_id,
-                    target_os=order.target_os,
-                )
+            self.tracer.emit(
+                "order.failed",
+                cause="watchdog deadline passed",
+                order_id=order.order_id,
+                target_os=order.target_os,
+            )
             self._cancel_stale_job(order)
         return expired
 
@@ -276,12 +285,11 @@ class LinuxCommunicator:
         ack_port: int,
         cycle_s: float,
         staleness_cycles: int = 3,
-        tracer: Optional[Any] = None,
     ) -> None:
         if staleness_cycles < 1:
             raise MiddlewareError("staleness cap must be >= 1 cycle")
         self.sim = sim
-        self.tracer = tracer
+        self.tracer = sim.tracer
         self.listener = listener
         self.detector = detector
         self.policy = policy
@@ -312,6 +320,7 @@ class LinuxCommunicator:
     def views(self, windows_state: QueueStateMessage):
         """Assemble both sides' ClusterViews from live scheduler state."""
         linux_report = self.detector.check()
+        _trace_check(self.tracer, self.host, "linux", linux_report)
         pbs = self.orders.pbs
         win = self.orders.winhpc
         linux_view = ClusterView(
@@ -338,10 +347,7 @@ class LinuxCommunicator:
         self.last_windows_state = windows_state
         self.last_windows_wire = windows_wire
         self.last_report_at = self.sim.now
-        if self.tracer is not None:
-            self.tracer.emit(
-                "comm.report_received", wire=windows_wire, via="direct"
-            )
+        self.tracer.emit("comm.report_received", wire=windows_wire, via="direct")
         return self._evaluate(windows_state, windows_wire)
 
     def _evaluate(
@@ -359,20 +365,19 @@ class LinuxCommunicator:
                 decision=decision,
             )
         )
-        if self.tracer is not None:
-            fields = {
-                "action": "switch" if decision.is_switch else "hold",
-                "num_nodes": decision.num_nodes,
-                "reason": decision.reason,
-                "windows_wire": windows_wire,
-                "linux_wire": linux_report.wire,
-            }
-            if decision.target_os is not None:
-                fields["target_os"] = decision.target_os
-            if self.last_report_at is not None:
-                fields["report_age_s"] = self.sim.now - self.last_report_at
-            fields["staleness_cap_s"] = self.staleness_cap_s
-            self.tracer.emit("control.decision", **fields)
+        fields = {
+            "action": "switch" if decision.is_switch else "hold",
+            "num_nodes": decision.num_nodes,
+            "reason": decision.reason,
+            "windows_wire": windows_wire,
+            "linux_wire": linux_report.wire,
+        }
+        if decision.target_os is not None:
+            fields["target_os"] = decision.target_os
+        if self.last_report_at is not None:
+            fields["report_age_s"] = self.sim.now - self.last_report_at
+        fields["staleness_cap_s"] = self.staleness_cap_s
+        self.tracer.emit("control.decision", **fields)
         self.orders.issue(decision)
         return decision
 
@@ -385,28 +390,25 @@ class LinuxCommunicator:
             windows_state = QueueStateMessage.decode(wire)
         except (MiddlewareError, TypeError, AttributeError) as exc:
             self.corrupt_reports += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "comm.report_corrupt",
-                    cause=type(exc).__name__,
-                    wire=str(wire)[:80],
-                )
+            self.tracer.emit(
+                "comm.report_corrupt",
+                cause=type(exc).__name__,
+                wire=str(wire)[:80],
+            )
             return None
         self.reports_received += 1
         self.last_windows_state = windows_state
         self.last_windows_wire = wire
         self.last_report_at = self.sim.now
-        if self.tracer is not None:
-            self.tracer.emit(
-                "comm.report_received",
-                wire=wire,
-                via="network",
-                src=message.src,
-            )
+        self.tracer.emit(
+            "comm.report_received",
+            wire=wire,
+            via="network",
+            src=message.src,
+        )
         self.host.send(message.src, self.ack_port, ("ack", wire))
         self.acks_sent += 1
-        if self.tracer is not None:
-            self.tracer.emit("comm.ack_sent", wire=wire, dst=message.src)
+        self.tracer.emit("comm.ack_sent", wire=wire, dst=message.src)
         return self._evaluate(windows_state, wire)
 
     def tick(self) -> None:
@@ -429,8 +431,7 @@ class LinuxCommunicator:
             self._evaluate(self.last_windows_state, self.last_windows_wire)
             return
         self.stale_skips += 1
-        if self.tracer is not None:
-            self.tracer.emit("comm.stale_skip", age_s=age, cap_s=cap)
+        self.tracer.emit("comm.stale_skip", age_s=age, cap_s=cap)
         self.decisions.append(
             DecisionRecord(
                 time=self.sim.now,
@@ -465,7 +466,6 @@ class WindowsCommunicator:
         max_retries: int = 2,
         retry_base_s: float = 5.0,
         ack_timeout_s: float = 10.0,
-        tracer: Optional[Any] = None,
     ) -> None:
         if cycle_s <= 0:
             raise MiddlewareError("communicator cycle must be positive")
@@ -484,7 +484,7 @@ class WindowsCommunicator:
         self.retry_base_s = retry_base_s
         self.ack_timeout_s = ack_timeout_s
         self.rng = rng
-        self.tracer = tracer
+        self.tracer = sim.tracer
         self.reports_sent = 0      # network sends, including retries
         self.reports_acked = 0
         self.reports_failed = 0    # gave up after every retry
@@ -492,10 +492,9 @@ class WindowsCommunicator:
         self._cycle_index = 0      # current cycle, for trace context
 
     def _trace(self, kind: str, **fields) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(
-                kind, node=self.host.name, cycle=self._cycle_index, **fields
-            )
+        self.tracer.emit(
+            kind, node=self.host.name, cycle=self._cycle_index, **fields
+        )
 
     def _send_report(self, wire: str):
         """Send one report and wait for its ack; retry unacked sends with
@@ -537,6 +536,7 @@ class WindowsCommunicator:
         while True:
             self._cycle_index = cycle_index
             report = self.detector.check()
+            _trace_check(self.tracer, self.host, "windows", report)
             yield from self._send_report(report.wire)
             cycle_index += 1
             next_at = epoch + cycle_index * self.cycle_s

@@ -1,9 +1,9 @@
 """Middleware configuration: the values a deployment actually chooses.
 
-:class:`MiddlewareConfig` holds twelve settable values, two of them in
-nested groups (``elastic=ElasticConfig(enabled=...)`` and
-``trace=TraceConfig(mode=...)``).  The paper itself has two settings,
-the v1/v2 generation and the fixed communicator cycle; the rest pick
+:class:`MiddlewareConfig` holds eleven settable values, one of them in
+a nested group (``elastic=ElasticConfig(enabled=...)``).  The paper
+itself has two settings, the v1/v2 generation and the fixed
+communicator cycle; the rest pick
 between mechanisms the reproduction models (the v1 switch script, v2's
 per-MAC menus, eager detectors, the Windows-side scheduler) or switch on
 one of its extensions (a Windows-first split, checkpoints, cloud-burst
@@ -39,26 +39,8 @@ class ElasticConfig:
 
 
 @dataclass
-class TraceConfig:
-    """Trace-export behaviour."""
-
-    #: how much the tracer records: "full" (events + counts), "counts"
-    #: (per-kind counters only) or "off".  Tracing never feeds back into
-    #: simulation state, so any mode replays byte-identically when re-run
-    #: with tracing on (see docs/OBSERVABILITY.md).
-    mode: str = "full"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("full", "counts", "off"):
-            raise ConfigurationError(
-                f"bad trace mode {self.mode!r} "
-                "(expected 'full', 'counts' or 'off')"
-            )
-
-
-@dataclass
 class MiddlewareConfig:
-    """The twelve settable values of a dualboot-oscar deployment.
+    """The eleven settable values of a dualboot-oscar deployment.
 
     Defaults follow the paper: v2 middleware, a 10-minute communicator
     cycle ("fixed cycles (intervals), e.g. 10mins", §IV.A.3), everything
@@ -91,9 +73,8 @@ class MiddlewareConfig:
     #: scheduler personality for the Windows side of the pairing (the
     #: Linux side is always the OSCAR-installed PBS)
     windows_scheduler: str = "winhpc"
-    #: nested knob groups
+    #: nested knob group
     elastic: ElasticConfig = field(default_factory=ElasticConfig)
-    trace: TraceConfig = field(default_factory=TraceConfig)
 
     def __post_init__(self) -> None:
         if self.version not in (1, 2):

@@ -21,7 +21,7 @@ state across a restart, which is exactly why the staleness guard exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Set
+from typing import Any, Set
 
 from repro.core.communicator import (
     DEFAULT_ORDER_TIMEOUT_S,
@@ -71,7 +71,6 @@ class DualBootDaemons:
     watchdog_process: Process
     cycle_s: float
     _crashed: Set[str] = field(default_factory=set)
-    tracer: Optional[Any] = None
 
     def stop(self) -> None:
         """Kill every control-plane process (freeze the system for analysis)."""
@@ -92,8 +91,7 @@ class DualBootDaemons:
             return
         self._crashed.add(side)
         host = self.linux_host if side == "linux" else self.windows_host
-        if self.tracer is not None:
-            self.tracer.emit("daemon.crash", node=host.name, side=side)
+        self.sim.tracer.emit("daemon.crash", node=host.name, side=side)
         if side == "linux":
             self.linux_process.kill()
             self.ticker_process.kill()
@@ -109,8 +107,7 @@ class DualBootDaemons:
             return
         self._crashed.discard(side)
         host = self.linux_host if side == "linux" else self.windows_host
-        if self.tracer is not None:
-            self.tracer.emit("daemon.restart", node=host.name, side=side)
+        self.sim.tracer.emit("daemon.restart", node=host.name, side=side)
         host.online = True
         if side == "linux":
             self.linux_process = self.sim.spawn(
@@ -139,7 +136,6 @@ def start_daemons(
     cycle_s: float,
     eager_detectors: bool = False,
     order_timeout_s: float = DEFAULT_ORDER_TIMEOUT_S,
-    tracer: Optional[Any] = None,
 ) -> DualBootDaemons:
     """Stand up the control plane and return its handles.
 
@@ -152,40 +148,30 @@ def start_daemons(
     linux_host = cluster.linux_head.host
     windows_host = cluster.windows_head.host
     orders = SwitchOrders(
-        pbs, winhpc, controller,
-        order_timeout_s=order_timeout_s,
-        tracer=tracer,
+        pbs, winhpc, controller, order_timeout_s=order_timeout_s
     )
 
     linux_daemon = LinuxCommunicator(
         sim=sim,
         listener=linux_host.listen(COMMUNICATOR_PORT),
-        detector=create_detector(
-            pbs, eager=eager_detectors,
-            tracer=tracer, node_name=cluster.linux_head.name,
-        ),
+        detector=create_detector(pbs, eager=eager_detectors),
         policy=policy,
         orders=orders,
         cores_per_node=cluster.compute_nodes[0].cores,
         host=linux_host,
         ack_port=COMMUNICATOR_PORT + 1,
         cycle_s=cycle_s,
-        tracer=tracer,
     )
 
     windows_daemon = WindowsCommunicator(
         sim=sim,
         host=windows_host,
-        detector=create_detector(
-            winhpc, eager=eager_detectors,
-            tracer=tracer, node_name=cluster.windows_head.name,
-        ),
+        detector=create_detector(winhpc, eager=eager_detectors),
         linux_head=cluster.linux_head.name,
         port=COMMUNICATOR_PORT,
         cycle_s=cycle_s,
         ack_listener=windows_host.listen(COMMUNICATOR_PORT + 1),
         rng=cluster.rng.spawn("communicator"),
-        tracer=tracer,
     )
 
     return DualBootDaemons(
@@ -204,5 +190,4 @@ def start_daemons(
             _watchdog_loop(sim, orders), name="daemon:watchdog"
         ),
         cycle_s=cycle_s,
-        tracer=tracer,
     )

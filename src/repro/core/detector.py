@@ -160,17 +160,9 @@ class PbsDetector:
     wire format itself is unchanged.
     """
 
-    def __init__(
-        self,
-        commands: PbsCommands,
-        eager: bool = False,
-        tracer: Optional[Any] = None,
-        node_name: Optional[str] = None,
-    ) -> None:
+    def __init__(self, commands: PbsCommands, eager: bool = False) -> None:
         self.commands = commands
         self.eager = eager
-        self.tracer = tracer
-        self.node_name = node_name
 
     def check(self) -> DetectorReport:
         """One detector run over the live server state.
@@ -181,7 +173,7 @@ class PbsDetector:
         render as ``H`` and do not count.
         """
         return live_report(
-            self, self.commands.server, "linux",
+            self.eager, self.commands.server,
             is_switch=is_named_switch,
             head_cores=attrgetter("total_cores"),
             running_line=lambda j: _pbs_running_line(j.jobid, j.name, j.owner),
@@ -197,17 +189,9 @@ class WinHpcDetector:
     ``eager`` as in :class:`PbsDetector`.
     """
 
-    def __init__(
-        self,
-        connection: HpcSchedulerConnection,
-        eager: bool = False,
-        tracer: Optional[Any] = None,
-        node_name: Optional[str] = None,
-    ) -> None:
+    def __init__(self, connection: HpcSchedulerConnection, eager: bool = False) -> None:
         self.connection = connection
         self.eager = eager
-        self.tracer = tracer
-        self.node_name = node_name
 
     def check(self) -> DetectorReport:
         """One detector run over the connected scheduler's kept counts.
@@ -216,7 +200,7 @@ class WinHpcDetector:
         tag: the head is the first untagged job in queue order.
         """
         return live_report(
-            self, self.connection.scheduler, "windows",
+            self.eager, self.connection.scheduler,
             is_switch=is_tagged_switch,
             head_cores=self._head_cores,
         )
@@ -236,14 +220,13 @@ def _running_line(job: Any) -> str:
 
 
 def live_report(
-    detector: Any,
+    eager: bool,
     scheduler: Any,
-    side: str,
     is_switch: Callable[[Any], bool],
     head_cores: Callable[[Any], int],
     running_line: Callable[[Any], str] = _running_line,
 ) -> DetectorReport:
-    """One detector run over *scheduler*'s kept counts, traced for *side*.
+    """One detector run over *scheduler*'s kept counts.
 
     Switch jobs (*is_switch*) and held jobs are not demand: they come
     off the scheduler's running and queued counts, and the head is the
@@ -271,8 +254,8 @@ def live_report(
             if j.state is not held and not is_switch(j)
         )
         first = (head.key, head_cores(head))
-    report = _build_report(
-        eager=detector.eager,
+    return _build_report(
+        eager=eager,
         running=running,
         queued=queued,
         first_queued=first,
@@ -280,22 +263,6 @@ def live_report(
             running_line(j) for j in scheduler.running_jobs()
             if not is_switch(j)
         ],
-    )
-    _trace_check(detector, side, report)
-    return report
-
-
-def _trace_check(detector: Any, side: str, report: DetectorReport) -> None:
-    if detector.tracer is None:
-        return
-    detector.tracer.emit(
-        "detector.check",
-        node=detector.node_name,
-        side=side,
-        wire=report.wire,
-        running=report.running,
-        queued=report.queued,
-        stuck=report.message.stuck,
     )
 
 

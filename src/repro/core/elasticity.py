@@ -112,7 +112,6 @@ class ElasticityManager:
         health: Any = None,
         linux_comm: Any = None,
         controller: Any = None,
-        tracer: Any = None,
     ) -> None:
         self.sim = sim
         self.cluster = cluster
@@ -124,7 +123,7 @@ class ElasticityManager:
         self.health = health
         self.linux_comm = linux_comm
         self.controller = controller
-        self.tracer = tracer
+        self.tracer = sim.tracer
         self.suspends = 0
         self.resumes = 0
         self.provisions = 0
@@ -305,11 +304,6 @@ class ElasticityManager:
         node: Optional[str] = None,
         cause: Optional[str] = None,
     ) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(
-                "elastic.decision",
-                node=node,
-                cause=cause,
-                side=side,
-                action=action,
-            )
+        self.tracer.emit(
+            "elastic.decision", node=node, cause=cause, side=side, action=action
+        )

@@ -54,7 +54,6 @@ from repro.oscar.wizard import OscarWizard
 from repro.oslayer.base import OSInstance
 from repro.sched import JobRequest, SchedulerPersonality, create_scheduler
 from repro.simkernel import MINUTE, Simulator
-from repro.trace import Tracer
 from repro.storage.diskpart import (
     MODIFIED_DISKPART_TXT_V1,
     REIMAGE_DISKPART_TXT_V2,
@@ -87,16 +86,13 @@ class DualBootOscar:
         self.policy = policy if policy is not None else FcfsPolicy()
         self.effort = AdminEffortLedger()
         self.recorder = ClusterRecorder()
-        self.tracer = Tracer(
-            cluster.sim, name=f"dualboot-v{self.config.version}",
-            mode=self.config.trace.mode,
-        )
-        cluster.sim.tracer = self.tracer
+        #: the simulator's trace, which every component here records into
+        self.tracer = cluster.sim.tracer
         #: node-failure resilience and energy accounting, always on;
         #: deploy() attaches the nodes and schedulers and starts them
-        self.health = HeartbeatMonitor(self.sim, tracer=self.tracer)
+        self.health = HeartbeatMonitor(self.sim)
         self.health.on_fence.append(self._on_node_fenced)
-        self.energy = EnergyMeter(self.sim, tracer=self.tracer)
+        self.energy = EnergyMeter(self.sim)
 
         self.wizard = OscarWizard(cluster)
         #: per-OS-side scheduler personalities (insertion order linux,
@@ -174,11 +170,9 @@ class DualBootOscar:
         self._prepare_nodes()
         # node-failure resilience: checkpoint credit on requeue
         for scheduler in self.schedulers.values():
-            scheduler.tracer = self.tracer
             scheduler.checkpoint_interval_s = config.checkpoint_interval_s
         for node in self.cluster.compute_nodes:
             node.provisioners.append(self._dualboot_provisioner)
-            node.tracer = self.tracer
             node.on_crash.append(self._on_node_crash)
             self.health.watch(node)
             self.recorder.attach_node(node)
@@ -198,7 +192,6 @@ class DualBootOscar:
             cycle_s=config.check_cycle_s,
             eager_detectors=config.eager_detectors,
             order_timeout_s=config.order_timeout_s,
-            tracer=self.tracer,
         )
         if config.elastic.enabled:
             self.elasticity = ElasticityManager(
@@ -210,7 +203,6 @@ class DualBootOscar:
                 health=self.health,
                 linux_comm=self.daemons.linux,
                 controller=self.controller,
-                tracer=self.tracer,
             )
             self.elasticity.start()
 

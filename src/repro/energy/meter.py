@@ -22,12 +22,11 @@ leak cores forever.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.energy.model import PowerModel
 from repro.hardware.node import ComputeNode, NodeState
 from repro.simkernel import Simulator
-from repro.trace import Tracer
 
 
 @dataclass
@@ -51,11 +50,10 @@ class EnergyMeter:
         self,
         sim: Simulator,
         model: Optional[PowerModel] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.sim = sim
         self.model = model if model is not None else PowerModel()
-        self.tracer = tracer
+        self.tracer = sim.tracer
         self.accounts: Dict[str, NodeEnergyAccount] = {}
         #: per-job {hostname: cores} snapshots, keyed by the personality's
         #: record prefix (``pbs:<id>``/``win:<id>``/``slurm:<id>``)
@@ -152,14 +150,13 @@ class EnergyMeter:
             self._emit_state(account)
 
     def _emit_state(self, account: NodeEnergyAccount) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(
-                "energy.state",
-                node=account.name,
-                watts=account.watts,
-                state=account.state.value,
-                busy_cores=account.busy_cores,
-            )
+        self.tracer.emit(
+            "energy.state",
+            node=account.name,
+            watts=account.watts,
+            state=account.state.value,
+            busy_cores=account.busy_cores,
+        )
 
     # -- totals --------------------------------------------------------------
 
@@ -196,17 +193,10 @@ class EnergyMeter:
         self._finalized = True
         now = self.sim.now
         total = 0.0
-        reports: List[NodeEnergyAccount] = []
-        for name in self.accounts:
-            account = self.accounts[name]
+        for account in self.accounts.values():
             self._integrate(account, now)
             total += account.joules
-            reports.append(account)
-        if self.tracer is not None:
-            for account in reports:
-                self.tracer.emit(
-                    "energy.report",
-                    node=account.name,
-                    joules=account.joules,
-                )
-            self.tracer.emit("energy.report", total_joules=total)
+            self.tracer.emit(
+                "energy.report", node=account.name, joules=account.joules
+            )
+        self.tracer.emit("energy.report", total_joules=total)

@@ -21,15 +21,17 @@ __all__ = ["ALL_EXPERIMENTS", "ExperimentOutput", "attach_system_trace"]
 
 def attach_system_trace(output: "ExperimentOutput", label: str,
                         system: Any) -> None:
-    """Attach a comparison system's tracer, when it has one.
+    """Attach a hybrid system's trace; skip a baseline's.
 
-    Only :class:`~repro.compare.hybrid.HybridSystem` wraps a traced
-    ``DualBootOscar``; the baseline systems (static split, mono-stable)
-    have no middleware and are silently skipped.
+    Every system records into its simulator's tracer, the baselines
+    (static split, mono-stable, virtualised) included, but only a
+    :class:`~repro.compare.hybrid.HybridSystem` (the one with a
+    ``middleware``) is attached: the quick-run exports of every attached
+    trace are pinned in ``tests/fixtures/quick_trace_digests.json``.
     """
-    tracer = getattr(getattr(system, "middleware", None), "tracer", None)
-    if tracer is not None:
-        output.attach_trace(label, tracer)
+    middleware = getattr(system, "middleware", None)
+    if middleware is not None:
+        output.attach_trace(label, middleware.tracer)
 
 
 @dataclass

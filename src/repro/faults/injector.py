@@ -24,6 +24,7 @@ from repro.hardware.node import NodeState
 from repro.netsvc.network import DeliveryVerdict, Message, Network
 from repro.simkernel import Simulator
 from repro.simkernel.rng import RngStreams
+from repro.trace import Tracer
 
 
 def corrupt_wire(wire: str, mode: str) -> str:
@@ -79,6 +80,9 @@ class FaultInjector:
     env:
         The shared :class:`~repro.boot.chain.BootEnvironment` whose
         ``hang_hook`` the injector owns while armed.
+    tracer:
+        Where the ``fault.*`` events are recorded: the simulation's
+        ``sim.tracer``.
     """
 
     def __init__(
@@ -94,7 +98,7 @@ class FaultInjector:
         node_macs: Optional[Dict[str, str]] = None,
         nodes: Optional[Dict[str, Any]] = None,
         env: Any = None,
-        tracer: Any = None,
+        tracer: Tracer,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -206,11 +210,10 @@ class FaultInjector:
         self.counters[key] = self.counters.get(key, 0) + 1
 
     def _trace(self, kind: str, *, node: Optional[str] = None,
-               cause: Optional[str] = None, **fields) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(
-                kind, node=node, cause=cause, plan=self.plan.name, **fields
-            )
+               cause: Optional[str] = None, **fields: Any) -> None:
+        self.tracer.emit(
+            kind, node=node, cause=cause, plan=self.plan.name, **fields
+        )
 
     # -- the delivery tap ----------------------------------------------------
 

@@ -130,8 +130,8 @@ class ComputeNode:
         ] = []
         self._reboot_requested = False
         self._power_process = None
-        #: Optional :class:`repro.trace.Tracer` — set by the middleware.
-        self.tracer = None
+        #: the simulator's trace, which power and boot events go to
+        self.tracer = sim.tracer
 
     # -- inspection ---------------------------------------------------------
 
@@ -326,8 +326,7 @@ class ComputeNode:
     # -- internals -----------------------------------------------------------
 
     def _trace(self, kind: str, *, cause: Optional[str] = None, **fields) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(kind, node=self.name, cause=cause, **fields)
+        self.tracer.emit(kind, node=self.name, cause=cause, **fields)
 
     def _set_state(self, new_state: NodeState) -> None:
         """Every power-state transition funnels through here so observers

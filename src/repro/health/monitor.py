@@ -29,8 +29,8 @@ registration order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.errors import ConfigurationError
 from repro.hardware.node import ComputeNode, NodeState
@@ -71,7 +71,6 @@ class HeartbeatMonitor:
         beat_s: float = 60.0,
         suspect_misses: int = 2,
         fence_misses: int = 5,
-        tracer: Any = None,
     ) -> None:
         if beat_s <= 0:
             raise ConfigurationError(f"health: beat_s must be > 0, got {beat_s}")
@@ -84,7 +83,7 @@ class HeartbeatMonitor:
         self.beat_s = float(beat_s)
         self.suspect_misses = suspect_misses
         self.fence_misses = fence_misses
-        self.tracer = tracer
+        self.tracer = sim.tracer
         self._nodes: Dict[str, ComputeNode] = {}
         self._order: List[str] = []
         self._index: Dict[str, int] = {}
@@ -162,9 +161,7 @@ class HeartbeatMonitor:
                 self.sim.now - health.fenced_at
                 if health.fenced_at is not None else None
             )
-            self._trace(
-                "health.recovered", node=name, downtime_s=downtime,
-            )
+            self.tracer.emit("health.recovered", node=name, downtime_s=downtime)
             for callback in self.on_recover:
                 callback(name)
         elif health.state is HealthState.SUSPECT:
@@ -179,7 +176,7 @@ class HeartbeatMonitor:
         if health.state is not HealthState.FENCED:
             self._set_state(health, HealthState.HEALTHY)
         self._attention[name] = None
-        self._trace("health.expected_down", node=name)
+        self.tracer.emit("health.expected_down", node=name)
 
     # -- the poll loop -------------------------------------------------------
 
@@ -187,7 +184,7 @@ class HeartbeatMonitor:
         if self._started:
             raise ConfigurationError("health monitor already started")
         self._started = True
-        self._trace(
+        self.tracer.emit(
             "health.armed",
             beat_s=self.beat_s,
             suspect_misses=self.suspect_misses,
@@ -240,7 +237,7 @@ class HeartbeatMonitor:
             ):
                 self._set_state(health, HealthState.SUSPECT)
                 self.suspects += 1
-                self._trace("health.suspect", node=name, misses=health.misses)
+                self.tracer.emit("health.suspect", node=name, misses=health.misses)
             elif (
                 health.misses >= self.fence_misses
                 and health.state is not HealthState.FENCED
@@ -249,7 +246,7 @@ class HeartbeatMonitor:
                 health.fence_count += 1
                 health.fenced_at = self.sim.now
                 self.fences += 1
-                self._trace(
+                self.tracer.emit(
                     "health.fenced", node=name,
                     cause=f"missed {health.misses} heartbeats",
                 )
@@ -273,8 +270,3 @@ class HeartbeatMonitor:
             name for name in self._order
             if self._health[name].state is HealthState.FENCED
         ]
-
-    def _trace(self, kind: str, *, node: Optional[str] = None,
-               cause: Optional[str] = None, **fields) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(kind, node=node, cause=cause, **fields)

@@ -9,7 +9,7 @@ this module.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sched.protocol import SchedulerPersonality
@@ -48,8 +48,6 @@ def create_detector(
     personality: SchedulerPersonality,
     *,
     eager: bool = False,
-    tracer: Any = None,
-    node_name: Optional[str] = None,
 ) -> Any:
     """Build the queue-state detector matching *personality*.
 
@@ -61,31 +59,19 @@ def create_detector(
     if kind == "pbs":
         from repro.core.detector import PbsDetector
 
-        return PbsDetector(
-            personality.make_commands(),
-            eager=eager,
-            tracer=tracer,
-            node_name=node_name,
-        )
+        return PbsDetector(personality.make_commands(), eager=eager)
     if kind == "winhpc":
         from repro.core.detector import WinHpcDetector
         from repro.winhpc.sdk import HpcSchedulerConnection
 
         sdk = HpcSchedulerConnection()
         sdk.connect(personality)
-        return WinHpcDetector(
-            sdk, eager=eager, tracer=tracer, node_name=node_name
-        )
+        return WinHpcDetector(sdk, eager=eager)
     if kind == "slurm":
         from repro.slurm.commands import SlurmCommands
         from repro.slurm.detector import SlurmDetector
 
-        return SlurmDetector(
-            SlurmCommands(personality),
-            eager=eager,
-            tracer=tracer,
-            node_name=node_name,
-        )
+        return SlurmDetector(SlurmCommands(personality), eager=eager)
     raise ConfigurationError(
         f"no detector for scheduler kind {kind!r}"
     )

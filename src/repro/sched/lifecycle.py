@@ -81,8 +81,8 @@ class BatchScheduler:
         #: node key -> its OS, for script payloads and the liveness check
         self._node_os: Dict[str, Any] = {}
         self._next_id = first_id
-        #: Optional :class:`repro.trace.Tracer` — set by the middleware.
-        self.tracer: Any = None
+        #: the simulator's trace, which job and node events go to
+        self.tracer = sim.tracer
         #: node-failure recovery policy (middleware copies config here)
         self.max_job_restarts = 3
         self.checkpoint_interval_s: Optional[float] = None
@@ -251,18 +251,12 @@ class BatchScheduler:
         """Admin cordon: no new placements, running jobs keep running."""
         record = self.node(hostname)
         self._set_cordoned(record)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "node.cordoned", node=record.hostname, scheduler=self.kind
-            )
+        self.tracer.emit("node.cordoned", node=record.hostname, scheduler=self.kind)
 
     def uncordon_node(self, hostname: str) -> None:
         record = self.node(hostname)
         self._set_uncordoned(record)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "node.uncordoned", node=record.hostname, scheduler=self.kind
-            )
+        self.tracer.emit("node.uncordoned", node=record.hostname, scheduler=self.kind)
         self._try_schedule()
 
     def drain_node(self, hostname: str) -> List[str]:
@@ -540,11 +534,8 @@ class BatchScheduler:
 
     def _trace_job(self, kind: str, job: Any,
                    cause: Optional[str] = None, **fields: Any) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(
-                kind, cause=cause, scheduler=self.kind,
-                jobid=self._job_id(job), **fields,
-            )
+        self.tracer.emit(kind, cause=cause, scheduler=self.kind,
+                         jobid=self._job_id(job), **fields)
 
     def _notify(self, event: str, job: Any) -> None:
         for observer in self.observers:

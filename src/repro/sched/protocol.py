@@ -96,7 +96,6 @@ class SchedulerPersonality(Protocol):
     default_owner: str
 
     # -- control-plane wiring (set by the middleware after deploy) -------
-    tracer: Any
     max_job_restarts: int
     checkpoint_interval_s: Optional[float]
     #: callbacks ``fn(event, job)`` with events

@@ -27,7 +27,7 @@ from typing import (
 
 from repro.simkernel import calqueue
 from repro.simkernel.events import Event
-from repro.trace.events import callback_name
+from repro.trace.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.simkernel.process import Process
@@ -182,7 +182,8 @@ class Simulator:
     * :meth:`spawn` — start a generator process
       (see :class:`repro.simkernel.process.Process`),
     * :meth:`event` — create an :class:`~repro.simkernel.events.Event`,
-    * :meth:`run` / :meth:`step` — advance time.
+    * :meth:`run` / :meth:`step` — advance time;
+    * :attr:`tracer` — the simulation's one :class:`~repro.trace.Tracer`.
 
     ``queue`` is the event queue to run on; ``None`` builds a fresh
     :class:`~repro.simkernel.calqueue.CalendarQueue`.  Equivalence tests
@@ -208,10 +209,9 @@ class Simulator:
         self._seq: int = 0
         self._processes_started: int = 0
         self._events_executed: int = 0
-        #: Optional :class:`repro.trace.Tracer`.  Kernel-level events are
-        #: only emitted when the tracer's ``kernel_events`` flag is set —
-        #: they are very chatty and off by default.
-        self.tracer: Optional[Any] = None
+        #: The one trace of this simulation; every component running on
+        #: this simulator records into it.
+        self.tracer: Tracer = Tracer(self)
 
     # -- clock ---------------------------------------------------------------
 
@@ -282,18 +282,12 @@ class Simulator:
         from repro.simkernel.process import Process  # local: avoid cycle
 
         self._processes_started += 1
-        tracer = self.tracer
-        if tracer is not None and tracer.kernel_events:
-            tracer.emit("kernel.spawn", process=name or type(generator).__name__)
         return Process(self, generator, name=name)
 
     def timeout(self, delay: float) -> Event:
         """An event that triggers after *delay* seconds (callback style)."""
         ev = self.event(name=f"timeout({delay})")
         self.schedule(delay, ev.succeed)
-        tracer = self.tracer
-        if tracer is not None and tracer.kernel_events:
-            tracer.emit("kernel.timeout", delay_s=delay)
         return ev
 
     # -- execution ---------------------------------------------------------
@@ -306,9 +300,6 @@ class Simulator:
         # (e.g. a walltime guard cancelled after it fired) stays a no-op in
         # the dead-entry accounting.
         entry.alive = False
-        tracer = self.tracer
-        if tracer is not None and tracer.kernel_events:
-            tracer.emit("kernel.fire", callback=callback_name(entry.fn))
         entry.fn(*entry.args)
 
     def step(self) -> bool:

@@ -11,7 +11,7 @@ property tests hold the two equal.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, List, Optional
+from typing import List
 
 from repro.core.detector import (
     SWITCH_JOB_NAME,
@@ -75,21 +75,9 @@ class SlurmDetector:
     ``eager`` as in :class:`~repro.core.detector.PbsDetector`.
     """
 
-    def __init__(
-        self,
-        commands: SlurmCommands,
-        eager: bool = False,
-        tracer: Optional[Any] = None,
-        node_name: Optional[str] = None,
-        side: str = "windows",
-    ) -> None:
+    def __init__(self, commands: SlurmCommands, eager: bool = False) -> None:
         self.commands = commands
         self.eager = eager
-        self.tracer = tracer
-        self.node_name = node_name
-        #: which cluster side this detector reports for (the SLURM
-        #: personality replaces either side's scheduler)
-        self.side = side
 
     def check(self) -> DetectorReport:
         """One detector run over the controller's kept counts.
@@ -98,7 +86,7 @@ class SlurmDetector:
         running jobs, then the pending ones in dispatch order.
         """
         return live_report(
-            self, self.commands.controller, self.side,
+            self.eager, self.commands.controller,
             is_switch=is_named_switch,
             head_cores=attrgetter("total_cores"),
         )

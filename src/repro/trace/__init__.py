@@ -18,7 +18,7 @@ See ``docs/OBSERVABILITY.md`` for the event schema and the invariant
 catalogue.
 """
 
-from repro.trace.events import TraceEvent, callback_name
+from repro.trace.events import TraceEvent
 from repro.trace.invariants import (
     INVARIANTS,
     Violation,
@@ -32,7 +32,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "Violation",
-    "callback_name",
     "check_events",
     "check_jsonl",
 ]

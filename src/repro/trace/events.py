@@ -19,11 +19,6 @@ from typing import Any, Dict, Mapping, Optional
 # contract the invariant checks rely on; emitters are free to add new
 # kinds, but renaming one of these breaks the oracle.
 
-#: Simulation-kernel hooks (only with ``Tracer.kernel_events`` enabled).
-KERNEL_SPAWN = "kernel.spawn"
-KERNEL_FIRE = "kernel.fire"
-KERNEL_TIMEOUT = "kernel.timeout"
-
 #: Detector runs (both sides' ``checkqueue``).
 DETECTOR_CHECK = "detector.check"
 
@@ -122,21 +117,6 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, Mapping):
         return {str(k): _jsonable(v) for k, v in value.items()}
     return str(value)
-
-
-def callback_name(fn: Any) -> str:
-    """A deterministic display name for a scheduled callback.
-
-    Never falls back to ``repr`` — reprs embed memory addresses, which
-    would make trace exports differ between identical runs.
-    """
-    name = getattr(fn, "__qualname__", None)
-    if isinstance(name, str) and name:
-        return name
-    name = getattr(fn, "__name__", None)
-    if isinstance(name, str) and name:
-        return name
-    return type(fn).__name__
 
 
 #: The canonical encoder, built once: what ``json.dumps`` would build on

@@ -1,56 +1,38 @@
-"""The event collector attached to one simulated cluster.
+"""The event collector of one simulation.
 
-A :class:`Tracer` is created per middleware instance (one per simulated
-cluster) and handed to every instrumented component.  Components call
-:meth:`Tracer.emit`; analysis code reads :attr:`Tracer.events` or the
-canonical JSONL export.
+Every :class:`~repro.simkernel.Simulator` owns exactly one
+:class:`Tracer` (``sim.tracer``), created with it; every instrumented
+component records into its simulator's tracer through :meth:`Tracer.emit`,
+and analysis code reads :attr:`Tracer.events` or the canonical JSONL
+export.
 
 Recording is pay-as-you-go: ``emit`` appends one lightweight pending
 record (a plain tuple — no dataclass construction, no ``float()``
 boxing, no seq bookkeeping) and the pending records materialise into
 :class:`TraceEvent` objects lazily, on the first read of
 :attr:`Tracer.events`.  Simulations that never read their trace never
-pay for building it.  The ``mode`` knob drops even that cost:
-``"counts"`` keeps only the per-kind counters, ``"off"`` records
-nothing — and because ``emit`` never feeds back into simulation state,
-a run is byte-identical when re-run with tracing on (proved per
-experiment by the cross-mode diff in ``tests/trace/test_determinism.py``).
+pay for building it.  ``emit`` never feeds back into simulation state,
+so a run is the same with recording stubbed out (proved by the
+observer-purity test in ``tests/trace/test_determinism.py``).
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.trace.events import TraceEvent
 
-#: Valid ``Tracer.mode`` / ``TraceConfig.mode`` values.
-TRACE_MODES = ("full", "counts", "off")
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.simkernel.kernel import Simulator
 
 
 class Tracer:
-    """Collects :class:`TraceEvent` records for one simulation.
+    """Collects :class:`TraceEvent` records for one simulation."""
 
-    ``kernel_events`` gates the very chatty simkernel hooks
-    (``kernel.spawn``/``kernel.fire``/``kernel.timeout``); experiments
-    leave it off and only the focused control-plane events are recorded.
-
-    ``mode`` selects how much work :meth:`emit` does: ``"full"``
-    (events + counts, the default), ``"counts"`` (counters only;
-    :attr:`events` stays empty) or ``"off"`` (nothing).
-    """
-
-    def __init__(self, sim: Any, name: str = "trace",
-                 kernel_events: bool = False, mode: str = "full") -> None:
-        if mode not in TRACE_MODES:
-            raise ValueError(
-                f"bad trace mode {mode!r} (expected one of {TRACE_MODES})"
-            )
+    def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.name = name
-        self.kernel_events = kernel_events
-        self.mode = mode
         self.counts: Counter = Counter()
         self._events: List[TraceEvent] = []
         # Pending records ``(kind, time, node, cycle, cause, fields)``;
@@ -59,7 +41,7 @@ class Tracer:
 
     def __repr__(self) -> str:
         n = len(self._events) + len(self._pending)
-        return f"Tracer(name={self.name!r}, events={n})"
+        return f"Tracer(events={n})"
 
     # -- recording -----------------------------------------------------------
 
@@ -68,16 +50,12 @@ class Tracer:
              **fields: Any) -> None:
         """Record one event at the current simulation time.
 
-        The hot path of every instrumented component: in ``full`` mode
-        this is one tuple append plus a counter bump — the
-        :class:`TraceEvent` itself is built lazily by :attr:`events`.
+        The hot path of every instrumented component: one tuple append
+        plus a counter bump — the :class:`TraceEvent` itself is built
+        lazily by :attr:`events`.
         """
-        mode = self.mode
-        if mode == "full":
-            self._pending.append((kind, self.sim.now, node, cycle, cause, fields))
-            self.counts[kind] += 1
-        elif mode == "counts":
-            self.counts[kind] += 1
+        self._pending.append((kind, self.sim.now, node, cycle, cause, fields))
+        self.counts[kind] += 1
 
     def _materialize(self) -> None:
         """Turn pending records into :class:`TraceEvent` objects.

@@ -1,17 +1,16 @@
-"""Middleware configuration: the twelve settable values and their validation.
+"""Middleware configuration: the eleven settable values and their validation.
 
-The elasticity and trace values live in nested dataclasses
-(:class:`ElasticConfig`, :class:`TraceConfig`); those groups are the
-only way to set them.  Every other default lives in the component class
-that uses it, so the field lists below are pinned: a new knob has to be
-added here on purpose.
+The elasticity switch lives in a nested dataclass
+(:class:`ElasticConfig`); that group is the only way to set it.  Every
+other default lives in the component class that uses it, so the field
+lists below are pinned: a new knob has to be added here on purpose.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.core.config import ElasticConfig, MiddlewareConfig, TraceConfig
+from repro.core.config import ElasticConfig, MiddlewareConfig
 from repro.errors import ConfigurationError
 
 
@@ -32,24 +31,13 @@ def test_the_deployment_surface_is_pinned():
         "burst_nodes",
         "windows_scheduler",
         "elastic",
-        "trace",
     ]
     assert _fields(ElasticConfig) == ["enabled"]
-    assert _fields(TraceConfig) == ["mode"]
 
 
 def test_nested_groups_are_the_canonical_spelling():
-    config = MiddlewareConfig(
-        elastic=ElasticConfig(enabled=True),
-        trace=TraceConfig(mode="counts"),
-    )
+    config = MiddlewareConfig(elastic=ElasticConfig(enabled=True))
     assert config.elastic.enabled is True
-    assert config.trace.mode == "counts"
-
-
-def test_group_validation_runs_for_nested_groups():
-    with pytest.raises(ConfigurationError):
-        TraceConfig(mode="everything")
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -86,6 +74,7 @@ def test_windows_scheduler_is_validated():
     "elastic_max_actions",
     "energy_metering",
     "trace_mode",
+    "trace",
     # values whose defaults now live in the component that uses them
     "windows_partition_mb",
     "initial_os",

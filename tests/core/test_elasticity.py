@@ -38,7 +38,6 @@ def build(num_nodes=4, **policy_kw):
         health=hybrid.health,
         linux_comm=hybrid.daemons.linux,
         controller=hybrid.controller,
-        tracer=hybrid.tracer,
     )
     return hybrid, manager
 

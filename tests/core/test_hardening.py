@@ -373,6 +373,7 @@ def test_watchdog_fails_hung_switch_order_and_reissues():
         hybrid.cluster.rng,
         FaultPlan(name="hang", boot_hangs=(BootHang(times=1),)),
         env=hybrid.cluster.env,
+        tracer=hybrid.tracer,
     )
     injector.arm()
     orders = hybrid.daemons.orders

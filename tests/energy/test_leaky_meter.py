@@ -12,7 +12,7 @@ from repro.hardware import ComputeNode, INTEL_Q8200
 from repro.hardware.nic import Nic, mac_for_index
 from repro.simkernel import Simulator
 from repro.simkernel.rng import RngStreams
-from repro.trace import Tracer, check_events
+from repro.trace import check_events
 from tests.conftest import make_v1_disk
 
 
@@ -34,14 +34,12 @@ class LeakyMeter(EnergyMeter):
 
 def _run_timeline(meter_cls):
     sim = Simulator()
-    tracer = Tracer(sim)
     node = ComputeNode(
         sim=sim, name="enode01", spec=INTEL_Q8200,
         nic=Nic(mac_for_index(1)), rng=RngStreams(1),
     )
     node.disk = make_v1_disk()
-    node.tracer = tracer
-    meter = meter_cls(sim, tracer=tracer)
+    meter = meter_cls(sim)
     meter.attach_node(node)
 
     node.power_on()
@@ -53,7 +51,7 @@ def _run_timeline(meter_cls):
     node.resume()
     sim.run()
     meter.finalize()
-    return tracer
+    return sim.tracer
 
 
 def test_honest_meter_passes_the_invariant():

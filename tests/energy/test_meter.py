@@ -8,13 +8,12 @@ numbers exactly — any drift here means the E11 kWh tables are fiction.
 
 import pytest
 
-from repro.energy import EnergyMeter, PowerModel
+from repro.energy import EnergyMeter
 from repro.hardware import ComputeNode, INTEL_Q8200, NodeState
 from repro.hardware.nic import Nic, mac_for_index
 from repro.hardware.power import RebootTimingModel
 from repro.simkernel import Simulator
 from repro.simkernel.rng import RngStreams
-from repro.trace import Tracer
 from repro.trace.events import ENERGY_REPORT, ENERGY_STATE
 from tests.conftest import make_v1_disk
 
@@ -46,11 +45,9 @@ def make_rig(seed=1):
         timing=EXACT_TIMING,
     )
     node.disk = make_v1_disk()
-    tracer = Tracer(sim)
-    node.tracer = tracer
-    meter = EnergyMeter(sim, tracer=tracer)
+    meter = EnergyMeter(sim)
     meter.attach_node(node)
-    return sim, node, meter, tracer
+    return sim, node, meter, sim.tracer
 
 
 class _PbsJob:

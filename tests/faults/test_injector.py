@@ -77,7 +77,7 @@ def test_link_loss_is_deterministic(lan):
         a = net.register("a")
         inbox = net.register("b").listen(5800)
         plan = FaultPlan(link_faults=(LinkFault(src="a", dst="b", loss_prob=0.5),))
-        FaultInjector(sim, net, RngStreams(seed), plan).arm()
+        FaultInjector(sim, net, RngStreams(seed), plan, tracer=sim.tracer).arm()
         for i in range(200):
             sim.schedule(float(i), a.send, "b", 5800, i)
         sim.run()
@@ -98,7 +98,7 @@ def test_new_consumer_does_not_perturb_existing_streams():
         net = Network(sim, latency_s=0.001)
         a = net.register("a")
         inbox = net.register("b").listen(5800)
-        FaultInjector(sim, net, RngStreams(3), plan).arm()
+        FaultInjector(sim, net, RngStreams(3), plan, tracer=sim.tracer).arm()
         for i in range(200):
             sim.schedule(float(i), a.send, "b", 5800, str(i))
         sim.run()
@@ -118,7 +118,7 @@ def test_partition_window(lan):
     plan = FaultPlan(partitions=(
         Partition(side_a=("a",), side_b=("b",), start_s=2.0, end_s=4.0),
     ))
-    injector = FaultInjector(sim, net, RngStreams(0), plan)
+    injector = FaultInjector(sim, net, RngStreams(0), plan, tracer=sim.tracer)
     injector.arm()
     flood(sim, net, a, 6)  # sends at t=0..5
     assert drain(inbox) == [IDLE_WIRE] * 4  # t=2 and t=3 severed
@@ -131,7 +131,7 @@ def test_jitter_delays_but_delivers(lan):
     plan = FaultPlan(link_faults=(
         LinkFault(src="a", dst="b", jitter_s=2.0),
     ))
-    FaultInjector(sim, net, RngStreams(1), plan).arm()
+    FaultInjector(sim, net, RngStreams(1), plan, tracer=sim.tracer).arm()
     a.send("b", 5800, "x")
     sim.run()
     assert drain(inbox) == ["x"]
@@ -143,7 +143,7 @@ def test_corruption_rewrites_strings_only(lan):
     plan = FaultPlan(corruptions=(
         WireCorruption(port=5800, prob=1.0, modes=("bad-flag",)),
     ))
-    injector = FaultInjector(sim, net, RngStreams(0), plan)
+    injector = FaultInjector(sim, net, RngStreams(0), plan, tracer=sim.tracer)
     injector.arm()
     a.send("b", 5800, IDLE_WIRE)
     a.send("b", 5800, ("ack", IDLE_WIRE))  # tuples pass through untouched
@@ -160,7 +160,7 @@ def test_corruption_respects_port(lan):
     plan = FaultPlan(corruptions=(
         WireCorruption(port=5900, prob=1.0, modes=("garbage",)),
     ))
-    FaultInjector(sim, net, RngStreams(0), plan).arm()
+    FaultInjector(sim, net, RngStreams(0), plan, tracer=sim.tracer).arm()
     a.send("b", 5800, IDLE_WIRE)
     a.send("b", 5900, IDLE_WIRE)
     sim.run()
@@ -176,7 +176,7 @@ def test_head_crash_calls_control(lan):
         restart=lambda side: calls.append(("restart", side, sim.now)),
     )
     plan = FaultPlan(head_crashes=(HeadCrash(side="windows", at_s=5.0, down_s=3.0),))
-    injector = FaultInjector(sim, net, RngStreams(0), plan, control=control)
+    injector = FaultInjector(sim, net, RngStreams(0), plan, control=control, tracer=sim.tracer)
     injector.arm()
     sim.run()
     assert calls == [("crash", "windows", 5.0), ("restart", "windows", 8.0)]
@@ -191,7 +191,7 @@ def test_service_flap_toggles_enabled(lan):
         ServiceFlap(service="dhcp", first_down_at_s=1.0, down_s=2.0,
                     period_s=10.0, count=2),
     ))
-    injector = FaultInjector(sim, net, RngStreams(0), plan, dhcp=dhcp)
+    injector = FaultInjector(sim, net, RngStreams(0), plan, dhcp=dhcp, tracer=sim.tracer)
     injector.arm()
     for t in (0.5, 1.5, 3.5, 11.5, 13.5):
         sim.schedule_at(t, lambda: history.append((sim.now, dhcp.enabled)))
@@ -206,7 +206,7 @@ def test_boot_hang_hook_counts_down(lan):
     sim, net, _, _ = lan
     env = types.SimpleNamespace(hang_hook=None)
     plan = FaultPlan(boot_hangs=(BootHang(node="*", times=2),))
-    injector = FaultInjector(sim, net, RngStreams(0), plan, env=env)
+    injector = FaultInjector(sim, net, RngStreams(0), plan, env=env, tracer=sim.tracer)
     injector.arm()
     assert env.hang_hook is not None
     assert env.hang_hook("aa:bb") is not None
@@ -220,10 +220,11 @@ def test_targeted_boot_hang_needs_mac(lan):
     env = types.SimpleNamespace(hang_hook=None)
     plan = FaultPlan(boot_hangs=(BootHang(node="enode01"),))
     with pytest.raises(ConfigurationError):
-        FaultInjector(sim, net, RngStreams(0), plan, env=env)
+        FaultInjector(sim, net, RngStreams(0), plan, env=env, tracer=sim.tracer)
     injector = FaultInjector(
         sim, net, RngStreams(0), plan, env=env,
         node_macs={"enode01": "aa:01"},
+        tracer=sim.tracer,
     )
     injector.arm()
     assert env.hang_hook("ff:ff") is None    # some other node boots fine
@@ -236,6 +237,7 @@ def test_missing_handles_rejected(lan):
         FaultInjector(
             sim, net, RngStreams(0),
             FaultPlan(head_crashes=(HeadCrash(side="linux", at_s=0, down_s=1),)),
+            tracer=sim.tracer,
         )
     with pytest.raises(ConfigurationError):
         FaultInjector(
@@ -243,11 +245,13 @@ def test_missing_handles_rejected(lan):
             FaultPlan(service_flaps=(
                 ServiceFlap(service="tftp", first_down_at_s=0, down_s=1),
             )),
+            tracer=sim.tracer,
         )
     with pytest.raises(ConfigurationError):
         FaultInjector(
             sim, net, RngStreams(0),
             FaultPlan(boot_hangs=(BootHang(),)),
+            tracer=sim.tracer,
         )
 
 
@@ -258,7 +262,7 @@ def test_double_arm_rejected_and_disarm_removes_tap(lan):
         link_faults=(LinkFault(src="a", dst="b", loss_prob=1.0),),
         boot_hangs=(BootHang(),),
     )
-    injector = FaultInjector(sim, net, RngStreams(0), plan, env=env)
+    injector = FaultInjector(sim, net, RngStreams(0), plan, env=env, tracer=sim.tracer)
     injector.arm()
     with pytest.raises(ConfigurationError):
         injector.arm()

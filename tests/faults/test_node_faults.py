@@ -78,14 +78,14 @@ def test_injector_requires_node_handles(rig):
     sim, network, _nodes, t0 = rig
     plan = FaultPlan(node_crashes=(NodeCrash(node="enode01", at_s=t0 + 5.0),))
     with pytest.raises(ConfigurationError):
-        FaultInjector(sim, network, RngStreams(0), plan).arm()
+        FaultInjector(sim, network, RngStreams(0), plan, tracer=sim.tracer).arm()
 
 
 def test_injector_rejects_unknown_target(rig):
     sim, network, nodes, t0 = rig
     plan = FaultPlan(node_crashes=(NodeCrash(node="ghost", at_s=t0 + 5.0),))
     with pytest.raises(ConfigurationError):
-        FaultInjector(sim, network, RngStreams(0), plan, nodes=nodes).arm()
+        FaultInjector(sim, network, RngStreams(0), plan, nodes=nodes, tracer=sim.tracer).arm()
 
 
 # -- injection ----------------------------------------------------------------
@@ -96,7 +96,7 @@ def test_crash_and_restart_schedule(rig):
     plan = FaultPlan(node_crashes=(
         NodeCrash(node="enode01", at_s=t0 + 10.0, restart_after_s=5 * MINUTE),
     ))
-    injector = FaultInjector(sim, network, RngStreams(0), plan, nodes=nodes)
+    injector = FaultInjector(sim, network, RngStreams(0), plan, nodes=nodes, tracer=sim.tracer)
     injector.arm()
 
     sim.run(until=t0 + 11.0)
@@ -115,7 +115,7 @@ def test_crash_and_restart_schedule(rig):
 def test_crash_without_restart_stays_dark(rig):
     sim, network, nodes, t0 = rig
     plan = FaultPlan(node_crashes=(NodeCrash(node="enode01", at_s=t0 + 10.0),))
-    FaultInjector(sim, network, RngStreams(0), plan, nodes=nodes).arm()
+    FaultInjector(sim, network, RngStreams(0), plan, nodes=nodes, tracer=sim.tracer).arm()
     sim.run()
     assert nodes["enode01"].state is NodeState.OFF
 
@@ -126,7 +126,7 @@ def test_flap_crashes_repeatedly(rig):
         NodeFlap(node="enode02", first_at_s=t0 + 10.0, down_s=2 * MINUTE,
                  period_s=20 * MINUTE, count=3),
     ))
-    injector = FaultInjector(sim, network, RngStreams(0), plan, nodes=nodes)
+    injector = FaultInjector(sim, network, RngStreams(0), plan, nodes=nodes, tracer=sim.tracer)
     injector.arm()
     sim.run()
     assert injector.counters["node-crash:enode02"] == 3
@@ -139,7 +139,7 @@ def test_restart_of_already_repowered_node_is_skipped(rig):
     plan = FaultPlan(node_crashes=(
         NodeCrash(node="enode01", at_s=t0 + 10.0, restart_after_s=10 * MINUTE),
     ))
-    injector = FaultInjector(sim, network, RngStreams(0), plan, nodes=nodes)
+    injector = FaultInjector(sim, network, RngStreams(0), plan, nodes=nodes, tracer=sim.tracer)
     injector.arm()
     sim.run(until=t0 + MINUTE)
     # an admin beats the injector to the power button

@@ -197,7 +197,6 @@ def build(windows_scheduler):
         health=hybrid.health,
         linux_comm=hybrid.daemons.linux,
         controller=hybrid.controller,
-        tracer=hybrid.tracer,
     )
     return hybrid, manager
 

@@ -1,6 +1,5 @@
 """Property-based tests for utilisation math and workload invariants."""
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.metrics.recorder import JobRecord

@@ -161,13 +161,13 @@ def snapshot(records):
 @settings(max_examples=300, deadline=None)
 @given(program=ops)
 def test_indexed_ledger_matches_a_scan_of_the_history(program):
-    clock = SimpleNamespace(now=0.0)
     tracer, ref_tracer = RecordingTracer(), RecordingTracer()
+    clock = SimpleNamespace(now=0.0, tracer=tracer)
     cancelled, ref_cancelled = [], []
     pbs = FakeScheduler(clock, "pbs", cancelled)
     winhpc = FakeScheduler(clock, "win", cancelled)
     ledger = SwitchOrders(pbs, winhpc, FakeController(),
-                          order_timeout_s=TIMEOUT_S, tracer=tracer)
+                          order_timeout_s=TIMEOUT_S)
     reference = ReferenceOrders(clock, ref_tracer, ref_cancelled)
 
     for op in program:

@@ -5,7 +5,6 @@ import pytest
 from repro.simkernel import (
     AllOf,
     AnyOf,
-    Event,
     ProcessKilled,
     Simulator,
     Timeout,

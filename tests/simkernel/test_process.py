@@ -5,9 +5,7 @@ import pytest
 from repro.simkernel import (
     AllOf,
     AnyOf,
-    Event,
     Interrupt,
-    Process,
     ProcessKilled,
     Simulator,
     Timeout,

@@ -14,7 +14,7 @@ import re
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
-from repro.trace import check_events
+from repro.trace import Tracer, check_events
 
 SEED = 3
 
@@ -37,30 +37,27 @@ def test_battery_covers_all_simulation_experiments():
     )
 
 
-# -- trace_mode cross-checks -------------------------------------------------
+# -- observer purity -----------------------------------------------------------
 #
-# The pay-as-you-go tracer ("counts"/"off" modes) must be a pure
-# observer: turning recording down or off cannot perturb the simulation.
-# Proof: the identical (seed, scenario) pair is driven through the full
-# middleware stack once per mode and every scheduler-visible outcome
-# (the whole ScenarioResult) must be equal — and a "full" run *after*
-# the cheap-mode runs must export byte-for-byte what a fresh "full" run
-# exports.
+# Every simulation records into its one tracer, and recording must be a
+# pure observer: stubbing ``Tracer.emit`` out cannot perturb the
+# simulation.  Proof: the identical (seed, scenario) pair is driven
+# through the full middleware stack with recording on and with ``emit``
+# a no-op, and every scheduler-visible outcome (the whole ScenarioResult)
+# must be equal — and a normal run *after* the silent one must export
+# byte-for-byte what the first one did.
 
 
-def _cross_mode_run(trace_mode):
+def _observed_run():
     from repro.compare import HybridSystem, run_scenario
-    from repro.core.config import MiddlewareConfig, TraceConfig
+    from repro.core.config import MiddlewareConfig
     from repro.simkernel import HOUR, MINUTE
     from repro.workloads import MixedWorkload
 
     horizon = 4 * HOUR
     system = HybridSystem(
         num_nodes=8, seed=SEED, version=2,
-        config=MiddlewareConfig(
-            version=2, check_cycle_s=10 * MINUTE,
-            trace=TraceConfig(mode=trace_mode),
-        ),
+        config=MiddlewareConfig(version=2, check_cycle_s=10 * MINUTE),
     )
     jobs = MixedWorkload(
         seed=SEED, rate_per_hour=6.0, windows_fraction=0.5,
@@ -70,30 +67,23 @@ def _cross_mode_run(trace_mode):
     return system.middleware.tracer, result
 
 
-def test_trace_mode_does_not_perturb_the_simulation():
-    full_tracer, full_result = _cross_mode_run("full")
-    counts_tracer, counts_result = _cross_mode_run("counts")
-    off_tracer, off_result = _cross_mode_run("off")
+def test_recording_does_not_perturb_the_simulation(monkeypatch):
+    tracer, result = _observed_run()
+    with monkeypatch.context() as patch:
+        patch.setattr(Tracer, "emit", lambda self, kind, **fields: None)
+        silent_tracer, silent_result = _observed_run()
 
-    # identical scheduler-visible outcomes in every mode
-    assert counts_result == full_result
-    assert off_result == full_result
+    # the stub was in place: nothing was recorded
+    assert silent_tracer.events == []
+    assert dict(silent_tracer.counts) == {}
+    # identical scheduler-visible outcomes with and without recording
+    assert silent_result == result
 
-    # "counts" keeps the exact per-kind tallies of a full run, minus events
-    assert counts_tracer.mode == "counts"
-    assert dict(counts_tracer.counts) == dict(full_tracer.counts)
-    assert counts_tracer.events == []
-    assert counts_tracer.export_jsonl() == ""
-
-    # "off" records nothing at all
-    assert off_tracer.events == []
-    assert dict(off_tracer.counts) == {}
-
-    # and a full-mode re-run after the cheap modes replays byte-identically
-    replay_tracer, replay_result = _cross_mode_run("full")
-    assert replay_result == full_result
-    assert replay_tracer.export_jsonl() == full_tracer.export_jsonl()
-    assert replay_tracer.export_jsonl()  # non-empty: the proof has teeth
+    # and a recording re-run after the silent one replays byte-identically
+    replay_tracer, replay_result = _observed_run()
+    assert replay_result == result
+    assert replay_tracer.export_jsonl() == tracer.export_jsonl()
+    assert tracer.export_jsonl()  # non-empty: the proof has teeth
 
 
 @pytest.mark.parametrize("experiment_id", SIMULATION_EXPERIMENTS)

@@ -27,7 +27,7 @@ from repro.pbs import PbsCommands, PbsServer
 from repro.simkernel import MINUTE, Simulator
 from repro.simkernel.rng import RngStreams
 from repro.storage import Filesystem, FsType
-from repro.trace import INVARIANTS, Tracer, Violation, check_events, check_jsonl
+from repro.trace import INVARIANTS, Violation, check_events, check_jsonl
 from repro.winhpc import HpcSchedulerConnection, WinHpcScheduler
 
 
@@ -229,9 +229,8 @@ class _UnguardedLinuxCommunicator(LinuxCommunicator):
         self._evaluate(self.last_windows_state, self.last_windows_wire)
 
 
-def control_rig(tracer, linux_cls):
+def control_rig(sim, linux_cls):
     """The hardening-test rig (no nodes), with a pluggable Linux side."""
-    sim = tracer.sim
     network = Network(sim)
     linhead = network.register("eridani")
     winhead = network.register("winhead")
@@ -248,7 +247,7 @@ def control_rig(tracer, linux_cls):
     )
     controller.prepare_cluster()
     orders = SwitchOrders(pbs, winhpc, controller,
-                          order_timeout_s=15 * MINUTE, tracer=tracer)
+                          order_timeout_s=15 * MINUTE)
     linux = linux_cls(
         sim=sim,
         listener=linhead.listen(5800),
@@ -260,7 +259,6 @@ def control_rig(tracer, linux_cls):
         ack_port=5801,
         cycle_s=CYCLE,
         staleness_cycles=2,
-        tracer=tracer,
     )
     sdk = HpcSchedulerConnection()
     sdk.connect(winhpc)
@@ -276,7 +274,6 @@ def control_rig(tracer, linux_cls):
         retry_base_s=5.0,
         ack_timeout_s=10.0,
         rng=RngStreams(11).spawn("communicator"),
-        tracer=tracer,
     )
     return linux, windows, linhead
 
@@ -285,8 +282,7 @@ def _run_with_silent_windows(linux_cls):
     """One report arrives, then the Windows head goes silent for hours
     while the Linux heartbeat keeps ticking."""
     sim = Simulator()
-    tracer = Tracer(sim, name="seeded-bug")
-    linux, windows, linhead = control_rig(tracer, linux_cls)
+    linux, windows, linhead = control_rig(sim, linux_cls)
     sim.spawn(linux.run())
     sim.spawn(windows.run())
 
@@ -304,7 +300,7 @@ def _run_with_silent_windows(linux_cls):
 
     sim.spawn(heartbeat(), name="heartbeat")
     sim.run(until=3 * 60 * MINUTE)
-    return tracer
+    return sim.tracer
 
 
 def test_seeded_staleness_bug_is_caught_by_the_invariant():

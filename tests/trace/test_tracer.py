@@ -1,4 +1,4 @@
-"""Unit tests for TraceEvent / Tracer: canonical JSONL, querying, gating."""
+"""Unit tests for TraceEvent / Tracer: canonical JSONL, querying, laziness."""
 
 import json
 import tracemalloc
@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from repro.simkernel import Simulator
-from repro.trace import TraceEvent, Tracer, callback_name
+from repro.trace import TraceEvent, Tracer
 
 
 @pytest.fixture()
@@ -51,19 +51,6 @@ def test_non_jsonable_fields_coerced_to_str(sim):
     assert decoded["fields"]["nums"] == [1, 2]
 
 
-def test_callback_name_never_embeds_addresses():
-    # repr(bound method) contains "0x..." which would break byte-identical
-    # exports across runs; callback_name must not
-    class Thing:
-        def method(self):  # pragma: no cover - never called
-            pass
-
-    name = callback_name(Thing().method)
-    assert "0x" not in name
-    assert "method" in name
-    assert callback_name(lambda: None)  # lambdas get *some* stable name
-
-
 # -- Tracer recording ---------------------------------------------------------
 
 
@@ -78,13 +65,6 @@ def test_emit_stamps_sim_time_and_sequences(sim):
     assert tracer.events[1].fields == {"extra": 7}
 
 
-def test_disabled_tracer_records_nothing(sim):
-    tracer = Tracer(sim, mode="off")
-    assert tracer.emit("a.one") is None
-    assert tracer.events == []
-    assert tracer.counts == {}
-
-
 def test_events_of_and_prefix_queries(sim):
     tracer = Tracer(sim)
     for kind in ("boot.start", "boot.complete", "order.issued", "boot.start"):
@@ -95,31 +75,6 @@ def test_events_of_and_prefix_queries(sim):
     assert tracer.summary() == {
         "boot.complete": 1, "boot.start": 2, "order.issued": 1,
     }
-
-
-def test_kernel_events_gated_by_flag():
-    sim = Simulator()
-    quiet = Tracer(sim)
-    sim.tracer = quiet
-
-    def proc():
-        yield sim.timeout(5.0)
-
-    sim.spawn(proc(), name="p")
-    sim.run()
-    assert quiet.events_with_prefix("kernel.") == []
-
-    sim2 = Simulator()
-    chatty = Tracer(sim2, kernel_events=True)
-    sim2.tracer = chatty
-
-    def proc2():
-        yield sim2.timeout(5.0)
-
-    sim2.spawn(proc2(), name="p")
-    sim2.run()
-    kinds = {e.kind for e in chatty.events_with_prefix("kernel.")}
-    assert kinds == {"kernel.spawn", "kernel.fire", "kernel.timeout"}
 
 
 # -- export / import ----------------------------------------------------------
@@ -149,14 +104,14 @@ def test_partial_reads_keep_events_summary_and_repr_in_step(sim):
     assert [e.seq for e in tracer.events] == [0, 1, 2]
     tracer.emit("a.two", node="n1")
     tracer.emit("a.one", n=3)
-    assert repr(tracer) == "Tracer(name='trace', events=5)"
+    assert repr(tracer) == "Tracer(events=5)"
     events = tracer.events
     assert [(e.seq, e.kind) for e in events] == [
         (0, "a.one"), (1, "a.one"), (2, "a.one"), (3, "a.two"), (4, "a.one"),
     ]
     assert events[3].node == "n1" and events[4].fields == {"n": 3}
     assert tracer.summary() == {"a.one": 4, "a.two": 1}
-    assert repr(tracer) == "Tracer(name='trace', events=5)"
+    assert repr(tracer) == "Tracer(events=5)"
 
 
 def test_reading_the_trace_never_holds_it_twice(sim):
@@ -179,3 +134,14 @@ def test_reading_the_trace_never_holds_it_twice(sim):
     # about 40 % of what recording took, against about 20 % held once.
     assert peak - recorded < (recorded - start) * 0.3
 
+
+# -- ownership -----------------------------------------------------------------
+
+
+def test_every_simulator_owns_exactly_one_tracer(sim):
+    assert isinstance(sim.tracer, Tracer)
+    assert sim.tracer.sim is sim
+    assert Simulator().tracer is not sim.tracer
+    sim.schedule_at(2.0, lambda: sim.tracer.emit("a.one"))
+    sim.run()
+    assert [(e.time, e.kind) for e in sim.tracer.events] == [(2.0, "a.one")]
