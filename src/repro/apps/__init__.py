@@ -9,11 +9,7 @@ from repro.apps.application import AppJobRequest, Application, JobProfile
 from repro.apps.catalog import (
     TABLE_I,
     app_by_name,
-    linux_only,
-    multi_platform,
-    render_table1,
     supported_on,
-    windows_only,
 )
 
 __all__ = [
@@ -22,9 +18,5 @@ __all__ = [
     "JobProfile",
     "TABLE_I",
     "app_by_name",
-    "linux_only",
-    "multi_platform",
-    "render_table1",
     "supported_on",
-    "windows_only",
 ]

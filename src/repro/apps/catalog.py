@@ -10,7 +10,6 @@ from typing import List
 
 from repro.apps.application import LINUX, WINDOWS, Application, JobProfile
 from repro.errors import ConfigurationError
-from repro.metrics.report import Table
 
 _L = frozenset({LINUX})
 _W = frozenset({WINDOWS})
@@ -102,27 +101,3 @@ def app_by_name(name: str) -> Application:
 
 def supported_on(platform: str) -> List[Application]:
     return [app for app in TABLE_I if app.runs_on(platform)]
-
-
-def linux_only() -> List[Application]:
-    return [app for app in TABLE_I if app.platform_code == "L"]
-
-
-def windows_only() -> List[Application]:
-    return [app for app in TABLE_I if app.platform_code == "W"]
-
-
-def multi_platform() -> List[Application]:
-    return [app for app in TABLE_I if app.platform_code == "W&L"]
-
-
-def render_table1() -> str:
-    """Table I as printed text (the bench for T1 regenerates this)."""
-    table = Table(
-        ["Software Name", "Description", "OS"],
-        title="Table I: Applications on the Huddersfield campus cluster "
-        "(W: Windows, L: Linux)",
-    )
-    for app in TABLE_I:
-        table.add_row([app.name, app.description, app.platform_code])
-    return table.render()

@@ -4,7 +4,9 @@ The paper asserts the hybrid's advantages over the obvious alternatives
 (§I–II) without measuring them; this package makes the comparison
 runnable.  Every system implements the same small interface
 (:class:`~repro.compare.base.ComparableSystem`) and is driven with the
-identical workload trace by :func:`~repro.compare.runner.run_scenario`:
+identical workload trace by :func:`~repro.compare.runner.run_scenario`
+(experiments that deploy and arm a system themselves call its loop,
+:func:`~repro.compare.runner.drive`, directly):
 
 * :class:`~repro.compare.hybrid.HybridSystem` — dualboot-oscar v1/v2;
 * :class:`~repro.compare.static_split.StaticSplitSystem` — the cluster
@@ -19,7 +21,7 @@ identical workload trace by :func:`~repro.compare.runner.run_scenario`:
 from repro.compare.base import ComparableSystem
 from repro.compare.hybrid import HybridSystem
 from repro.compare.monostable import MonostableSystem
-from repro.compare.runner import ScenarioResult, run_scenario
+from repro.compare.runner import ScenarioResult, drive, run_scenario
 from repro.compare.static_split import StaticSplitSystem
 from repro.compare.virtualized import VirtualizedSystem
 
@@ -30,5 +32,6 @@ __all__ = [
     "ScenarioResult",
     "StaticSplitSystem",
     "VirtualizedSystem",
+    "drive",
     "run_scenario",
 ]

@@ -21,7 +21,7 @@ class HybridSystem(ComparableSystem):
         self,
         num_nodes: int = 16,
         seed: int = 0,
-        version: int = 2,
+        version: Optional[int] = None,
         config: Optional[MiddlewareConfig] = None,
         policy: Optional[SwitchPolicy] = None,
         label_suffix: str = "",

@@ -31,54 +31,67 @@ class ScenarioResult:
     makespan_s: Optional[float]
     switches: int
 
-    @property
-    def completion_rate(self) -> float:
-        return self.completed / self.submitted if self.submitted else 0.0
 
-
-def run_scenario(
+def drive(
     system: ComparableSystem,
     jobs: List[WorkloadJob],
     horizon_s: float,
-    drain: bool = True,
-    drain_limit_s: float = 24 * 3600.0,
-) -> ScenarioResult:
-    """Deploy *system*, feed it *jobs* at their arrival times, run to the
-    horizon (plus an optional drain window so makespans are comparable),
-    and summarise.
+    drain_limit_s: Optional[float],
+) -> None:
+    """Feed *jobs* (in arrival order) to a deployed *system* at their
+    arrival offsets from now, run to the horizon, then drain for at most
+    *drain_limit_s* more seconds (``None``: stop at the horizon), and
+    finalize the recorder.
 
-    The measurement window for utilisation is ``[deploy-end, deploy-end +
-    horizon)``; arrivals are offsets into that window.
+    The drain ends early once no workload job is outstanding or no event
+    is left before the deadline.
     """
-    system.deploy()
-    start = system.sim.now
-
-    ordered = sorted(jobs, key=lambda j: j.arrival_s)
+    sim = system.sim
+    start = sim.now
 
     def feeder():
         clock = 0.0
-        for job in ordered:
+        for job in jobs:
             gap = job.arrival_s - clock
             if gap > 0:
                 yield Timeout(gap)
                 clock = job.arrival_s
             system.submit(job)
 
-    system.sim.spawn(feeder(), name="workload-feeder")
-    system.sim.run(until=start + horizon_s)
-    if drain:
+    sim.spawn(feeder(), name="workload-feeder")
+    sim.run(until=start + horizon_s)
+    if drain_limit_s is not None:
         deadline = start + horizon_s + drain_limit_s
-        while system.sim.now < deadline:
+        while sim.now < deadline:
             # O(1) counter on the recorder — this loop runs once per
             # remaining simulation event, so rescanning every job record
             # here made draining quadratic in the workload size.
             if system.recorder.outstanding_workload() == 0:
                 break
-            next_event = system.sim.peek()
+            next_event = sim.peek()
             if next_event is None or next_event > deadline:
                 break
-            system.sim.run(until=min(next_event + 1.0, deadline))
+            sim.run(until=min(next_event + 1.0, deadline))
     system.finalize()
+
+
+def run_scenario(
+    system: ComparableSystem,
+    jobs: List[WorkloadJob],
+    horizon_s: float,
+    drain_limit_s: Optional[float] = 24 * 3600.0,
+) -> ScenarioResult:
+    """Deploy *system*, :func:`drive` *jobs* through it (draining up to
+    *drain_limit_s* past the horizon so makespans are comparable), and
+    summarise.
+
+    The measurement window for utilisation is ``[deploy-end, deploy-end +
+    horizon)``; arrivals are offsets into that window.
+    """
+    system.deploy()
+    start = system.sim.now
+    ordered = sorted(jobs, key=lambda j: j.arrival_s)
+    drive(system, ordered, horizon_s, drain_limit_s)
 
     horizon_end = system.sim.now - start
     records = system.recorder.workload_jobs()

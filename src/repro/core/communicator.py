@@ -122,19 +122,11 @@ class SwitchOrders:
 
     # -- in-flight accounting ------------------------------------------------
 
-    def pending_to_windows(self) -> int:
-        """Switch jobs alive on the Linux side (nodes heading to Windows)."""
-        return self.pbs.pending_switch_jobs()
-
-    def pending_to_linux(self) -> int:
-        """Switch jobs alive on the Windows side (nodes heading to Linux)."""
-        return self.winhpc.pending_switch_jobs()
-
     def in_flight(self, target_os: str) -> int:
         """Unresolved orders toward *target_os* — the watchdog-backed count.
 
-        Unlike the raw job-state scans above, this stays high through the
-        node's reboot window (the batch job is already dead then) and
+        Unlike a scan of the switch jobs' states, this stays high through
+        the node's reboot window (the batch job is already dead then) and
         drops when the watchdog declares the order failed.
         """
         return sum(1 for o in self._pending.values() if o.target_os == target_os)

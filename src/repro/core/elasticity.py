@@ -106,12 +106,13 @@ class ElasticityManager:
         cluster: Cluster,
         pbs: Any,
         winhpc: Any,
+        *,
+        orders: Any,
+        health: Any,
+        linux_comm: Any,
+        controller: Any,
         policy: Optional[ElasticityPolicy] = None,
         cycle_s: float = 300.0,
-        orders: Any = None,
-        health: Any = None,
-        linux_comm: Any = None,
-        controller: Any = None,
     ) -> None:
         self.sim = sim
         self.cluster = cluster
@@ -214,8 +215,7 @@ class ElasticityManager:
     def _wake(self, side: str, queued: int) -> None:
         budget = self.policy.max_actions_per_cycle
         for node in self._resumable(side)[:budget]:
-            if self.orders is not None:
-                self.orders.expect_rejoin(node.name)
+            self.orders.expect_rejoin(node.name)
             node.resume()
             self.resumes += 1
             budget -= 1
@@ -225,8 +225,7 @@ class ElasticityManager:
         if budget <= 0 or not self._boots_land_on(side):
             return
         for node in self._burst()[:budget]:
-            if self.orders is not None:
-                self.orders.expect_rejoin(node.name)
+            self.orders.expect_rejoin(node.name)
             node.provision()
             self.provisions += 1
             self._decide(
@@ -238,9 +237,7 @@ class ElasticityManager:
     def _windows_state_stale(self) -> bool:
         """The Linux head's view of the Windows queue is only as fresh as
         the last report; past the staleness cap, acting on it repeats the
-        bug PR 1's staleness guard fixed."""
-        if self.linux_comm is None:
-            return False
+        bug the communicator's staleness guard fixes."""
         cap = self.linux_comm.staleness_cap_s
         if cap is None:
             return False
@@ -274,7 +271,7 @@ class ElasticityManager:
         *side* and not unhealthy."""
         scheduler = self.pbs if side == "linux" else self.winhpc
         up = self._members(NodeState.UP, side)
-        unhealthy = self.health.unhealthy if self.health is not None else {}
+        unhealthy = self.health.unhealthy
         return [
             up[host]
             for host in scheduler.idle_hosts()
@@ -284,11 +281,10 @@ class ElasticityManager:
     def _boots_land_on(self, side: str) -> bool:
         """Whether a cold boot right now comes up on *side* — provisioning
         is only useful when the boot flag points at the pressured OS."""
-        if self.controller is None:
-            return False
-        if not getattr(self.controller, "has_cluster_flag", False):
-            return False
-        return bool(self.controller.current_target() == side)
+        return bool(
+            self.controller.has_cluster_flag
+            and self.controller.current_target() == side
+        )
 
     def _cordon(self, side: str, hostname: str) -> None:
         """Stop new placements before the orderly shutdown.  No uncordon

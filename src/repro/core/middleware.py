@@ -131,10 +131,6 @@ class DualBootOscar:
         return self.schedulers["windows"]
 
     @property
-    def pbs_commands(self) -> Any:
-        return self.pbs.make_commands()
-
-    @property
     def version(self) -> int:
         return self.config.version
 
@@ -509,12 +505,15 @@ class DualBootOscar:
 def build_hybrid_cluster(
     num_nodes: int = 16,
     seed: int = 0,
-    version: int = 2,
+    version: Optional[int] = None,
     config: Optional[MiddlewareConfig] = None,
     policy: Optional[SwitchPolicy] = None,
     sim: Optional[Simulator] = None,
 ) -> DualBootOscar:
     """One-call construction of an (undeployed) hybrid cluster.
+
+    *version* picks the middleware version when no *config* is given
+    (default 2); with a *config* it may only repeat ``config.version``.
 
     >>> hybrid = build_hybrid_cluster(num_nodes=4, seed=7)
     >>> hybrid.deploy()
@@ -523,9 +522,11 @@ def build_hybrid_cluster(
     ['enode01', 'enode02', 'enode03', 'enode04']
     """
     if config is None:
-        config = MiddlewareConfig(version=version)
-    elif config.version != version and version != 2:
-        raise MiddlewareError("pass the version via config OR the argument")
+        config = MiddlewareConfig() if version is None else MiddlewareConfig(version=version)
+    elif version is not None and version != config.version:
+        raise MiddlewareError(
+            f"version={version} contradicts config.version={config.version}"
+        )
     simulator = sim if sim is not None else Simulator()
     cluster = build_cluster(simulator, num_nodes=num_nodes, seed=seed)
     return DualBootOscar(cluster, config=config, policy=policy)

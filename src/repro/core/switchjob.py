@@ -24,8 +24,7 @@ from typing import Optional
 
 from repro.core.bootcontrol import BOOTCONTROL_PATH, CONTROLMENU_PATH, VALID_TARGETS
 from repro.errors import MiddlewareError
-from repro.pbs.script import JobSpec
-from repro.sched.protocol import SWITCH_JOB_NAME, SWITCH_TAG
+from repro.sched.protocol import SWITCH_JOB_NAME
 
 
 class OrderState(enum.Enum):
@@ -170,13 +169,3 @@ def windows_switch_bat_v2() -> str:
         "shutdown /r /t 0\n"
         "sleep 10\n"
     )
-
-
-def pbs_switch_jobspec(script: str) -> JobSpec:
-    """Wrap a switch script as a submittable PBS spec (tagged so the
-    detector ignores it)."""
-    from repro.pbs.script import parse_pbs_script
-
-    spec = parse_pbs_script(script)
-    spec.tag = SWITCH_TAG
-    return spec

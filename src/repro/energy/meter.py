@@ -170,9 +170,6 @@ class EnergyMeter:
         """Cluster-wide joules so far (integrated to now)."""
         return sum(self.node_joules(name) for name in self.accounts)
 
-    def total_kwh(self) -> float:
-        return self.total_joules() / 3_600_000.0
-
     def joules_by_state(self) -> Dict[str, float]:
         """Cluster joules split by the power state they were burned in."""
         totals: Dict[str, float] = {}

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.compare import HybridSystem
+from repro.compare import HybridSystem, drive
 from repro.core.config import ElasticConfig, MiddlewareConfig
 from repro.experiments import ExperimentOutput
 from repro.metrics.report import Table
-from repro.simkernel import HOUR, MINUTE, Timeout
+from repro.simkernel import HOUR, MINUTE
 from repro.workloads import MixedWorkload, WorkloadJob
 
 SIZES = (16, 32, 64)
@@ -91,32 +91,9 @@ def _energy_run(
     )
     system.deploy()
     middleware = system.middleware
-    sim = system.sim
-    t0 = sim.now
-
     jobs = _workload(num_nodes, seed, horizon_s)
-
-    def feeder():
-        clock = 0.0
-        for job in jobs:
-            gap = job.arrival_s - clock
-            if gap > 0:
-                yield Timeout(gap)
-                clock = job.arrival_s
-            system.submit(job)
-
-    sim.spawn(feeder(), name="e11-feeder")
-    sim.run(until=t0 + horizon_s)
     # drain: woken capacity may still be finishing the spike's tail
-    deadline = t0 + horizon_s + 12 * HOUR
-    while sim.now < deadline:
-        if system.recorder.outstanding_workload() == 0:
-            break
-        next_event = sim.peek()
-        if next_event is None or next_event > deadline:
-            break
-        sim.run(until=min(next_event + 1.0, deadline))
-    system.finalize()
+    drive(system, jobs, horizon_s, drain_limit_s=12 * HOUR)
 
     meter = middleware.energy
     records = {r.name: r for r in system.recorder.workload_jobs()}

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.compare import HybridSystem
+from repro.compare import HybridSystem, drive
 from repro.core.config import MiddlewareConfig
 from repro.experiments import ExperimentOutput
 from repro.faults import FaultInjector, FaultPlan, NodeCrash, NodeFlap
@@ -41,7 +41,7 @@ from repro.health import HealthState
 from repro.metrics.report import Table
 from repro.pbs.job import JobState
 from repro.pbs.nodes import PbsNodeState
-from repro.simkernel import HOUR, MINUTE, Timeout
+from repro.simkernel import HOUR, MINUTE
 from repro.winhpc.job import WinJobState
 from repro.winhpc.nodestate import WinNodeState
 from repro.workloads import MixedWorkload
@@ -163,28 +163,8 @@ def _survival_run(
 
     jobs = sorted(_workload(num_nodes, seed, horizon_s),
                   key=lambda j: j.arrival_s)
-
-    def feeder():
-        clock = 0.0
-        for job in jobs:
-            gap = job.arrival_s - clock
-            if gap > 0:
-                yield Timeout(gap)
-                clock = job.arrival_s
-            system.submit(job)
-
-    sim.spawn(feeder(), name="e14-feeder")
-    sim.run(until=t0 + horizon_s)
     # drain: requeued work may finish well after the horizon
-    deadline = t0 + horizon_s + 24 * HOUR
-    while sim.now < deadline:
-        if system.recorder.outstanding_workload() == 0:
-            break
-        next_event = sim.peek()
-        if next_event is None or next_event > deadline:
-            break
-        sim.run(until=min(next_event + 1.0, deadline))
-    system.finalize()
+    drive(system, jobs, horizon_s, drain_limit_s=24 * HOUR)
 
     pbs, win = middleware.pbs, middleware.winhpc
     records = {r.name: r for r in system.recorder.workload_jobs()}

@@ -16,7 +16,7 @@ corruption port — never perturbs the draws of existing streams.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.faults.plan import BootHang, FaultPlan
@@ -81,8 +81,9 @@ class FaultInjector:
         The shared :class:`~repro.boot.chain.BootEnvironment` whose
         ``hang_hook`` the injector owns while armed.
     tracer:
-        Where the ``fault.*`` events are recorded: the simulation's
-        ``sim.tracer``.
+        Where the ``fault.*`` events are recorded.  It must be
+        ``sim.tracer``: a fault recorded in another simulation's trace
+        would vanish from this one's.
     """
 
     def __init__(
@@ -113,11 +114,14 @@ class FaultInjector:
         self.env = env
         self.counters: Dict[str, int] = {}
         self._armed = False
-        self._tap: Optional[Callable[[Message], Optional[DeliveryVerdict]]] = None
         self._hangs: List[_ArmedHang] = []
         self._validate_handles()
 
     def _validate_handles(self) -> None:
+        if self.tracer is not self.sim.tracer:
+            raise ConfigurationError(
+                "tracer must be the simulation's own sim.tracer"
+            )
         if self.plan.head_crashes and self.control is None:
             raise ConfigurationError(
                 "plan has head crashes but no control handle was given"
@@ -163,8 +167,7 @@ class FaultInjector:
             or self.plan.partitions
             or self.plan.corruptions
         ):
-            self._tap = self._delivery_tap
-            self.network.add_tap(self._tap)
+            self.network.add_tap(self._delivery_tap)
         for crash in self.plan.head_crashes:
             self.sim.schedule_at(crash.at_s, self._crash, crash)
             self.sim.schedule_at(crash.at_s + crash.down_s, self._restart, crash)
@@ -195,16 +198,6 @@ class FaultInjector:
         if self.plan.boot_hangs:
             self._hangs = [_ArmedHang(h) for h in self.plan.boot_hangs]
             self.env.hang_hook = self._hang_hook
-
-    def disarm(self) -> None:
-        """Remove the tap and the hang hook (timed faults already scheduled
-        still fire; use activity windows to bound them instead)."""
-        if self._tap is not None:
-            self.network.remove_tap(self._tap)
-            self._tap = None
-        if self.env is not None and self.env.hang_hook == self._hang_hook:
-            self.env.hang_hook = None
-        self._armed = False
 
     def _count(self, key: str) -> None:
         self.counters[key] = self.counters.get(key, 0) + 1

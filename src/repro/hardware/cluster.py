@@ -18,7 +18,7 @@ from typing import List, Optional
 from repro.boot.chain import BootEnvironment
 from repro.errors import ConfigurationError
 from repro.hardware.nic import Nic, mac_for_index
-from repro.hardware.node import ComputeNode, NodeState
+from repro.hardware.node import ComputeNode
 from repro.hardware.power import RebootTimingModel
 from repro.hardware.specs import INTEL_Q8200, HardwareSpec
 from repro.netsvc.network import Host, Network
@@ -90,26 +90,8 @@ class Cluster:
                 return node
         raise ConfigurationError(f"no compute node named {name!r}")
 
-    def nodes_running(self, os_name: str) -> List[ComputeNode]:
-        """Compute nodes currently up under *os_name*."""
-        return [n for n in self.compute_nodes if n.os_name == os_name]
-
     def failed_nodes(self) -> List[ComputeNode]:
         return [n for n in self.compute_nodes if n.failed]
-
-    def suspended_nodes(self) -> List[ComputeNode]:
-        """Compute nodes parked in suspend-to-RAM."""
-        return [
-            n for n in self.compute_nodes if n.state is NodeState.SUSPENDED
-        ]
-
-    def deprovisioned_nodes(self) -> List[ComputeNode]:
-        """Compute nodes released back to the burst pool."""
-        return [
-            n
-            for n in self.compute_nodes
-            if n.state is NodeState.DEPROVISIONED
-        ]
 
 
 def node_hostname(index: int) -> str:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.hardware.node import ComputeNode, NodeState
@@ -97,10 +97,6 @@ class HeartbeatMonitor:
         #: Fed by the power-state observers and the agent hooks so the
         #: poll loop never scans the quiescent majority of the cluster.
         self._attention: Dict[str, None] = {}
-        #: watched objects without an ``on_power_state`` hook list (test
-        #: stubs flip ``.state`` directly): scanned every beat, like the
-        #: pre-incremental poll loop did for everything.
-        self._unobserved: Set[str] = set()
         self.on_fence: List[Callable[[str], None]] = []
         self.on_recover: List[Callable[[str], None]] = []
         self.fences = 0
@@ -119,12 +115,7 @@ class HeartbeatMonitor:
         self._index[node.name] = len(self._order)
         self._order.append(node.name)
         self._health[node.name] = NodeHealth(name=node.name)
-        hooks = getattr(node, "on_power_state", None)
-        if hooks is not None:
-            hooks.append(self._on_power_state)
-        else:
-            self._unobserved.add(node.name)
-            self._attention[node.name] = None
+        node.on_power_state.append(self._on_power_state)
 
     def _on_power_state(self, node: ComputeNode, old: NodeState,
                         new: NodeState) -> None:
@@ -212,13 +203,11 @@ class HeartbeatMonitor:
         """
         if not self._attention:
             return
-        unobserved = self._unobserved
         for name in sorted(self._attention, key=self._index.__getitem__):
             health = self._health[name]
             if not health.expected:
                 health.misses = 0
-                if name not in unobserved:
-                    del self._attention[name]
+                del self._attention[name]
                 continue
             node = self._nodes[name]
             if node.state is NodeState.UP:
@@ -227,8 +216,7 @@ class HeartbeatMonitor:
                 if health.state is HealthState.SUSPECT:
                     # a suspect that beats again was never dead
                     self._set_state(health, HealthState.HEALTHY)
-                if name not in unobserved:
-                    del self._attention[name]
+                del self._attention[name]
                 continue
             health.misses += 1
             if (
@@ -264,9 +252,3 @@ class HeartbeatMonitor:
 
     def health(self, name: str) -> NodeHealth:
         return self._health[name]
-
-    def fenced_nodes(self) -> List[str]:
-        return [
-            name for name in self._order
-            if self._health[name].state is HealthState.FENCED
-        ]

@@ -44,6 +44,3 @@ class AdminEffortLedger:
         for step in self.steps:
             out[step.category] = out.get(step.category, 0) + 1
         return dict(sorted(out.items()))
-
-    def merge(self, other: "AdminEffortLedger") -> None:
-        self.steps.extend(other.steps)

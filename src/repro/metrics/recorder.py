@@ -141,14 +141,6 @@ class ClusterRecorder:
 
     # -- selections --------------------------------------------------------------
 
-    def jobs_for(self, scheduler: str, exclude_tag: str = "os-switch") -> List[JobRecord]:
-        """Workload jobs on one scheduler (switch jobs excluded by default)."""
-        return [
-            j
-            for j in self.jobs
-            if j.scheduler == scheduler and (not exclude_tag or j.tag != exclude_tag)
-        ]
-
     def workload_jobs(self, exclude_tag: str = "os-switch") -> List[JobRecord]:
         return [j for j in self.jobs if not exclude_tag or j.tag != exclude_tag]
 

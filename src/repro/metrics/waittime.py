@@ -1,4 +1,4 @@
-"""Wait-time / turnaround statistics (experiment E3)."""
+"""Wait-time and makespan statistics (experiment E3)."""
 
 from __future__ import annotations
 
@@ -38,27 +38,6 @@ def wait_stats(jobs: Iterable[JobRecord]) -> WaitStats:
         median=float(np.median(waits)),
         p90=float(np.percentile(waits, 90)),
         maximum=float(waits.max()),
-    )
-
-
-def turnaround_stats(jobs: Iterable[JobRecord]) -> WaitStats:
-    """Same summary over turnaround times (submit → finish)."""
-    times = np.asarray(
-        [
-            j.end_time - j.submit_time
-            for j in jobs
-            if j.end_time is not None
-        ],
-        dtype=float,
-    )
-    if times.size == 0:
-        return WaitStats.empty()
-    return WaitStats(
-        count=int(times.size),
-        mean=float(times.mean()),
-        median=float(np.median(times)),
-        p90=float(np.percentile(times, 90)),
-        maximum=float(times.max()),
     )
 
 

@@ -61,7 +61,6 @@ class DhcpServer:
         self.subnet_prefix = subnet_prefix
         self._pool = list(range(pool_start, pool_end))
         self._reservations: Dict[str, str] = {}
-        self._bootfile_overrides: Dict[str, str] = {}
         self._leases: Dict[str, DhcpLease] = {}
         self.next_server = next_server
         self.default_bootfile = default_bootfile
@@ -72,13 +71,6 @@ class DhcpServer:
     def reserve(self, mac: str, ip_suffix: int) -> None:
         """Pin *mac* to ``<prefix><ip_suffix>``."""
         self._reservations[normalize_mac(mac)] = f"{self.subnet_prefix}{ip_suffix}"
-
-    def set_bootfile(self, mac: str, bootfile: str) -> None:
-        """Per-MAC boot ROM override (the 'individual boot ROM' option)."""
-        self._bootfile_overrides[normalize_mac(mac)] = bootfile
-
-    def clear_bootfile(self, mac: str) -> None:
-        self._bootfile_overrides.pop(normalize_mac(mac), None)
 
     # -- client side -------------------------------------------------------
 
@@ -99,7 +91,7 @@ class DhcpServer:
             mac=key,
             ip=ip,
             next_server=self.next_server,
-            bootfile=self._bootfile_overrides.get(key, self.default_bootfile),
+            bootfile=self.default_bootfile,
         )
         self._leases[key] = lease
         return lease

@@ -125,11 +125,6 @@ class Network:
         """Install a delivery tap consulted on every :meth:`deliver` call."""
         self._taps.append(tap)
 
-    def remove_tap(self, tap: DeliveryTap) -> None:
-        """Uninstall a tap (no-op if absent)."""
-        if tap in self._taps:
-            self._taps.remove(tap)
-
     # -- membership ---------------------------------------------------------
 
     def register(self, name: str) -> Host:
@@ -159,9 +154,6 @@ class Network:
         listener = PortListener(self.sim, host, port)
         self._listeners[key] = listener
         return listener
-
-    def close_listener(self, listener: PortListener) -> None:
-        self._listeners.pop((listener.host, listener.port), None)
 
     # -- delivery -------------------------------------------------------------
 

@@ -78,12 +78,6 @@ class PbsJob:
             return None
         return self.start_time - self.qtime
 
-    @property
-    def turnaround_s(self) -> Optional[float]:
-        if self.end_time is None:
-            return None
-        return self.end_time - self.qtime
-
     def exec_host_string(self) -> str:
         """Figure-8 style: ``node16.dom/3+node16.dom/2+...``."""
         return "+".join(f"{host}/{core}" for host, core in self.exec_slots)

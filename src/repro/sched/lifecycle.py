@@ -28,7 +28,6 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 from repro.errors import SchedulerError
 from repro.oslayer.shell import run_script
 from repro.sched.counts import NodeCounts, SwitchJobs
-from repro.sched.protocol import SWITCH_TAG
 from repro.simkernel import Event, Interrupt, Process, Simulator, Timeout
 
 
@@ -259,12 +258,6 @@ class BatchScheduler:
         self.tracer.emit("node.uncordoned", node=record.hostname, scheduler=self.kind)
         self._try_schedule()
 
-    def drain_node(self, hostname: str) -> List[str]:
-        """Cordon *hostname*; returns the job ids still running there."""
-        running = [str(key) for key in self._jobs_on(self.node(hostname))]
-        self.cordon_node(hostname)
-        return running
-
     def _elapsed(self, job: Any) -> float:
         """Seconds *job* computed in its current run, up to the crash
         instant if its node crashed, else up to now."""
@@ -449,14 +442,6 @@ class BatchScheduler:
 
     def idle_hosts(self) -> Iterable[str]:
         return self._index.idle_hosts.keys()
-
-    def pending_switch_jobs(self) -> int:
-        switch = self.switch_jobs
-        return sum(
-            1
-            for job in (*switch.queued.values(), *switch.running.values())
-            if job.tag == SWITCH_TAG and job.state is not self.held_state
-        )
 
     # -- running jobs ---------------------------------------------------------
 

@@ -164,10 +164,6 @@ class SchedulerPersonality(Protocol):
         """Reverse :meth:`cordon_node`; may start queued work."""
         ...
 
-    def drain_node(self, hostname: str) -> List[str]:
-        """Cordon *hostname*; returns ids of jobs still running there."""
-        ...
-
     def fence_node(self, hostname: str, cause: str = ...) -> Dict[str, list]:
         """Evict *hostname* permanently: requeue rerunnable work, fail
         the rest.  Returns ``{"requeued": [...], "failed": [...]}``."""
@@ -182,10 +178,6 @@ class SchedulerPersonality(Protocol):
     def submit_switch_job(self, script: str, owner: str) -> str:
         """Submit a single-node OS-release job tagged
         :data:`SWITCH_TAG`; returns its job id as a string."""
-        ...
-
-    def pending_switch_jobs(self) -> int:
-        """Switch jobs currently queued or running."""
         ...
 
     def cancel_if_queued(self, jobid: str) -> bool:

@@ -42,7 +42,7 @@ from repro.simkernel.process import (
     ProcessKilled,
     Timeout,
 )
-from repro.simkernel.resources import Resource, Store
+from repro.simkernel.resources import Store
 from repro.simkernel.rng import RngStreams
 from repro.simkernel.timeunits import (
     DAY,
@@ -64,7 +64,6 @@ __all__ = [
     "MINUTE",
     "Process",
     "ProcessKilled",
-    "Resource",
     "RngStreams",
     "SECOND",
     "Simulator",

@@ -1,9 +1,9 @@
-"""Shared-resource primitives: counted resources and object stores.
+"""The object store: a SimPy-style FIFO mailbox with blocking ``get``.
 
-These are the classic SimPy-style primitives, used by the network layer
-(link serialisation) and by tests.  Schedulers in :mod:`repro.pbs` and
-:mod:`repro.winhpc` manage node allocation themselves (they need richer
-placement logic than a counter), but build on the same event machinery.
+The network layer delivers each socket's received messages through a
+:class:`Store`.  Schedulers in :mod:`repro.pbs`, :mod:`repro.winhpc` and
+:mod:`repro.slurm` manage node allocation themselves (they need richer
+placement logic than a counted resource), on the same event machinery.
 """
 
 from __future__ import annotations
@@ -15,67 +15,6 @@ from repro.simkernel.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.kernel import Simulator
-
-
-class Resource:
-    """A counted resource with FIFO queueing.
-
-    ``request()`` returns an :class:`Event` that triggers once a slot is
-    granted; the holder must call :meth:`release` exactly once per grant.
-
-    Example (inside a process)::
-
-        grant = resource.request()
-        yield grant
-        try:
-            yield Timeout(work_time)
-        finally:
-            resource.release()
-    """
-
-    def __init__(self, sim: "Simulator", capacity: int, name: str = "") -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        """Number of currently-granted slots."""
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        """Number of free slots."""
-        return self.capacity - self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiters)
-
-    def request(self) -> Event:
-        """Ask for one slot; the returned event triggers when granted."""
-        ev = self.sim.event(name=f"request:{self.name}")
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            ev.succeed(self)
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        """Return one slot, waking the longest-waiting requester if any."""
-        if self._in_use <= 0:
-            raise RuntimeError(f"release() on idle resource {self.name!r}")
-        if self._waiters:
-            # Hand the slot directly to the next waiter: in_use is unchanged.
-            self._waiters.popleft().succeed(self)
-        else:
-            self._in_use -= 1
 
 
 class Store:

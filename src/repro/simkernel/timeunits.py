@@ -33,15 +33,3 @@ def format_duration(seconds: float) -> str:
     hours, rem = divmod(seconds, HOUR)
     minutes, rem = divmod(rem, MINUTE)
     return f"{int(hours)}h{int(minutes):02d}m{rem:04.1f}s"
-
-
-def format_clock(seconds: float) -> str:
-    """Render an absolute simulation time as ``HH:MM:SS`` (wraps past 24 h).
-
-    >>> format_clock(3661)
-    '01:01:01'
-    """
-    total = int(seconds)
-    hours, rem = divmod(total, int(HOUR))
-    minutes, secs = divmod(rem, int(MINUTE))
-    return f"{hours % 24:02d}:{minutes:02d}:{secs:02d}"

@@ -3,7 +3,7 @@
 The third batch domain behind the :mod:`repro.sched` seam: a
 ``slurmctld``-like controller with a partition model, priority ordering
 with EASY backfill (reusing the PBS :class:`~repro.pbs.scheduler.NodeIndex`
-free-core buckets), ``sbatch``/``squeue``/``sinfo`` text rendering and a
+free-core buckets), ``squeue`` text rendering and a
 text-parsing queue-state detector — usable as donor or receiver in any
 dual-boot pairing (experiment E15 runs PBS↔SLURM).
 """

@@ -88,12 +88,6 @@ class SlurmJob:
             return None
         return self.start_time - self.submit_time
 
-    @property
-    def turnaround_s(self) -> Optional[float]:
-        if self.end_time is None:
-            return None
-        return self.end_time - self.submit_time
-
     # -- uniform personality surface (repro.sched.protocol) ------------------
 
     @property

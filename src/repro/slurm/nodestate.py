@@ -17,8 +17,8 @@ from repro.errors import SchedulerError
 
 
 class SlurmNodeState(enum.Enum):
-    """Administrative node state (``sinfo`` collapses allocation into
-    the rendered word; see :meth:`SlurmNodeRecord.sinfo_state`)."""
+    """Administrative node state (allocation is tracked separately, in
+    :attr:`SlurmNodeRecord.allocations`)."""
 
     UP = "up"
     DOWN = "down"
@@ -84,13 +84,3 @@ class SlurmNodeRecord:
         """``scontrol update state=resume``: reverse a drain."""
         if self.state is SlurmNodeState.DRAIN:
             self.state = SlurmNodeState.UP
-
-    def sinfo_state(self) -> str:
-        """The word ``sinfo`` prints for this node."""
-        if self.state is SlurmNodeState.DOWN:
-            return "down"
-        if self.state is SlurmNodeState.DRAIN:
-            return "drain"
-        if not self.allocations:
-            return "idle"
-        return "alloc" if self.cpus_in_use >= self.cpus else "mix"

@@ -14,34 +14,3 @@ TOTAL_DISK_MB_250GB: float = 250 * GB
 
 #: Windows reservation used in the modified diskpart.txt (Figure 10).
 WINDOWS_PARTITION_MB: float = 150_000.0
-
-
-def parse_size_mb(text: str) -> float:
-    """Parse a size expression into MB.
-
-    Accepts a bare number (MB) or a number with a ``MB``/``GB`` suffix.
-
-    >>> parse_size_mb("150000")
-    150000.0
-    >>> parse_size_mb("16 GB")
-    16000.0
-    """
-    cleaned = text.strip().upper().replace(" ", "")
-    if cleaned.endswith("GB"):
-        return float(cleaned[:-2]) * GB
-    if cleaned.endswith("MB"):
-        return float(cleaned[:-2]) * MB
-    return float(cleaned)
-
-
-def format_size_mb(size_mb: float) -> str:
-    """Human-readable size.
-
-    >>> format_size_mb(150000)
-    '150.0GB'
-    >>> format_size_mb(512)
-    '512MB'
-    """
-    if size_mb >= GB:
-        return f"{size_mb / GB:.1f}GB"
-    return f"{size_mb:.0f}MB"

@@ -119,14 +119,6 @@ class WindowsDeployTool:
         except StorageError as exc:
             raise DeploymentError(f"{node.name}: reimage failed: {exc}") from exc
 
-    # -- templates --------------------------------------------------------------
-
-    def apply_template(self, template) -> None:
-        """Install a :class:`~repro.winhpc.templates.NodeTemplate`'s
-        partitioning script into the share (what selecting a template in
-        the cluster manager GUI does)."""
-        self.share.write_diskpart(template.diskpart_script)
-
     # -- scheduler wiring ----------------------------------------------------
 
     def attach_node_manager(self, node: ComputeNode) -> None:

@@ -73,22 +73,10 @@ class WinHpcJob:
     interrupted_at: Optional[float] = None
 
     @property
-    def required_cores_per_node(self) -> Optional[int]:
-        """For NODE-unit jobs the whole node is claimed; ``None`` here means
-        "all cores of whatever node is chosen"."""
-        return None if self.unit is WinJobUnit.NODE else 1
-
-    @property
     def wait_time_s(self) -> Optional[float]:
         if self.start_time is None:
             return None
         return self.start_time - self.submit_time
-
-    @property
-    def turnaround_s(self) -> Optional[float]:
-        if self.end_time is None:
-            return None
-        return self.end_time - self.submit_time
 
     def total_allocated_cores(self) -> int:
         return sum(self.allocation.values())

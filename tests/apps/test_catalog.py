@@ -2,17 +2,10 @@
 
 import pytest
 
-from repro.apps import (
-    TABLE_I,
-    app_by_name,
-    linux_only,
-    multi_platform,
-    render_table1,
-    supported_on,
-    windows_only,
-)
+from repro.apps import TABLE_I, app_by_name, supported_on
 from repro.apps.application import Application, make_job_request
 from repro.errors import ConfigurationError
+from repro.experiments import table1
 from repro.simkernel.rng import RngStreams
 
 
@@ -21,11 +14,12 @@ def test_catalog_has_15_rows():
 
 
 def test_platform_split_matches_paper():
-    assert len(linux_only()) == 10
-    assert {a.name for a in windows_only()} == {"Backburner", "Opera"}
-    assert {a.name for a in multi_platform()} == {
-        "COMSOL", "ANSYS FLUENT", "MATLAB",
-    }
+    def coded(code):
+        return {a.name for a in TABLE_I if a.platform_code == code}
+
+    assert len(coded("L")) == 10
+    assert coded("W") == {"Backburner", "Opera"}
+    assert coded("W&L") == {"COMSOL", "ANSYS FLUENT", "MATLAB"}
 
 
 def test_supported_on_counts():
@@ -51,8 +45,8 @@ def test_descriptions_from_paper():
     assert "3ds Max" in app_by_name("Backburner").description
 
 
-def test_render_table1_contains_all_rows():
-    text = render_table1()
+def test_table1_experiment_renders_every_row():
+    text = table1.run().tables[0].render()
     for app in TABLE_I:
         assert app.name in text
     assert "W&L" in text and "Table I" in text

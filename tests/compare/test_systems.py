@@ -105,7 +105,7 @@ def test_runner_drains_after_horizon():
     # the last job arrives at the very end and runs past the horizon
     jobs = [WorkloadJob("late", "linux", 4, 1800.0, 3590.0)]
     system = StaticSplitSystem(num_nodes=2, windows_nodes=0, seed=1)
-    result = run_scenario(system, jobs, horizon_s=3600.0, drain=True)
+    result = run_scenario(system, jobs, horizon_s=3600.0)
     assert result.completed == 1
     assert result.makespan_s is not None
 
@@ -113,9 +113,8 @@ def test_runner_drains_after_horizon():
 def test_runner_no_drain_leaves_job_running():
     jobs = [WorkloadJob("late", "linux", 4, 7200.0, 3590.0)]
     system = StaticSplitSystem(num_nodes=2, windows_nodes=0, seed=1)
-    result = run_scenario(system, jobs, horizon_s=3600.0, drain=False)
+    result = run_scenario(system, jobs, horizon_s=3600.0, drain_limit_s=None)
     assert result.completed == 0
-    assert result.completion_rate == 0.0
 
 
 def test_same_trace_same_results():

@@ -10,7 +10,6 @@ from repro.core.bootcontrol import (
     switch_grub_default,
 )
 from repro.core.switchjob import (
-    pbs_switch_jobspec,
     pbs_switch_script_v1,
     pbs_switch_script_v2,
     windows_switch_bat_v1,
@@ -18,6 +17,8 @@ from repro.core.switchjob import (
 )
 from repro.errors import MiddlewareError
 from repro.oslayer import OSInstance
+from repro.pbs import PbsServer
+from repro.simkernel import Simulator
 from repro.storage import Filesystem, FsType
 from tests.conftest import CONTROLMENU_FIG3
 
@@ -116,7 +117,10 @@ def test_invalid_targets_rejected():
 
 
 def test_switch_jobspec_books_full_node_and_tagged():
-    spec = pbs_switch_jobspec(pbs_switch_script_v1("windows"))
+    pbs = PbsServer(Simulator())
+    pbs.create_node("enode01", np=4)
+    spec = pbs.jobs[pbs.submit_switch_job(pbs_switch_script_v1("windows"),
+                                          owner="sliang")]
     assert (spec.nodes, spec.ppn) == (1, 4)
     assert spec.name == "release_1_node"
     assert not spec.rerunnable

@@ -113,7 +113,7 @@ def test_handle_windows_stuck_issues_pbs_switch_jobs(rig):
     )
     assert decision.target_os == "windows"
     assert decision.num_nodes == 2  # 8 cpus / 4 per node
-    assert orders.pending_to_windows() == 2
+    assert orders.in_flight("windows") == 2
     assert controller.current_target() == "windows"
     switch_jobs = [j for j in pbs.jobs.values() if j.tag == "os-switch"]
     assert len(switch_jobs) == 2
@@ -126,7 +126,7 @@ def test_pending_switches_prevent_double_issue(rig):
     linux.handle(wire)
     decision = linux.handle(wire)  # next cycle, switches still pending
     assert not decision.is_switch
-    assert orders.pending_to_windows() == 2  # unchanged
+    assert orders.in_flight("windows") == 2  # unchanged
 
 
 def test_handle_linux_stuck_issues_winhpc_switch_jobs(rig):
@@ -141,7 +141,7 @@ def test_handle_linux_stuck_issues_winhpc_switch_jobs(rig):
     decision = linux.handle("00000none")
     assert decision.target_os == "linux"
     assert decision.num_nodes == 1
-    assert orders.pending_to_linux() == 1
+    assert orders.in_flight("linux") == 1
     assert controller.current_target() == "linux"
     switch_jobs = [j for j in winhpc.jobs.values() if j.tag == "os-switch"]
     assert len(switch_jobs) == 1

@@ -19,6 +19,7 @@ from repro.health import HealthState, HeartbeatMonitor
 from repro.sched import JobRequest
 from repro.simkernel import MINUTE, Simulator
 from repro.trace.events import ELASTIC_DECISION
+from tests.conftest import PoweredStub
 
 
 def build(num_nodes=4, **policy_kw):
@@ -207,7 +208,7 @@ def test_unhealthy_nodes_are_not_suspend_candidates():
     monitor = HeartbeatMonitor(
         clock, beat_s=60.0, suspect_misses=2, fence_misses=5
     )
-    beacon = SimpleNamespace(name="enode04", state=NodeState.UP)
+    beacon = PoweredStub("enode04", NodeState.UP)
     monitor.watch(beacon)
     monitor.agent_up(beacon.name)
     monitor.start()

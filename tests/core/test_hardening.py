@@ -271,13 +271,11 @@ def test_expire_fails_overdue_orders_and_frees_in_flight(rig):
 
 
 def test_expire_cancels_a_still_queued_switch_job(rig):
-    from repro.core.switchjob import pbs_switch_jobspec
-
     sim, _, pbs, _, orders, linux, *_ = rig
     # occupy every donor node so a switch job queues instead of starting
     pbs.qsub(JobSpec(name="busy", nodes=4, ppn=4, runtime_s=HOUR))
     script = orders.controller.linux_switch_script("windows")
-    jobid = pbs.qsub(pbs_switch_jobspec(script), owner="sliang")
+    jobid = pbs.submit_switch_job(script, owner="sliang")
     orders._record("windows", jobid)
     assert pbs.jobs[jobid].state is JobState.QUEUED
     sim.run(until=16 * MINUTE)
@@ -291,24 +289,6 @@ def test_order_timeout_validation(rig):
     _, _, pbs, winhpc, orders, *_ = rig
     with pytest.raises(MiddlewareError):
         SwitchOrders(pbs, winhpc, orders.controller, order_timeout_s=0)
-
-
-def test_pending_to_linux_uses_enum_states(rig):
-    """The WinHPC scan must track Queued AND Running switch jobs via the
-    enum (the old raw-string compare was fragile)."""
-    _, _, pbs, winhpc, orders, linux, *_ = rig
-    for host in list(pbs.nodes):
-        pbs.node_down(host)
-    pbs.qsub(JobSpec(name="md", nodes=1, ppn=4, runtime_s=60.0))
-    for i in range(1, 5):
-        winhpc.node_online(f"enode{i:02d}")
-    linux.handle("00000none")
-    assert orders.pending_to_linux() == 1
-    job = [j for j in winhpc.jobs.values() if j.tag == "os-switch"][0]
-    assert job.state in (WinJobState.QUEUED, WinJobState.RUNNING)
-
-
-# -- integration: crash/restart + watchdog through the full middleware --------
 
 
 def deployed(**kw):

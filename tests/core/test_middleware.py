@@ -69,6 +69,26 @@ def test_oversized_split_rejected(windows, burst):
         hybrid.deploy()
 
 
+@pytest.mark.parametrize("version, config_version", [(1, 2), (2, 1)])
+def test_version_contradicting_the_config_rejected(version, config_version):
+    with pytest.raises(MiddlewareError, match="contradicts"):
+        build_hybrid_cluster(
+            num_nodes=2, version=version,
+            config=MiddlewareConfig(version=config_version),
+        )
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_version_defaults_to_the_configs(version):
+    config = MiddlewareConfig(version=version)
+    assert build_hybrid_cluster(num_nodes=2, config=config).version == version
+    assert build_hybrid_cluster(
+        num_nodes=2, version=version, config=config
+    ).version == version
+    assert build_hybrid_cluster(num_nodes=2, version=version).version == version
+    assert build_hybrid_cluster(num_nodes=2).version == 2
+
+
 @pytest.mark.parametrize("version", [1, 2])
 def test_windows_demand_triggers_switch(version):
     hybrid = deployed(version)

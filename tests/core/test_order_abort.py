@@ -10,7 +10,7 @@ import pytest
 from repro.core.communicator import SwitchOrders
 from repro.core.controller import DualBootMenuSpec
 from repro.core.controller_v2 import ControllerV2
-from repro.core.switchjob import OrderState, pbs_switch_jobspec
+from repro.core.switchjob import OrderState
 from repro.netsvc import DhcpServer, TftpServer
 from repro.pbs import PbsServer
 from repro.simkernel import MINUTE, Simulator
@@ -40,7 +40,7 @@ def rig():
 
 def issue_to_windows(pbs, orders):
     script = orders.controller.linux_switch_script("windows")
-    jobid = pbs.qsub(pbs_switch_jobspec(script), owner="sliang")
+    jobid = pbs.submit_switch_job(script, owner="sliang")
     orders._record("windows", jobid)
     return jobid
 

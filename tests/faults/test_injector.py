@@ -255,7 +255,15 @@ def test_missing_handles_rejected(lan):
         )
 
 
-def test_double_arm_rejected_and_disarm_removes_tap(lan):
+def test_another_simulations_tracer_rejected(lan):
+    sim, net, _, _ = lan
+    with pytest.raises(ConfigurationError, match="sim.tracer"):
+        FaultInjector(
+            sim, net, RngStreams(0), FaultPlan(), tracer=Simulator().tracer,
+        )
+
+
+def test_double_arm_rejected(lan):
     sim, net, a, inbox = lan
     env = types.SimpleNamespace(hang_hook=None)
     plan = FaultPlan(
@@ -266,8 +274,3 @@ def test_double_arm_rejected_and_disarm_removes_tap(lan):
     injector.arm()
     with pytest.raises(ConfigurationError):
         injector.arm()
-    injector.disarm()
-    assert env.hang_hook is None
-    a.send("b", 5800, "x")
-    sim.run()
-    assert drain(inbox) == ["x"]  # loss tap is gone

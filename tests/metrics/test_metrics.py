@@ -17,7 +17,7 @@ from repro.metrics.utilization import (
     cluster_utilization,
     utilization_timeline,
 )
-from repro.metrics.waittime import makespan, turnaround_stats
+from repro.metrics.waittime import makespan
 
 
 def record(name="j", cores=4, submit=0.0, start=None, end=None, scheduler="pbs"):
@@ -93,14 +93,11 @@ def test_wait_stats_empty():
     assert wait_stats([]) == WaitStats.empty()
 
 
-def test_turnaround_and_makespan():
+def test_makespan():
     jobs = [
         record(submit=0.0, start=5.0, end=50.0),
         record(submit=10.0, start=20.0, end=90.0),
     ]
-    stats = turnaround_stats(jobs)
-    assert stats.count == 2
-    assert stats.mean == (50.0 + 80.0) / 2
     assert makespan(jobs) == 90.0
     assert makespan([record()]) is None
 
@@ -130,7 +127,3 @@ def test_effort_ledger():
     assert ledger.count() == 3
     assert ledger.count("edit-script") == 2
     assert ledger.by_category() == {"edit-script": 2, "fix-mbr": 1}
-    other = AdminEffortLedger()
-    other.record("reinstall-other-os", "w")
-    ledger.merge(other)
-    assert ledger.count() == 4

@@ -70,9 +70,9 @@ def test_switch_jobs_excluded_from_workload_selection(run):
     assert "release_1_node" in all_names
 
 
-def test_jobs_for_scheduler_filter(run):
-    assert {r.name for r in run.recorder.jobs_for("pbs")} == {"md"}
-    assert {r.name for r in run.recorder.jobs_for("winhpc")} == {"render"}
+def test_records_carry_their_scheduler(run):
+    by_scheduler = {r.name: r.scheduler for r in run.recorder.workload_jobs()}
+    assert by_scheduler == {"md": "pbs", "render": "winhpc"}
 
 
 def test_usable_core_seconds_split_by_os(run):

@@ -39,16 +39,14 @@ def test_lease_is_stable_until_released():
     assert dhcp.active_leases == 0
 
 
-def test_bootfile_default_and_override():
+def test_bootfile_default():
     dhcp = DhcpServer(next_server="linhead", default_bootfile="/grldr")
-    dhcp.set_bootfile("aa:bb:cc:dd:ee:02", "/pxelinux.0")
     a = dhcp.discover("aa:bb:cc:dd:ee:01")
-    b = dhcp.discover("aa:bb:cc:dd:ee:02")
     assert (a.next_server, a.bootfile) == ("linhead", "/grldr")
-    assert b.bootfile == "/pxelinux.0"
-    dhcp.clear_bootfile("aa:bb:cc:dd:ee:02")
-    dhcp.release("aa:bb:cc:dd:ee:02")
-    assert dhcp.discover("aa:bb:cc:dd:ee:02").bootfile == "/grldr"
+    # a lease taken after the default changes carries the new ROM
+    dhcp.default_bootfile = "/pxelinux.0"
+    dhcp.release("aa:bb:cc:dd:ee:01")
+    assert dhcp.discover("aa:bb:cc:dd:ee:01").bootfile == "/pxelinux.0"
 
 
 def test_disabled_dhcp_offers_nothing():

@@ -100,13 +100,6 @@ def test_double_bind_rejected(net):
         b.listen(7)
 
 
-def test_close_listener_allows_rebind(net):
-    b = net.register("b")
-    listener = b.listen(7)
-    net.close_listener(listener)
-    b.listen(7)  # no error
-
-
 def test_drops_counted_by_reason(sim, net):
     a = net.register("a")
     b = net.register("b")
@@ -166,19 +159,6 @@ def test_tap_can_rewrite_payload(sim, net):
     a.send("b", 1, "clean")
     sim.run()
     assert inbox.try_get().payload == "mangled"
-
-
-def test_remove_tap(sim, net):
-    a = net.register("a")
-    b = net.register("b")
-    inbox = b.listen(1)
-    tap = lambda m: DeliveryVerdict(drop=True)  # noqa: E731
-    net.add_tap(tap)
-    net.remove_tap(tap)
-    net.remove_tap(tap)  # no-op on absent tap
-    a.send("b", 1, "x")
-    sim.run()
-    assert inbox.try_get().payload == "x"
 
 
 def test_blocking_receive_in_process(sim, net):

@@ -48,7 +48,6 @@ def test_job_runs_and_completes(sim, server):
     assert job.exit_status == 0
     assert job.end_time == 50.0
     assert job.wait_time_s == 0.0
-    assert job.turnaround_s == 50.0
 
 
 def test_allocation_prefers_highest_node(server):

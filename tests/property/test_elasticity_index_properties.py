@@ -29,17 +29,8 @@ from repro.pbs.job import JobState
 from repro.sched import JobRequest
 from repro.sched.protocol import SWITCH_JOB_NAME, SWITCH_TAG
 from repro.simkernel import MINUTE
-from repro.slurm.job import SlurmJobState
-from repro.winhpc.job import WinJobState
 
 NUM_NODES = 5
-
-#: job states the old ``pending_switch_jobs`` scans counted as alive
-ACTIVE = {
-    "pbs": (JobState.QUEUED, JobState.RUNNING),
-    "winhpc": (WinJobState.QUEUED, WinJobState.RUNNING),
-    "slurm": (SlurmJobState.PENDING, SlurmJobState.RUNNING),
-}
 
 
 # -- the linear scans the manager used to run ---------------------------------
@@ -117,11 +108,6 @@ def assert_scheduler_matches(cluster, scheduler):
     )
     assert sorted(switch.running) == sorted(
         native_id(j) for j in running if is_switch(j)
-    )
-    assert scheduler.pending_switch_jobs() == sum(
-        1
-        for job in scheduler.jobs.values()
-        if job.tag == SWITCH_TAG and job.state in ACTIVE[scheduler.kind]
     )
 
 

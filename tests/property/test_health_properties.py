@@ -74,7 +74,6 @@ def test_loss_and_jitter_never_fence_a_healthy_node(
     health = hybrid.health
     assert health is not None
     assert health.fences == 0
-    assert health.fenced_nodes() == []
     for node in hybrid.cluster.compute_nodes:
         assert health.health(node.name).state is not HealthState.FENCED
     # and nobody's jobs were evicted by a phantom fence

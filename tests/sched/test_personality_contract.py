@@ -13,6 +13,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.pbs.job import JobState
+from repro.pbs.nodes import PbsNodeState
+from repro.pbs.server import KILLED_EXIT_STATUS
 from repro.sched import (
     SCHEDULER_KINDS,
     JobRequest,
@@ -21,9 +24,31 @@ from repro.sched import (
     create_scheduler,
 )
 from repro.simkernel import Simulator
+from repro.slurm.job import SlurmJobState
+from repro.slurm.nodestate import SlurmNodeState
+from repro.winhpc.job import WinJobState
+from repro.winhpc.nodestate import WinNodeState
 
 NUM_NODES = 3
 CORES = 4
+
+#: How each personality records, in its own vocabulary, a job that a
+#: fence killed, a fenced node and a cordoned node.
+KILLED = {
+    "pbs": (JobState.COMPLETED, KILLED_EXIT_STATUS),
+    "winhpc": WinJobState.FAILED,
+    "slurm": SlurmJobState.FAILED,
+}
+FENCED_NODE = {
+    "pbs": PbsNodeState.DOWN,
+    "winhpc": WinNodeState.UNREACHABLE,
+    "slurm": SlurmNodeState.DOWN,
+}
+CORDONED_NODE = {
+    "pbs": PbsNodeState.OFFLINE,
+    "winhpc": WinNodeState.DRAINING,
+    "slurm": SlurmNodeState.DRAIN,
+}
 
 
 def build(kind, num_nodes=NUM_NODES, cores=CORES, os_instance=None):
@@ -83,6 +108,13 @@ def is_queued(scheduler, job):
 
 def ids(jobids):
     return [str(jobid) for jobid in jobids]
+
+
+def native_end(scheduler, job):
+    """The job's terminal record as its own scheduler keeps it."""
+    if scheduler.kind == "pbs":
+        return job.state, job.exit_status
+    return job.state
 
 
 @pytest.fixture(params=SCHEDULER_KINDS)
@@ -167,52 +199,50 @@ def test_cordon_blocks_and_uncordon_starts(kind):
     assert list(job.allocation_by_host()) == ["n02"]
 
 
-def test_drain_returns_the_running_jobids(kind):
-    _, scheduler, _ = build(kind)
-    jobid = scheduler.submit_request(
-        JobRequest(name="victim", cores=CORES, runtime_s=600.0)
-    )
-    host = next(iter(scheduler.get_job(jobid).allocation_by_host()))
-    drained = scheduler.drain_node(host)
-    assert [str(j) for j in drained] == [jobid]
-    # drain cordons but does not evict
-    assert [j.name for j in scheduler.running_jobs()] == ["victim"]
-    assert not scheduler.node_idle(host)
-
-
 def test_fence_requeues_rerunnable_work(kind):
     sim, scheduler, node_events = build(kind)
     jobid = scheduler.submit_request(
         JobRequest(name="movable", cores=CORES, runtime_s=60.0)
     )
-    host = next(iter(scheduler.get_job(jobid).allocation_by_host()))
+    job = scheduler.get_job(jobid)
+    host = next(iter(job.allocation_by_host()))
+    sim.run(until=30.0)
 
     out = scheduler.fence_node(host, cause="contract test")
     assert [str(j) for j in out["requeued"]] == [jobid]
     assert out["failed"] == []
     assert scheduler.online_node_count() == NUM_NODES - 1
+    assert scheduler.node(host).state is FENCED_NODE[kind]
+    assert scheduler.requeues == 1
+    assert job.restarts == 1
+    assert job.lost_work_s == 30.0  # no checkpointing: all progress lost
     # the loss was reported to node observers
     assert node_events[-1][1] == host
     assert node_events[-1][0] != scheduler.join_event
 
-    # the survivor fleet reruns the job to completion
-    job = scheduler.get_job(jobid)
+    # the survivor fleet reruns the job from scratch to completion
     sim.run()
-    assert job.end_time is not None
+    assert job.end_time == 90.0
     assert host not in job.allocation_by_host()
 
 
 def test_fence_fails_non_rerunnable_work(kind):
-    _, scheduler, _ = build(kind)
+    sim, scheduler, _ = build(kind)
     jobid = scheduler.submit_request(
         JobRequest(name="pinned", cores=CORES, runtime_s=600.0,
                    rerunnable=False)
     )
-    host = next(iter(scheduler.get_job(jobid).allocation_by_host()))
+    job = scheduler.get_job(jobid)
+    host = next(iter(job.allocation_by_host()))
     out = scheduler.fence_node(host, cause="contract test")
     assert out["requeued"] == []
     assert [str(j) for j in out["failed"]] == [jobid]
     assert scheduler.running_jobs() == []
+    assert native_end(scheduler, job) == KILLED[kind]
+    assert job.restarts == 0
+    assert scheduler.jobs_failed_on_fence == 1
+    sim.run()
+    assert native_end(scheduler, job) == KILLED[kind]  # nothing resurrects it
 
 
 def test_switch_jobs_are_tracked_and_cancellable(kind):
@@ -222,7 +252,7 @@ def test_switch_jobs_are_tracked_and_cancellable(kind):
         if kind == "pbs"
         else "shutdown /r /t 0\n"
     )
-    assert scheduler.pending_switch_jobs() == 0
+    assert len(scheduler.switch_jobs.queued) == 0
     # fill the fleet so the switch job queues (cancel_if_queued contract)
     for i in range(NUM_NODES):
         scheduler.submit_request(
@@ -230,11 +260,11 @@ def test_switch_jobs_are_tracked_and_cancellable(kind):
         )
     jobid = scheduler.submit_switch_job(script, owner="contract")
     assert isinstance(jobid, str)
-    assert scheduler.pending_switch_jobs() == 1
+    assert len(scheduler.switch_jobs.queued) == 1
     # switch jobs are control-plane traffic, not workload
     assert all(j.name != "release_1_node" for j in scheduler.running_jobs())
     assert scheduler.cancel_if_queued(jobid) is True
-    assert scheduler.pending_switch_jobs() == 0
+    assert len(scheduler.switch_jobs.queued) == 0
     assert scheduler.cancel_if_queued(jobid) is False
 
 
@@ -261,6 +291,7 @@ def test_retry_budget_exhaustion_fails_the_job(kind):
     assert is_running(scheduler, job)  # rerunning on a surviving node
     out = scheduler.fence_node(host_of(job))
     assert out["requeued"] == [] and ids(out["failed"]) == [jobid]
+    assert native_end(scheduler, job) == KILLED[kind]
     assert job.restarts == 1
     assert job.end_time == 20.0
     assert scheduler.requeues == 1
@@ -277,9 +308,14 @@ def test_checkpoint_interval_credits_durable_work(kind):
     # floor(70/30)*30 = 60s durable, 10s lost
     assert job.checkpointed_s == 60.0
     assert job.lost_work_s == 10.0
+    sim.run(until=75.0)
+    # 5s into the rerun: no whole interval more, the credit stays 60s
+    scheduler.fence_node(host_of(job))
+    assert job.checkpointed_s == 60.0
+    assert job.lost_work_s == 15.0
     sim.run()
-    # the second run only needs the remaining 40s: 70 + 40
-    assert job.end_time == 110.0
+    # the third run only needs the remaining 40s: 75 + 40
+    assert job.end_time == 115.0
 
 
 def test_checkpoint_credit_is_capped_at_the_runtime_owed(kind):
@@ -326,6 +362,7 @@ def test_cordon_drains_without_killing(kind):
     jobid, job = submit(scheduler)
     host = host_of(job)
     scheduler.cordon_node(host)
+    assert scheduler.node(host).state is CORDONED_NODE[kind]
     assert is_running(scheduler, job)  # running work is untouched
     # a job wanting every node cannot start while one is cordoned
     big = scheduler.get_job(scheduler.submit_request(

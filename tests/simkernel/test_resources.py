@@ -1,55 +1,13 @@
-"""Unit tests for Resource and Store primitives."""
+"""Unit tests for the Store primitive."""
 
 import pytest
 
-from repro.simkernel import Resource, Simulator, Store, Timeout
+from repro.simkernel import Simulator, Store
 
 
 @pytest.fixture()
 def sim():
     return Simulator()
-
-
-def test_resource_grants_up_to_capacity(sim):
-    res = Resource(sim, capacity=2)
-    g1, g2, g3 = res.request(), res.request(), res.request()
-    sim.run()
-    assert g1.triggered and g2.triggered
-    assert not g3.triggered
-    assert res.in_use == 2
-    assert res.available == 0
-    assert res.queue_length == 1
-
-
-def test_resource_release_wakes_fifo(sim):
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def user(name, hold):
-        grant = res.request()
-        yield grant
-        order.append(("start", name, sim.now))
-        yield Timeout(hold)
-        res.release()
-        order.append(("end", name, sim.now))
-
-    sim.spawn(user("a", 2))
-    sim.spawn(user("b", 2))
-    sim.spawn(user("c", 2))
-    sim.run()
-    starts = [(n, t) for kind, n, t in order if kind == "start"]
-    assert starts == [("a", 0.0), ("b", 2.0), ("c", 4.0)]
-
-
-def test_resource_release_without_grant_raises(sim):
-    res = Resource(sim, capacity=1)
-    with pytest.raises(RuntimeError):
-        res.release()
-
-
-def test_resource_capacity_validation(sim):
-    with pytest.raises(ValueError):
-        Resource(sim, capacity=0)
 
 
 def test_store_put_then_get(sim):

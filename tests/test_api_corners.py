@@ -8,7 +8,7 @@ from repro.pbs import JobSpec, PbsServer
 from repro.pbs.formats import render_pbsnodes_entry, render_qstat_full_entry
 from repro.pbs.scheduler import schedulable_backlog
 from repro.simkernel import Simulator
-from repro.simkernel.timeunits import format_clock, format_duration
+from repro.simkernel.timeunits import format_duration
 
 
 def test_default_config_path():
@@ -25,12 +25,6 @@ def test_standalone_menu_lst_boots_directly():
     assert entry.title.endswith("-linux")
     assert entry.first("root") == "(hd0,1)"
     assert "root=/dev/sda6" in entry.first("kernel")
-
-
-def test_format_clock():
-    assert format_clock(0) == "00:00:00"
-    assert format_clock(3661) == "01:01:01"
-    assert format_clock(25 * 3600) == "01:00:00"  # wraps past midnight
 
 
 def test_format_duration_negative():

@@ -1,0 +1,182 @@
+"""Every function, method and class in ``src/repro`` is reached by something
+that ships.
+
+A name counts as reached when any Python file under ``src/``, ``benchmarks/``
+or ``examples/`` uses it: as a bare name, as an attribute, or inside a string
+(``getattr`` targets, span entry points).  Neither its own definition, nor a
+docstring, nor a re-export from an ``__init__.py`` counts.  The scan works on
+names alone, so it can only find dead code, never prove code live; a name
+that only tests reach is dead code with a test attached, and belongs under
+``tests/`` or nowhere.
+
+The linter package (``repro.analysis``) is left out: its rules and visitors
+are reached through a registry and AST dispatch this scan cannot follow.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+from typing import Dict, Iterator, List, Set, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "repro"
+SHIPPED = [ROOT / "src", ROOT / "benchmarks", ROOT / "examples"]
+EXCLUDED = PACKAGE / "analysis"
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# Names reached by dispatch on a name pattern, not by a reference.
+DISPATCHED = re.compile(r"^(__\w+__|check_\w+|_cmd_\w+)$")
+
+# Unreached on purpose, each with the reason it stays.
+KEPT: Dict[str, str] = {
+    # reference oracles that equivalence tests hold the fast paths to
+    "node_idle": "per-node oracle for the kept idle counts",
+    "get_job_list": "WinHPC SDK oracle of the detector property tests",
+    "squeue": "SLURM text listing, the oracle of the detector property tests",
+    "squeue_report": "parser of that listing, the same oracle",
+    "schedulable_backlog": "FCFS backlog query and its reference scan, held "
+                           "equal by the index property tests",
+    # inspection helpers that several tests read
+    "has_host": "DHCP/DNS inspection helper read by tests",
+    "file_count": "filesystem inspection helper read by tests",
+    "overlaps": "partition-table inspection helper read by tests",
+    "entry_for": "GRUB menu inspection helper read by tests",
+    "is_stock": "bootloader inspection helper read by tests",
+    "dead_entries": "GRUB menu inspection helper read by tests",
+    "uncordon_node": "inverse of cordon_node, exercised by the contract battery",
+    "pending_issues": "order-queue inspection helper read by tests",
+    "active_leases": "DHCP inspection helper read by tests",
+    "app_by_name": "Table I lookup read by the catalog and MDCS tests",
+    "trace_exports": "label -> export map the determinism and equivalence "
+                     "tests compare",
+    "usable_core_seconds": "per-OS capacity integral the recorder tests read",
+    "delete": "file removal the boot-chain tests use to break a disk",
+    "copy_tree_from": "whole-tree copy the filesystem tests read",
+    # what later roadmap items build on
+    "events_of": "trace query API the trace CLI builds on",
+    "events_with_prefix": "trace query API the trace CLI builds on",
+    "read_jsonl": "trace query API the trace CLI builds on",
+    "status_report": "cluster status view the trace CLI builds on",
+    "save_trace": "workload trace persistence scenario specs build on",
+    "load_trace": "workload trace persistence scenario specs build on",
+    "VirtualizedSystem": "baseline that docs/PAPER_MAP.md maps to a paper claim",
+}
+
+
+def _python_files(roots: List[Path]) -> Iterator[Path]:
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            if "__pycache__" not in path.parts:
+                yield path
+
+
+def _docstrings(tree: ast.AST) -> Set[int]:
+    """ids of the string constants that are docstrings."""
+    found: Set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, *DEFINITIONS)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                found.add(id(body[0].value))
+    return found
+
+
+def _reexports(tree: ast.Module) -> Set[int]:
+    """ids of the ``__all__`` strings of an ``__init__.py``."""
+    found: Set[int] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            found.update(id(n) for n in ast.walk(node.value))
+    return found
+
+
+class _References(ast.NodeVisitor):
+    """Collect the names a module uses.  A string inside a definition that
+    names that definition (its ``__repr__``, its error messages) does not
+    count: it would make every class that prints its own name reached."""
+
+    def __init__(self, skip: Set[int]) -> None:
+        self.skip = skip
+        self.enclosing: List[str] = []
+        self.names: Set[str] = set()
+
+    def _definition(
+        self, node: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef
+    ) -> None:
+        self.enclosing.append(node.name)
+        self.generic_visit(node)
+        self.enclosing.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self.names.add(node.id)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self.names.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        if isinstance(node.value, str) and id(node) not in self.skip:
+            self.names.update(
+                word for word in re.findall(r"[A-Za-z_]\w*", node.value)
+                if word not in self.enclosing
+            )
+
+
+def referenced_names() -> Set[str]:
+    names: Set[str] = set()
+    for path in _python_files(SHIPPED):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        skip = _docstrings(tree)
+        if path.name == "__init__.py":
+            skip |= _reexports(tree)
+        visitor = _References(skip)
+        visitor.visit(tree)
+        names |= visitor.names
+    return names
+
+
+def defined_names() -> List[Tuple[str, str]]:
+    """(name, ``file:line``) of every def and class in the package."""
+    found: List[Tuple[str, str]] = []
+    for path in _python_files([PACKAGE]):
+        if EXCLUDED in path.parents:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, DEFINITIONS):
+                where = f"{path.relative_to(ROOT)}:{node.lineno}"
+                found.append((node.name, where))
+    return found
+
+
+def test_every_definition_is_reached_by_shipped_code():
+    reached = referenced_names()
+    unreached = sorted(
+        f"{where} {name}"
+        for name, where in defined_names()
+        if name not in reached
+        and name not in KEPT
+        and not DISPATCHED.match(name)
+    )
+    assert not unreached, (
+        "defined in src/repro but used by nothing in src/, benchmarks/ or "
+        "examples/ (delete it, or add it to KEPT with a reason):\n  "
+        + "\n  ".join(unreached)
+    )
+
+
+def test_every_kept_name_is_still_defined_and_still_unreached():
+    defined = {name for name, _ in defined_names()}
+    reached = referenced_names()
+    stale = sorted(name for name in KEPT
+                   if name not in defined or name in reached)
+    assert not stale, f"KEPT entries no longer needed: {stale}"

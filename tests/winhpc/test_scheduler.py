@@ -44,7 +44,6 @@ def test_core_job_runs_and_finishes(sim, scheduler):
     assert job.state is WinJobState.FINISHED
     assert job.end_time == 60.0
     assert job.wait_time_s == 0.0
-    assert job.turnaround_s == 60.0
 
 
 def test_core_jobs_pack_busiest_first(sim, scheduler):
