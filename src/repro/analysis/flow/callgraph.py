@@ -14,7 +14,8 @@ Edge kinds, from strongest to weakest evidence:
     x.observers: cb(...)`` loop gets edges to every callable the project
     registers on an attribute of that name (``.append`` sites).  This is
     how ``PbsServer._notify`` reaches the energy meter and the metrics
-    recorder without any static type linking them.
+    recorder without any static type linking them.  A node hook table is
+    the same seam, keyed ``hooks.<kind>`` (``hooks.register(kind, cb)``).
 ``cha``
     class-hierarchy-analysis fallback: an attribute call on an untyped
     receiver links to every project function of that name.  Weak edges —
@@ -43,6 +44,11 @@ from repro.analysis.flow.symbols import (
 #: and called: ``observers``, ``node_observers``, ``on_fence``, ...
 def _is_observer_attr(attr: str) -> bool:
     return attr == "observers" or attr.endswith("_observers") or attr.startswith("on_")
+
+
+def _is_hook_table(expr: ast.expr) -> bool:
+    """``x.hooks`` or a local ``hooks``: a node hook table."""
+    return getattr(expr, "attr", getattr(expr, "id", None)) == "hooks"
 
 
 #: builtin/stdlib method names the CHA fallback never links — linking
@@ -98,9 +104,10 @@ class CallGraph:
     # -- observer registration scan ------------------------------------------
 
     def _scan_observer_registrations(self) -> Dict[str, List[str]]:
-        """Every ``<expr>.<observer-attr>.append(cb)`` site, project-wide.
+        """Every ``<expr>.<observer-attr>.append(cb)`` (key: the attr) and
+        ``<expr>.hooks.register("<kind>", cb)`` site, project-wide.
 
-        Returns attr name → sorted callable qualnames.  The receiver is
+        Returns key → sorted callable qualnames.  The receiver is
         intentionally ignored: observer lists are a pub/sub seam and the
         graph over-approximates by fanning a dispatch loop out to every
         callback registered *anywhere* under that attribute name.
@@ -110,18 +117,28 @@ class CallGraph:
             fn = self.symbols.functions[qualname]
             env = TypeEnv(self.symbols, fn)
             for node in ast.walk(fn.node):  # type: ignore[arg-type]
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "append"
-                    and isinstance(node.func.value, ast.Attribute)
-                    and _is_observer_attr(node.func.value.attr)
-                    and len(node.args) == 1
-                ):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                     continue
-                callback = self.resolve_callable(fn, env, node.args[0])
+                func, args = node.func, node.args
+                if (
+                    func.attr == "append"
+                    and isinstance(func.value, ast.Attribute)
+                    and _is_observer_attr(func.value.attr)
+                    and len(args) == 1
+                ):
+                    key = func.value.attr
+                elif (
+                    func.attr == "register"
+                    and _is_hook_table(func.value)
+                    and len(args) == 2
+                    and isinstance(args[0], ast.Constant)
+                ):
+                    key = f"hooks.{args[0].value}"
+                else:
+                    continue
+                callback = self.resolve_callable(fn, env, args[-1])
                 if callback is not None:
-                    registered.setdefault(node.func.value.attr, set()).add(callback)
+                    registered.setdefault(key, set()).add(callback)
         return {attr: sorted(names) for attr, names in sorted(registered.items())}
 
     def resolve_callable(
@@ -166,9 +183,11 @@ class CallGraph:
                 isinstance(node, ast.For)
                 and isinstance(node.target, ast.Name)
                 and isinstance(node.iter, ast.Attribute)
-                and _is_observer_attr(node.iter.attr)
             ):
-                out[node.target.id] = node.iter.attr
+                if _is_hook_table(node.iter.value):
+                    out[node.target.id] = f"hooks.{node.iter.attr}"
+                elif _is_observer_attr(node.iter.attr):
+                    out[node.target.id] = node.iter.attr
         return out
 
     def resolve_call(

@@ -24,11 +24,11 @@ defences:
 Every action (and every hold) is an ``elastic.decision`` trace event.
 
 An evaluation reads state kept as it changes, never a scan of the
-cluster: the manager keeps each side's UP nodes and each side's
-SUSPENDED nodes plus the DEPROVISIONED pool through the nodes'
-``on_power_state`` observers; idle nodes come from the scheduler's kept
-idle hosts, the health filter from the monitor's unhealthy names, and
-the queued workload from the scheduler's queue length and switch jobs.
+cluster: the manager keeps each side's UP and SUSPENDED nodes plus the
+DEPROVISIONED pool through one power-state observer in the cluster's
+hook table; idle nodes come from the scheduler's kept idle hosts, the
+health filter from the monitor's unhealthy names, and the queued
+workload from the scheduler's queue length and switch jobs.
 Suspend victims are the highest-named idle nodes; wakes take the
 lowest-named candidates first.
 """
@@ -137,7 +137,7 @@ class ElasticityManager:
         self._pool: Dict[str, Pool] = {}
         for node in cluster.compute_nodes:
             self._on_power_state(node, node.state, node.state)
-            node.on_power_state.append(self._on_power_state)
+        cluster.hooks.register("power_state", self._on_power_state)
 
     def _on_power_state(
         self, node: ComputeNode, old: NodeState, new: NodeState

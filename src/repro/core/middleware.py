@@ -167,9 +167,10 @@ class DualBootOscar:
         # node-failure resilience: checkpoint credit on requeue
         for scheduler in self.schedulers.values():
             scheduler.checkpoint_interval_s = config.checkpoint_interval_s
+        hooks = self.cluster.hooks
+        hooks.register("provisioners", self._dualboot_provisioner)
+        hooks.register("crash", self._on_node_crash)
         for node in self.cluster.compute_nodes:
-            node.provisioners.append(self._dualboot_provisioner)
-            node.on_crash.append(self._on_node_crash)
             self.health.watch(node)
             self.recorder.attach_node(node)
             self.energy.attach_node(node)
@@ -294,18 +295,18 @@ class DualBootOscar:
             register_bootcontrol(os_instance)
             os_instance.mkdir(f"/home/{PBS_USER}/reboot_log")
         if self.config.version == 2 and self.config.v2_per_mac_menus:
-
-            def flick(instance: OSInstance, args):
-                target = args[0]
-                self.controller.set_target_os(target, instance.context["node"])
-                return f"flag set to {target}"
-
             path = (
                 FLICK_BINARY_LINUX
                 if os_instance.kind == "linux"
                 else FLICK_BINARY_WINDOWS
             )
-            os_instance.register_binary(path, flick)
+            os_instance.register_binary(path, self._flick)
+
+    def _flick(self, os_instance: OSInstance, args: List[str]) -> str:
+        """The per-MAC flag binary a v2 switch job runs on its node."""
+        target = args[0]
+        self.controller.set_target_os(target, os_instance.context["node"])
+        return f"flag set to {target}"
 
     def _on_node_crash(self, node: ComputeNode) -> None:
         """Hardware crash hook: freeze the victim's jobs where they stand.

@@ -1,7 +1,7 @@
 """The cluster energy meter: watt histories integrated into joules.
 
-One :class:`EnergyMeter` watches every compute node's power-state
-transitions (via ``ComputeNode.on_power_state``) and both schedulers'
+One :class:`EnergyMeter` watches every metered node's power-state
+transitions (one callback in its cluster's hook table) and both schedulers'
 job observers (for busy-core counts), maintaining a per-node account of
 instantaneous watts.  Between changes the draw is constant, so the
 integral is an exact sum of ``watts × span`` rectangles — no sampling,
@@ -63,7 +63,7 @@ class EnergyMeter:
     # -- attachment ----------------------------------------------------------
 
     def attach_node(self, node: ComputeNode) -> None:
-        """Start metering *node* from its current state."""
+        """Start metering *node* from its current state (others are ignored)."""
         account = NodeEnergyAccount(
             name=node.name,
             state=node.state,
@@ -71,7 +71,7 @@ class EnergyMeter:
             last_change_t=self.sim.now,
         )
         self.accounts[node.name] = account
-        node.on_power_state.append(self._on_power_state)
+        node.hooks.register("power_state", self._on_power_state)
         self._emit_state(account)
 
     def attach_scheduler(self, personality: Any) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from repro.boot import Firmware, resolve_boot
 from repro.boot.chain import BootEnvironment
+from repro.core.bootcontrol import register_bootcontrol
 from repro.core.controller import DualBootMenuSpec
 from repro.core.controller_v1 import ControllerV1, redirect_menu_lst
 from repro.core.switchjob import pbs_switch_script_v1
@@ -17,6 +18,7 @@ from repro.hardware.nic import Nic, mac_for_index
 from repro.hardware.node import ComputeNode
 from repro.hardware.specs import INTEL_Q8200
 from repro.metrics.report import Table
+from repro.oslayer.base import OSInstance
 from repro.pbs.script import parse_pbs_script
 from repro.simkernel import Simulator
 from repro.simkernel.rng import RngStreams
@@ -54,6 +56,13 @@ def _build_v1_node(sim: Simulator, seed: int) -> ComputeNode:
     return node
 
 
+def _provision_bootcontrol(node: ComputeNode, os_instance: OSInstance) -> None:
+    """The dualboot-oscar provisioning the middleware would install."""
+    if os_instance.kind == "linux":
+        register_bootcontrol(os_instance)
+        os_instance.mkdir("/home/sliang/reboot_log")
+
+
 def run(seed: int = 0, quick: bool = False) -> ExperimentOutput:
     del quick
     output = ExperimentOutput(
@@ -81,15 +90,7 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentOutput:
         node.disk, Firmware.disk_first(), node.mac, BootEnvironment()
     )
 
-    # the dualboot-oscar provisioning the middleware would install
-    from repro.core.bootcontrol import register_bootcontrol
-
-    def provision(n, os_instance):
-        if os_instance.kind == "linux":
-            register_bootcontrol(os_instance)
-            os_instance.mkdir("/home/sliang/reboot_log")
-
-    node.provisioners.append(provision)
+    node.hooks.register("provisioners", _provision_bootcontrol)
 
     # execute the Figure-4 job body on the node's OS
     node.power_on()

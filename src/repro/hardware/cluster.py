@@ -13,13 +13,12 @@ power state machine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.boot.chain import BootEnvironment
 from repro.errors import ConfigurationError
 from repro.hardware.nic import Nic, mac_for_index
-from repro.hardware.node import ComputeNode
-from repro.hardware.power import RebootTimingModel
+from repro.hardware.node import ComputeNode, NodeHooks
 from repro.hardware.specs import INTEL_Q8200, HardwareSpec
 from repro.netsvc.network import Host, Network
 from repro.oslayer.base import OSInstance
@@ -78,6 +77,8 @@ class Cluster:
     linux_head: HeadNode
     windows_head: HeadNode
     compute_nodes: List[ComputeNode]
+    #: the observer table every compute node shares
+    hooks: NodeHooks
     env: BootEnvironment = field(default_factory=BootEnvironment)
 
     @property
@@ -104,9 +105,6 @@ def build_cluster(
     num_nodes: int = 16,
     seed: int = 0,
     spec: HardwareSpec = INTEL_Q8200,
-    timing: Optional[RebootTimingModel] = None,
-    linux_head_name: str = "eridani",
-    windows_head_name: str = "winhead",
 ) -> Cluster:
     """Assemble the simulated machine room (nothing deployed yet).
 
@@ -117,9 +115,10 @@ def build_cluster(
         raise ConfigurationError(f"need at least one node, got {num_nodes}")
     rng = RngStreams(seed)
     network = Network(sim)
-    linux_head = HeadNode(sim, linux_head_name, "linux", network)
-    windows_head = HeadNode(sim, windows_head_name, "windows", network)
+    linux_head = HeadNode(sim, "eridani", "linux", network)
+    windows_head = HeadNode(sim, "winhead", "windows", network)
     env = BootEnvironment()  # DHCP/TFTP attached by deployment
+    hooks = NodeHooks()
 
     nodes: List[ComputeNode] = []
     for i in range(1, num_nodes + 1):
@@ -130,7 +129,7 @@ def build_cluster(
             nic=Nic(mac_for_index(i)),
             rng=rng.spawn(f"node{i}"),
             env=env,
-            timing=timing,
+            hooks=hooks,
         )
         network.register(node.name)
         nodes.append(node)
@@ -142,5 +141,6 @@ def build_cluster(
         linux_head=linux_head,
         windows_head=windows_head,
         compute_nodes=nodes,
+        hooks=hooks,
         env=env,
     )

@@ -6,6 +6,9 @@ boot chain (:func:`repro.boot.chain.resolve_boot`) and then wait out the
 3–5 minutes the paper reports.  When the OS comes up, its services start —
 that is the moment a scheduler sees the node join its pool.
 
+Whatever watches a node (provisioners, meters, monitors) sits in the
+:class:`NodeHooks` table it shares with its cluster, once per component.
+
 Boot failures leave the node in ``FAILED`` with a recorded reason: this is
 the "bricked until an admin intervenes" state that the v1 deployment flow
 can produce (GRUB destroyed by a Windows reinstall) and experiment E4
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import BootError, MiddlewareError
-from repro.boot.chain import BootEnvironment, BootOutcome, resolve_boot
+from repro.boot.chain import BootEnvironment, resolve_boot
 from repro.boot.firmware import Firmware
 from repro.hardware.nic import Nic
 from repro.hardware.power import RebootTimingModel
@@ -70,18 +73,35 @@ class BootRecord:
         return self.finished_at - self.started_at
 
 
-# An OS factory builds the runtime for a successful boot outcome.
-OsFactory = Callable[["ComputeNode", BootOutcome], OSInstance]
-# A provisioner decorates a fresh OS instance (e.g. attaches pbs_mom).
-Provisioner = Callable[["ComputeNode", OSInstance], None]
+#: The runtime a successful boot brings up, by OS kind:
+#: ``factory(hostname, disk, root_partition)``.
+OS_FACTORIES: Dict[str, Callable[..., OSInstance]] = {
+    "linux": LinuxOS.from_disk,
+    "windows": WindowsOS.from_disk,
+}
 
 
-def _default_linux_factory(node: "ComputeNode", outcome: BootOutcome) -> OSInstance:
-    return LinuxOS.from_disk(node.name, node.disk, outcome.root_partition)
+class NodeHooks:
+    """The observers every compute node of a cluster shares (a node built
+    alone gets its own); each callback takes the node it fires for first."""
 
+    __slots__ = ("provisioners", "os_up", "os_down", "crash", "power_state")
 
-def _default_windows_factory(node: "ComputeNode", outcome: BootOutcome) -> OSInstance:
-    return WindowsOS.from_disk(node.name, node.disk, outcome.root_partition)
+    def __init__(self) -> None:
+        #: (node, os) before the fresh OS starts its services, e.g. pbs_mom
+        self.provisioners: List[Callable[["ComputeNode", OSInstance], None]] = []
+        self.os_up: List[Callable[["ComputeNode", OSInstance], None]] = []
+        self.os_down: List[Callable[["ComputeNode", OSInstance], None]] = []
+        self.crash: List[Callable[["ComputeNode"], None]] = []
+        #: (node, old, new) on every power-state transition
+        self.power_state: List[Callable[["ComputeNode", NodeState, NodeState], None]] = []
+
+    def register(self, kind: str, callback: Callable[..., None]) -> None:
+        """Append *callback* to the *kind* list, unless an equal one (the
+        same component's bound method) is already there."""
+        hooks = getattr(self, kind)
+        if callback not in hooks:
+            hooks.append(callback)
 
 
 class ComputeNode:
@@ -96,6 +116,7 @@ class ComputeNode:
         rng: RngStreams,
         env: Optional[BootEnvironment] = None,
         timing: Optional[RebootTimingModel] = None,
+        hooks: Optional[NodeHooks] = None,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -112,22 +133,8 @@ class ComputeNode:
         #: the RAM-resident OS image while SUSPENDED (lost on power cut)
         self._suspended_os: Optional[OSInstance] = None
         self.boot_records: List[BootRecord] = []
-        self.os_factories: Dict[str, OsFactory] = {
-            "linux": _default_linux_factory,
-            "windows": _default_windows_factory,
-        }
-        self.provisioners: List[Provisioner] = []
-        #: deployment hook: generator run when the node PXE-boots an
-        #: installer image (receives node, outcome; may yield waitables)
-        self.installer_handler = None
-        self.on_os_up: List[Callable[["ComputeNode", OSInstance], None]] = []
-        self.on_os_down: List[Callable[["ComputeNode", OSInstance], None]] = []
-        self.on_crash: List[Callable[["ComputeNode"], None]] = []
-        #: observers of every power-state transition (node, old, new) —
-        #: the energy meter integrates watts over these spans
-        self.on_power_state: List[
-            Callable[["ComputeNode", NodeState, NodeState], None]
-        ] = []
+        #: the observers this node shares with the rest of its cluster
+        self.hooks = hooks if hooks is not None else NodeHooks()
         self._reboot_requested = False
         self._power_process = None
         #: the simulator's trace, which power and boot events go to
@@ -290,19 +297,12 @@ class ComputeNode:
             if record.finished_at is None:
                 record.finished_at = self.sim.now
                 record.error = cause
-        if self.current_os is not None:
-            os_instance = self.current_os
-            # power loss: the OS dies without firing its service stop hooks
-            os_instance.running = False
-            self._trace("node.os_down", cause=cause, os=os_instance.kind)
-            for callback in self.on_os_down:
-                callback(self, os_instance)
-            self.current_os = None
+        self._shutdown_os(cause)
         self._suspended_os = None  # RAM does not survive a power cut
         self._set_state(NodeState.OFF)
         self._reboot_requested = False
         self._trace("node.crash", cause=cause)
-        for crash_callback in self.on_crash:
+        for crash_callback in self.hooks.crash:
             crash_callback(self)
         return True
 
@@ -335,7 +335,7 @@ class ComputeNode:
         if old_state is new_state:
             return
         self.state = new_state
-        for callback in self.on_power_state:
+        for callback in self.hooks.power_state:
             callback(self, old_state, new_state)
 
     def _suspend(self):
@@ -365,7 +365,7 @@ class ComputeNode:
             self._trace(
                 "power.resumed", os=os_instance.kind, duration_s=duration_s
             )
-            for callback in self.on_os_up:
+            for callback in self.hooks.os_up:
                 callback(self, os_instance)
 
     def _provision(self):
@@ -375,12 +375,17 @@ class ComputeNode:
         yield Timeout(duration_s)
         yield from self._boot(cold=True)
 
-    def _shutdown_os(self) -> None:
+    def _shutdown_os(self, crash_cause: Optional[str] = None) -> None:
+        """Take the OS down: an orderly stop, or with *crash_cause* a power
+        loss, in which the OS dies without firing its service stop hooks."""
         if self.current_os is not None:
             os_instance = self.current_os
-            os_instance.stop()
-            self._trace("node.os_down", os=os_instance.kind)
-            for callback in self.on_os_down:
+            if crash_cause is None:
+                os_instance.stop()
+            else:
+                os_instance.running = False
+            self._trace("node.os_down", cause=crash_cause, os=os_instance.kind)
+            for callback in self.hooks.os_down:
                 callback(self, os_instance)
             self.current_os = None
 
@@ -388,6 +393,13 @@ class ComputeNode:
         self._set_state(NodeState.SHUTTING_DOWN)
         self._shutdown_os()
         yield from self._boot(cold=False)
+
+    def _boot_failed(self, record: BootRecord, error: str) -> BootRecord:
+        self._set_state(NodeState.FAILED)
+        record.finished_at = self.sim.now
+        record.error = error
+        self._trace("boot.failed", cause=error)
+        return record
 
     def _boot(self, cold: bool):
         record = BootRecord(started_at=self.sim.now, cold=cold)
@@ -402,32 +414,16 @@ class ComputeNode:
             # the hang happens after POST; charge that much wall clock
             phases = self.timing.draw(self.rng, self.name, "linux", cold=cold)
             yield Timeout(phases.shutdown_s + phases.post_s)
-            self._set_state(NodeState.FAILED)
-            record.finished_at = self.sim.now
-            record.error = str(exc)
-            self._trace("boot.failed", cause=str(exc))
-            return record
+            return self._boot_failed(record, str(exc))
 
         record.via = outcome.via
         record.os_name = outcome.os_name
 
         if outcome.os_name == "installer":
-            if self.installer_handler is None:
-                self._set_state(NodeState.FAILED)
-                record.finished_at = self.sim.now
-                record.error = "installer boot with no deployment in progress"
-                self._trace("boot.failed", cause=record.error)
-                return record
-            phases = self.timing.draw(
-                self.rng, self.name, "linux", via_pxe=True, cold=cold
+            # no deployment here installs over the network
+            return self._boot_failed(
+                record, "installer boot with no deployment in progress"
             )
-            yield Timeout(phases.total_s)
-            self._trace("boot.installer", via=outcome.via)
-            yield from self.installer_handler(self, outcome)
-            record.finished_at = self.sim.now
-            # the installer ends by rebooting into the deployed system
-            yield from self._boot(cold=False)
-            return record
 
         phases = self.timing.draw(
             self.rng,
@@ -438,24 +434,14 @@ class ComputeNode:
         )
         yield Timeout(phases.total_s)
 
-        factory = self.os_factories.get(outcome.os_name)
-        if factory is None:
-            self._set_state(NodeState.FAILED)
-            record.finished_at = self.sim.now
-            record.error = f"no runtime factory for {outcome.os_name!r}"
-            self._trace("boot.failed", cause=record.error)
-            return record
         try:
-            os_instance = factory(self, outcome)
+            os_instance = OS_FACTORIES[outcome.os_name](
+                self.name, self.disk, outcome.root_partition
+            )
         except BootError as exc:
-            self._set_state(NodeState.FAILED)
-            record.finished_at = self.sim.now
-            record.error = str(exc)
-            self._trace("boot.failed", cause=record.error)
-            return record
-        os_instance.context["request_reboot"] = self.request_reboot
+            return self._boot_failed(record, str(exc))
         os_instance.context["node"] = self
-        for provision in self.provisioners:
+        for provision in self.hooks.provisioners:
             provision(self, os_instance)
         self.current_os = os_instance
         os_instance.start()
@@ -468,6 +454,6 @@ class ComputeNode:
             via=outcome.via,
             duration_s=record.duration_s,
         )
-        for callback in self.on_os_up:
+        for callback in self.hooks.os_up:
             callback(self, os_instance)
         return record

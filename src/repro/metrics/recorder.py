@@ -76,8 +76,10 @@ class ClusterRecorder:
     # -- node occupancy -----------------------------------------------------
 
     def attach_node(self, node: ComputeNode) -> None:
-        node.on_os_up.append(self._node_up)
-        node.on_os_down.append(self._node_down)
+        """Record OS intervals from *node*'s hook table, which every node
+        of its cluster shares, so the whole cluster is recorded."""
+        node.hooks.register("os_up", self._node_up)
+        node.hooks.register("os_down", self._node_down)
 
     def _node_up(self, node: ComputeNode, os_instance: OSInstance) -> None:
         interval = OsInterval(

@@ -72,6 +72,13 @@ class OscarWizard:
             dhcp=DhcpServer(next_server=head.name),
             tftp=TftpServer(head.filesystem, root="/tftpboot"),
         )
+        pbs = self.installation.pbs
+        #: the service that reports a node's Linux boots to the PBS server
+        self._pbs_mom = ServiceDef(
+            "pbs_mom",
+            on_start=lambda osi: pbs.node_up(osi.hostname, osi),
+            on_stop=lambda osi: pbs.node_down(osi.hostname),
+        )
 
     # -- step machinery -----------------------------------------------------
 
@@ -167,20 +174,8 @@ class OscarWizard:
     def attach_pbs_mom(self, node: ComputeNode) -> None:
         """Idempotently register the provisioner that reports Linux boots
         to the PBS server (node joins the pool / leaves it on shutdown)."""
-        pbs = self.installation.pbs
+        node.hooks.register("provisioners", self._provision_pbs_mom)
 
-        def provision(n: ComputeNode, os_instance: OSInstance) -> None:
-            if os_instance.kind != "linux":
-                return
-            os_instance.add_service(
-                ServiceDef(
-                    "pbs_mom",
-                    on_start=lambda osi, name=n.name: pbs.node_up(name, osi),
-                    on_stop=lambda osi, name=n.name: pbs.node_down(name),
-                )
-            )
-
-        if any(getattr(p, "_oscar_pbs_mom", False) for p in node.provisioners):
-            return
-        provision._oscar_pbs_mom = True  # type: ignore[attr-defined]
-        node.provisioners.append(provision)
+    def _provision_pbs_mom(self, node: ComputeNode, os_instance: OSInstance) -> None:
+        if os_instance.kind == "linux":
+            os_instance.add_service(self._pbs_mom)

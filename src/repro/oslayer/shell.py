@@ -134,13 +134,13 @@ def _execute_line(os_instance: OSInstance, line: str, result: ShellResult):
         return
 
     if verb == "reboot" or (verb == "shutdown" and "/r" in tokens):
-        request = os_instance.context.get("request_reboot")
-        if request is None:
+        node = os_instance.context.get("node")
+        if node is None:
             raise ScriptError(
                 f"{os_instance.hostname}: reboot requested but no power "
                 "control wired into this OS instance"
             )
-        request()
+        node.request_reboot()
         result.output.append("reboot requested")
         return
 

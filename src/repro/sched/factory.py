@@ -68,10 +68,9 @@ def create_detector(
         sdk.connect(personality)
         return WinHpcDetector(sdk, eager=eager)
     if kind == "slurm":
-        from repro.slurm.commands import SlurmCommands
         from repro.slurm.detector import SlurmDetector
 
-        return SlurmDetector(SlurmCommands(personality), eager=eager)
+        return SlurmDetector(personality, eager=eager)
     raise ConfigurationError(
         f"no detector for scheduler kind {kind!r}"
     )

@@ -32,21 +32,21 @@ Correctness invariants (exercised by the Hypothesis equivalence suite in
 * dead-entry accounting matches the heap exactly: cancelled entries stay
   in place until drained past or compacted away.
 
-Memory is O(live entries).  ``near[:pos]`` holds entries already fired
-or drained past; a refill replaces ``near`` and so drops them, but once
-the horizon is infinite (the whole queue fits in one bucket, which every
-long simulation reaches) no refill ever runs again.  ``push`` therefore
-trims that consumed prefix once it is longer than both ``min_bucket``
-and the live tail, so beside its queued entries the queue holds at most
-``max(min_bucket, queued)`` fired ones, and their callbacks (with
-everything a bound method keeps alive) are released.  The ``del`` moves
-at most as many items as it frees, so it amortises to O(1) per event.
+Memory is O(live entries).  Each ``near`` slot is overwritten with
+``_CONSUMED`` as it is taken, so a fired or drained-past entry (with its
+callback and all a bound method keeps alive) is freed young, at once.
+The slots themselves stay in ``near[:pos]``: a refill replaces ``near``,
+but once the horizon is infinite (the whole queue fits in one bucket,
+which every long simulation reaches) no refill ever runs again, so
+``push`` trims that prefix once it is longer than both ``min_bucket``
+and the live tail.  The ``del`` moves at most as many items as it
+frees, so it amortises to O(1) per event.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.simkernel.kernel import _Entry
@@ -56,6 +56,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
 _Item = Tuple[float, int, "_Entry"]
 
 _INF = float("inf")
+
+
+#: What a taken ``near`` slot holds (never read: every walk starts at pos).
+_CONSUMED: Any = (0.0, 0, None)
 
 
 class CalendarQueue:
@@ -199,6 +203,7 @@ class CalendarQueue:
         while True:
             while pos < n:
                 entry = near[pos][2]
+                near[pos] = _CONSUMED
                 pos += 1
                 if entry.alive:
                     self._pos = pos
@@ -222,6 +227,7 @@ class CalendarQueue:
                 if entry.alive:
                     self._pos = pos
                     return entry
+                near[pos] = _CONSUMED
                 pos += 1
                 self.dead -= 1
             self._pos = pos
@@ -243,6 +249,7 @@ class CalendarQueue:
                 n = len(near)
                 while pos < n:
                     entry = near[pos][2]
+                    near[pos] = _CONSUMED
                     pos += 1
                     if entry.alive:
                         self._pos = pos
@@ -263,14 +270,14 @@ class CalendarQueue:
                 while pos < n:
                     item = near[pos]
                     entry = item[2]
-                    if not entry.alive:
-                        pos += 1
-                        self.dead -= 1
-                        continue
-                    if item[0] > until:
+                    if entry.alive and item[0] > until:
                         self._pos = pos
                         return
+                    near[pos] = _CONSUMED
                     pos += 1
+                    if not entry.alive:
+                        self.dead -= 1
+                        continue
                     self._pos = pos
                     fire(entry)
                     near = self._near

@@ -8,14 +8,12 @@ text-parsing queue-state detector — usable as donor or receiver in any
 dual-boot pairing (experiment E15 runs PBS↔SLURM).
 """
 
-from repro.slurm.commands import SlurmCommands
 from repro.slurm.controller import SlurmController
 from repro.slurm.detector import SlurmDetector
 from repro.slurm.job import SlurmJob, SlurmJobSpec, SlurmJobState
 from repro.slurm.nodestate import SlurmNodeRecord, SlurmNodeState
 
 __all__ = [
-    "SlurmCommands",
     "SlurmController",
     "SlurmDetector",
     "SlurmJob",

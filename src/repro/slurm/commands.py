@@ -1,7 +1,8 @@
 """The SLURM command-line surface: ``squeue``.
 
-``SlurmCommands`` renders the listing a text-scraping detector polls,
-like :class:`~repro.pbs.commands.PbsCommands`.
+:func:`squeue` renders the listing a text-scraping detector would poll,
+like :class:`~repro.pbs.commands.PbsCommands`; the live detector reads
+the controller instead, and the property tests hold the two equal.
 
 The ``squeue`` layout is the classic default plus an explicit CPUS
 column, so the detector can read the head pending job's core demand
@@ -33,33 +34,24 @@ def render_elapsed(seconds: float) -> str:
     return f"{minutes}:{secs:02d}"
 
 
-class SlurmCommands:
-    """CLI-flavoured facade over a :class:`SlurmController`."""
+def squeue(controller: SlurmController) -> str:
+    """The pending+running listing a text-scraping detector reads."""
+    lines = [_SQUEUE_HEADER]
+    for job in controller.running_jobs():
+        lines.append(_squeue_row(
+            job, "R",
+            render_elapsed(controller.sim.now - (job.start_time or 0.0)),
+            ",".join(job.allocation),
+        ))
+    for position, job in enumerate(controller.queued_jobs()):
+        reason = "(Resources)" if position == 0 else "(Priority)"
+        lines.append(_squeue_row(job, "PD", "0:00", reason))
+    return "\n".join(lines) + "\n"
 
-    def __init__(self, controller: SlurmController) -> None:
-        self.controller = controller
 
-    def squeue(self) -> str:
-        """The pending+running listing a text-scraping detector reads."""
-        controller = self.controller
-        lines = [_SQUEUE_HEADER]
-        for job in controller.running_jobs():
-            lines.append(self._squeue_row(
-                job, "R",
-                render_elapsed(controller.sim.now - (job.start_time or 0.0)),
-                ",".join(job.allocation),
-            ))
-        for position, job in enumerate(controller.queued_jobs()):
-            reason = "(Resources)" if position == 0 else "(Priority)"
-            lines.append(self._squeue_row(job, "PD", "0:00", reason))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def _squeue_row(
-        job: SlurmJob, state: str, elapsed: str, nodelist: str
-    ) -> str:
-        return (
-            f"{job.job_id:>8} {job.partition:>9} {job.name:>14} "
-            f"{job.owner:>8} {state:>2} {elapsed:>10} {job.nodes:>5} "
-            f"{job.total_cores:>5} {nodelist}"
-        )
+def _squeue_row(job: SlurmJob, state: str, elapsed: str, nodelist: str) -> str:
+    return (
+        f"{job.job_id:>8} {job.partition:>9} {job.name:>14} "
+        f"{job.owner:>8} {state:>2} {elapsed:>10} {job.nodes:>5} "
+        f"{job.total_cores:>5} {nodelist}"
+    )

@@ -20,7 +20,7 @@ from repro.core.detector import (
     is_named_switch,
     live_report,
 )
-from repro.slurm.commands import SlurmCommands
+from repro.slurm.controller import SlurmController
 
 
 def parse_squeue(text: str) -> List[dict]:
@@ -75,8 +75,8 @@ class SlurmDetector:
     ``eager`` as in :class:`~repro.core.detector.PbsDetector`.
     """
 
-    def __init__(self, commands: SlurmCommands, eager: bool = False) -> None:
-        self.commands = commands
+    def __init__(self, controller: SlurmController, eager: bool = False) -> None:
+        self.controller = controller
         self.eager = eager
 
     def check(self) -> DetectorReport:
@@ -86,7 +86,7 @@ class SlurmDetector:
         running jobs, then the pending ones in dispatch order.
         """
         return live_report(
-            self.eager, self.commands.controller,
+            self.eager, self.controller,
             is_switch=is_named_switch,
             head_cores=attrgetter("total_cores"),
         )

@@ -47,7 +47,6 @@ DAEMON_RESTART = "daemon.restart"
 BOOT_START = "boot.start"
 BOOT_COMPLETE = "boot.complete"
 BOOT_FAILED = "boot.failed"
-BOOT_INSTALLER = "boot.installer"
 NODE_OS_UP = "node.os_up"
 NODE_OS_DOWN = "node.os_down"
 

@@ -8,7 +8,8 @@ export.
 
 Recording is pay-as-you-go: ``emit`` appends one lightweight pending
 record (a plain tuple — no dataclass construction, no ``float()``
-boxing, no seq bookkeeping) and the pending records materialise into
+boxing, no seq bookkeeping; the fields dict goes in a parallel list, so
+the collector untracks the tuple) and the pending records materialise into
 :class:`TraceEvent` objects lazily, on the first read of
 :attr:`Tracer.events`.  Simulations that never read their trace never
 pay for building it.  ``emit`` never feeds back into simulation state,
@@ -35,9 +36,11 @@ class Tracer:
         self.sim = sim
         self.counts: Counter = Counter()
         self._events: List[TraceEvent] = []
-        # Pending records ``(kind, time, node, cycle, cause, fields)``;
-        # _materialize swaps each for its event in place.
+        # Pending records ``(kind, time, node, cycle, cause, None)`` and their
+        # fields; _materialize swaps each record for its event in place, and
+        # the spare slot sizes a record like its event, which reuses its memory.
         self._pending: List[Any] = []
+        self._fields: List[Dict[str, Any]] = []
 
     def __repr__(self) -> str:
         n = len(self._events) + len(self._pending)
@@ -50,11 +53,12 @@ class Tracer:
              **fields: Any) -> None:
         """Record one event at the current simulation time.
 
-        The hot path of every instrumented component: one tuple append
+        The hot path of every instrumented component: two list appends
         plus a counter bump — the :class:`TraceEvent` itself is built
         lazily by :attr:`events`.
         """
-        self._pending.append((kind, self.sim.now, node, cycle, cause, fields))
+        self._pending.append((kind, self.sim.now, node, cycle, cause, None))
+        self._fields.append(fields)
         self.counts[kind] += 1
 
     def _materialize(self) -> None:
@@ -75,11 +79,14 @@ class Tracer:
         pending = self._pending
         intern = sys.intern
         seq = len(self._events)
-        for i, (kind, time, node, cycle, cause, fields) in enumerate(pending):
+        for i, ((kind, time, node, cycle, cause, _), fields) in enumerate(
+            zip(pending, self._fields)
+        ):
             pending[i] = TraceEvent(seq + i, float(time), intern(kind), node,
                                     cycle, cause, fields)
         self._events += pending
         pending.clear()
+        self._fields.clear()
 
     @property
     def events(self) -> List[TraceEvent]:

@@ -60,6 +60,12 @@ class WindowsDeployTool:
     ) -> None:
         self.share = share
         self.scheduler = scheduler
+        #: the service that reports a node's Windows boots to the scheduler
+        self._node_manager = ServiceDef(
+            "hpc_node_manager",
+            on_start=lambda osi: scheduler.node_online(osi.hostname, osi),
+            on_stop=lambda osi: scheduler.node_unreachable(osi.hostname),
+        )
 
     # -- flows ----------------------------------------------------------------
 
@@ -123,24 +129,10 @@ class WindowsDeployTool:
 
     def attach_node_manager(self, node: ComputeNode) -> None:
         """Idempotently wire Windows boots into the HPC scheduler."""
-        if any(getattr(p, "_win_node_mgr", False) for p in node.provisioners):
-            return
-        scheduler = self.scheduler
+        node.hooks.register("provisioners", self._provision_node_manager)
 
-        def provision(n: ComputeNode, os_instance: OSInstance) -> None:
-            if os_instance.kind != "windows":
-                return
-            os_instance.add_service(
-                ServiceDef(
-                    "hpc_node_manager",
-                    on_start=lambda osi, name=n.name: scheduler.node_online(
-                        name, osi
-                    ),
-                    on_stop=lambda osi, name=n.name: scheduler.node_unreachable(
-                        name
-                    ),
-                )
-            )
-
-        provision._win_node_mgr = True  # type: ignore[attr-defined]
-        node.provisioners.append(provision)
+    def _provision_node_manager(
+        self, node: ComputeNode, os_instance: OSInstance
+    ) -> None:
+        if os_instance.kind == "windows":
+            os_instance.add_service(self._node_manager)

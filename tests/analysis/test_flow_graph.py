@@ -71,6 +71,43 @@ def test_observer_registration_and_dispatch(tmp_path):
     assert [e.callee for e in observer_edges] == ["obs.user.handle"]
 
 
+HOOKS_PKG = {
+    "node": (
+        "class Hooks:\n"
+        "    def __init__(self):\n"
+        "        self.crash = []\n"
+        "\n"
+        "\n"
+        "class Node:\n"
+        "    def __init__(self, hooks: Hooks):\n"
+        "        self.hooks = hooks\n"
+        "\n"
+        "    def crash(self):\n"
+        "        for callback in self.hooks.crash:\n"
+        "            callback(self)\n"
+    ),
+    "user": (
+        "from hk.node import Node\n"
+        "\n"
+        "\n"
+        "def handle(node):\n"
+        "    return node\n"
+        "\n"
+        "\n"
+        "def wire(node: Node):\n"
+        "    node.hooks.register('crash', handle)\n"
+    ),
+}
+
+
+def test_hook_table_registration_and_dispatch(tmp_path):
+    pkg = write_pkg(tmp_path, "hk", dict(HOOKS_PKG))
+    graph = build_project([pkg]).callgraph
+    assert graph.observers == {"hooks.crash": ["hk.user.handle"]}
+    edges = graph.callees_of("hk.node.Node.crash")
+    assert [(e.callee, e.kind) for e in edges] == [("hk.user.handle", "observer")]
+
+
 def test_reexport_resolves_through_package(tmp_path):
     pkg = write_pkg(tmp_path, "pkg2", {
         "__init__": "from pkg2.impl import Widget\n",

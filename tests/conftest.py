@@ -10,7 +10,7 @@ import pytest
 
 from repro.boot.chain import GRUB_MENU_PATH, LINUX_ROOT_MARKER
 from repro.boot.windowsboot import WINDOWS_BOOT_MARKER, WINDOWS_SYSTEM_MARKER
-from repro.hardware.node import NodeState
+from repro.hardware.node import NodeHooks, NodeState
 from repro.storage import Disk, FsType, PartitionKind
 from repro.storage.mbr import BootCode
 
@@ -94,12 +94,12 @@ def v1_disk():
 
 class PoweredStub:
     """A stand-in compute node for the health monitor: a name, a power
-    state, and the ``on_power_state`` observers that every state flip
+    state, and a hook table whose power-state observers every state flip
     fires with ``(node, old, new)``, as :class:`ComputeNode` does."""
 
     def __init__(self, name="n1", state=NodeState.UP):
         self.name = name
-        self.on_power_state = []
+        self.hooks = NodeHooks()
         self._state = state
 
     @property
@@ -110,6 +110,6 @@ class PoweredStub:
     def state(self, new):
         old, self._state = self._state, new
         if old is not new:
-            for callback in self.on_power_state:
+            for callback in self.hooks.power_state:
                 callback(self, old, new)
 

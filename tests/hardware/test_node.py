@@ -134,8 +134,12 @@ def test_request_reboot_ignored_when_down(sim):
 def test_os_up_down_callbacks(sim):
     node = make_node(sim)
     events = []
-    node.on_os_up.append(lambda n, osi: events.append(("up", osi.kind, sim.now)))
-    node.on_os_down.append(lambda n, osi: events.append(("down", osi.kind, sim.now)))
+    node.hooks.register(
+        "os_up", lambda n, osi: events.append(("up", osi.kind, sim.now))
+    )
+    node.hooks.register(
+        "os_down", lambda n, osi: events.append(("down", osi.kind, sim.now))
+    )
     node.power_on()
     sim.run()
     node.reboot()
@@ -154,7 +158,7 @@ def test_provisioners_run_before_service_start(sim):
 
         osi.add_service(ServiceDef("svc", on_start=lambda o: order.append("start")))
 
-    node.provisioners.append(provision)
+    node.hooks.register("provisioners", provision)
     node.power_on()
     sim.run()
     assert order == ["provision", "start"]

@@ -43,9 +43,9 @@ def test_crash_of_up_node_is_silent(sim):
         "agent", on_start=lambda _os: None, on_stop=stops.append,
     ))
     os_down = []
-    node.on_os_down.append(lambda n, o: os_down.append(o.kind))
+    node.hooks.register("os_down", lambda n, o: os_down.append(o.kind))
     crashed = []
-    node.on_crash.append(lambda n: crashed.append(n.name))
+    node.hooks.register("crash", lambda n: crashed.append(n.name))
 
     assert node.crash() is True
     assert node.state is NodeState.OFF

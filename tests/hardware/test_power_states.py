@@ -3,7 +3,7 @@
 A Hypothesis state machine drives one node through random power
 operations (including boots that fail on a wiped MBR) and checks two
 things after every step: the node always settles into a resting state,
-and every transition the ``on_power_state`` funnel reported is one of
+and every transition the power-state hooks reported is one of
 the documented legal edges.  Illegal API calls must raise
 ``MiddlewareError`` without moving the state at all.
 
@@ -81,8 +81,9 @@ class PowerStateMachine(RuleBasedStateMachine):
         self.sim = Simulator()
         self.node = make_node(self.sim)
         self.transitions = []
-        self.node.on_power_state.append(
-            lambda _node, old, new: self.transitions.append((old, new))
+        self.node.hooks.register(
+            "power_state",
+            lambda _node, old, new: self.transitions.append((old, new)),
         )
 
     def _attempt(self, op, legal_from):
@@ -200,9 +201,7 @@ def _monitored_node():
     node = make_node(sim)
     # same wiring the middleware uses: the agent is installed on every
     # fresh OS instance, so it exists after boots *and* resumes
-    node.provisioners.append(
-        lambda n, os_instance: monitor.attach_agent(n, os_instance)
-    )
+    node.hooks.register("provisioners", monitor.attach_agent)
     monitor.start()
     node.power_on()
     # the monitor's poll loop never idles, so every run must be bounded

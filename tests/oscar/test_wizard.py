@@ -104,7 +104,7 @@ def test_pbs_mom_attach_idempotent(wizard, cluster):
     node = cluster.compute_nodes[0]
     wizard.attach_pbs_mom(node)
     wizard.attach_pbs_mom(node)
-    assert len(node.provisioners) == 1
+    assert len(node.hooks.provisioners) == 1
 
 
 def test_apply_v2_patches_idempotent(wizard):

@@ -1,5 +1,7 @@
 """Shell interpreter tests, including the Figure-4 script body."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.oslayer import OSInstance, run_script
@@ -76,7 +78,9 @@ def test_reboot_without_power_control_fails(sim, osi):
 
 def test_reboot_requests_via_context(sim, osi):
     calls = []
-    osi.context["request_reboot"] = lambda: calls.append(sim.now)
+    osi.context["node"] = SimpleNamespace(
+        request_reboot=lambda: calls.append(sim.now)
+    )
     result = run(sim, osi, "sudo reboot\nsleep 10\n")
     assert result.ok
     assert calls == [0.0]
@@ -86,7 +90,7 @@ def test_windows_shutdown_r(sim):
     fs = Filesystem(FsType.NTFS, label="c")
     osi = WindowsOS("wn01", {"/": fs, "/c": fs})
     calls = []
-    osi.context["request_reboot"] = lambda: calls.append(1)
+    osi.context["node"] = SimpleNamespace(request_reboot=lambda: calls.append(1))
     proc = sim.spawn(run_script(osi, "shutdown /r /t 0\n"))
     sim.run()
     assert proc.result.ok and calls == [1]
@@ -154,7 +158,9 @@ def test_figure4_script_body_semantics(sim, osi):
         lambda instance, args: switched.append(args[1]),
     )
     rebooted = []
-    osi.context["request_reboot"] = lambda: rebooted.append(sim.now)
+    osi.context["node"] = SimpleNamespace(
+        request_reboot=lambda: rebooted.append(sim.now)
+    )
     text = (
         "echo \\$PBS_JOBID >>/home/sliang/reboot_log/rebootjob.log #write logs\n"
         "sudo /boot/swap/bootcontrol.pl /boot/swap/controlmenu.lst windows "

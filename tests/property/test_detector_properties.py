@@ -23,7 +23,7 @@ from repro.pbs import JobSpec, PbsCommands, PbsServer
 from repro.pbs.job import JobState
 from repro.sched.protocol import SWITCH_TAG
 from repro.simkernel import Simulator
-from repro.slurm.commands import SlurmCommands
+from repro.slurm.commands import squeue
 from repro.slurm.controller import SlurmController
 from repro.slurm.detector import SlurmDetector, squeue_report
 from repro.slurm.job import SlurmJobSpec
@@ -141,10 +141,10 @@ def _assert_pbs_matches(server, commands):
     assert server.idle_node_count() == sum(1 for r in up if not r.busy)
 
 
-def _assert_slurm_matches(controller, commands):
+def _assert_slurm_matches(controller):
     for eager in (False, True):
-        live = SlurmDetector(commands, eager=eager).check()
-        _same(live, squeue_report(commands.squeue(), eager=eager))
+        live = SlurmDetector(controller, eager=eager).check()
+        _same(live, squeue_report(squeue(controller), eager=eager))
     up = controller.up_nodes()
     assert controller.online_node_count() == len(up)
     assert controller.idle_node_count() == sum(1 for r in up if r.idle)
@@ -261,8 +261,7 @@ def test_slurm_check_equals_squeue_text_report(ops):
     for host in hosts:
         controller.add_node(host, cores=CORES)
         controller.node_online(host)
-    commands = SlurmCommands(controller)
-    _assert_slurm_matches(controller, commands)
+    _assert_slurm_matches(controller)
     for op in ops:
         kind = op[0]
         if kind == "submit":
@@ -283,7 +282,7 @@ def test_slurm_check_equals_squeue_text_report(ops):
                 controller.node_online, controller.node_unreachable,
                 controller.cordon_node, controller.uncordon_node,
             )
-        _assert_slurm_matches(controller, commands)
+        _assert_slurm_matches(controller)
 
 
 @settings(max_examples=60, deadline=None)

@@ -60,3 +60,17 @@ def test_fired_entries_are_released(make_queue):
     assert max(excess) <= queue.min_bucket
     gc.collect()
     assert owner_ref() is None, "a fired callback's owner is still reachable"
+
+
+def test_a_fired_callback_is_released_when_it_fires():
+    """Without waiting for a trim or a collection: the consumed slot is
+    overwritten as it is taken, so only refcounting is needed."""
+    sim = Simulator(queue=CalendarQueue())
+    owner = Owner()
+    owner_ref = weakref.ref(owner)
+    sim.schedule(1.0, owner.ping)
+    del owner
+    seen = []
+    sim.schedule(2.0, lambda: seen.append(owner_ref()))
+    sim.run()
+    assert seen == [None]

@@ -1,5 +1,6 @@
 """Unit tests for TraceEvent / Tracer: canonical JSONL, querying, laziness."""
 
+import gc
 import json
 import tracemalloc
 
@@ -133,6 +134,16 @@ def test_reading_the_trace_never_holds_it_twice(sim):
     # twice, it also adds every event while every record is still alive:
     # about 40 % of what recording took, against about 20 % held once.
     assert peak - recorded < (recorded - start) * 0.3
+
+
+def test_pending_records_leave_the_collector_untracked(sim):
+    """A pending record with atomic fields is nothing the cyclic garbage
+    collector must walk: once a collection has seen it, it is untracked."""
+    tracer = Tracer(sim)
+    tracer.emit("a.one", node="n1", n=1, x=0.5)
+    gc.collect()
+    assert not any(gc.is_tracked(record) for record in tracer._pending)
+    assert tracer.events[0].fields == {"n": 1, "x": 0.5}
 
 
 # -- ownership -----------------------------------------------------------------

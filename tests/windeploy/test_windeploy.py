@@ -127,9 +127,9 @@ def test_node_manager_provisioner_idempotent(share):
     node = make_node(sim)
     share.write_diskpart(MODIFIED_DISKPART_TXT_V1)
     tool.deploy_node(node)
-    count = len(node.provisioners)
+    count = len(node.hooks.provisioners)
     tool.deploy_node(node)  # reimage
-    assert len(node.provisioners) == count
+    assert len(node.hooks.provisioners) == count
 
 
 def test_node_reboot_marks_unreachable(share):
