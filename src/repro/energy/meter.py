@@ -7,11 +7,16 @@ instantaneous watts.  Between changes the draw is constant, so the
 integral is an exact sum of ``watts × span`` rectangles — no sampling,
 no drift, byte-identical across same-seed runs.
 
-Every watt change emits an ``energy.state`` trace event and
-``finalize()`` emits per-node plus cluster ``energy.report`` events; the
-``energy-conserved`` trace invariant re-integrates the ``energy.state``
-history and cross-checks the reports, so a meter bug (see the leaky
-fixture in ``tests/energy``) is caught by the oracle, not by eyeball.
+The meter traces what its draw follows from, not the draw itself: one
+``energy.model`` event with its :class:`PowerModel` when it is built,
+and one ``energy.state`` event when it attaches a node and on every
+power transition of that node — never on a busy-core change, whose cores
+the schedulers' ``job.started`` events already carry.  ``finalize()``
+emits per-node plus cluster ``energy.report`` events.  The
+``energy-conserved`` trace invariant replays the meter from those events
+and cross-checks every state and report, so a meter bug (see the leaky
+and short-core fixtures in ``tests/energy``) is caught by the oracle,
+not by eyeball.
 
 Busy-core accounting keeps its own allocation snapshot per job, taken at
 ``started`` — the schedulers clear ``exec_slots``/``allocation`` before
@@ -21,7 +26,7 @@ leak cores forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.energy.model import PowerModel
@@ -59,6 +64,7 @@ class EnergyMeter:
         #: record prefix (``pbs:<id>``/``win:<id>``/``slurm:<id>``)
         self._job_cores: Dict[str, Dict[str, int]] = {}
         self._finalized = False
+        self.tracer.emit("energy.model", **asdict(self.model))
 
     # -- attachment ----------------------------------------------------------
 
@@ -96,6 +102,7 @@ class EnergyMeter:
         self._integrate(account, self.sim.now)
         account.state = new_state
         self._refresh(account)
+        self._emit_state(account)
 
     def _job_event(self, prefix: str, event: str, job: Any) -> None:
         key = f"{prefix}:{job.key}"
@@ -144,10 +151,8 @@ class EnergyMeter:
         account.last_change_t = now
 
     def _refresh(self, account: NodeEnergyAccount) -> None:
-        watts = self.model.node_watts(account.state, account.busy_cores)
-        if watts != account.watts:
-            account.watts = watts
-            self._emit_state(account)
+        """Set the account's draw from its power state and busy cores."""
+        account.watts = self.model.node_watts(account.state, account.busy_cores)
 
     def _emit_state(self, account: NodeEnergyAccount) -> None:
         self.tracer.emit(

@@ -21,8 +21,10 @@ and horizon), so the headline is pure energy: total joules and
 **joules per completed job-hour**, with the per-state split showing
 where the always-on configuration burns its surplus (idle watts).
 
-Every run's trace carries the ``energy.state``/``energy.report`` events
-and is checked against the ``energy-conserved`` invariant; determinism
+Every run's trace carries the meter's ``energy.model``, one
+``energy.state`` per power transition, the ``job.started`` cores and the
+``energy.report`` totals, and is checked against the ``energy-conserved``
+invariant, which replays the meter from them; determinism
 is asserted by running the smallest power-aware configuration twice and
 comparing the canonical JSONL byte-for-byte.
 """

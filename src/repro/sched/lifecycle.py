@@ -455,7 +455,8 @@ class BatchScheduler:
         self._runners[key] = self.sim.spawn(
             self._run(job), name=f"{self.record_key_prefix}job:{key}"
         )
-        self._trace_job("job.started", job, hosts=hosts)
+        self._trace_job("job.started", job, hosts=hosts,
+                        cores=job.allocation_by_host())
         self._notify("started", job)
 
     def _run(self, job: Any) -> Iterator[Any]:

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from _json import make_encoder
+from collections import abc
+from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional
 
 # -- well-known event kinds ---------------------------------------------------
 #
@@ -63,7 +66,9 @@ POWER_RESUMED = "power.resumed"
 POWER_PROVISIONING = "power.provisioning"
 POWER_DEPROVISIONED = "power.deprovisioned"
 
-#: Energy accounting (per-node watt changes + end-of-run joule reports).
+#: Energy accounting: the meter's power model (once), each metered node's
+#: attach and power transitions, and the end-of-run joule reports.
+ENERGY_MODEL = "energy.model"
 ENERGY_STATE = "energy.state"
 ENERGY_REPORT = "energy.report"
 
@@ -99,12 +104,24 @@ FAULT_PREFIX = "fault."
 #: type, so subclasses (``np.float64``, ``np.bool_``, enums) still take
 #: the coercing path below.
 _ATOMS = frozenset((str, bool, int, float, type(None)))
+_STR = frozenset((str,))
 
 
 def _jsonable(value: Any) -> Any:
-    """Coerce a field value to something canonically JSON-serialisable."""
-    if type(value) in _ATOMS:
+    """Coerce a field value to something canonically JSON-serialisable.
+
+    Lists, tuples and dicts come back as new lists and dicts.  Those that
+    hold only atoms (and, for dicts, only ``str`` keys) are copied without
+    coercing each item, which gives the same result.
+    """
+    kind = type(value)
+    if kind in _ATOMS:
         return value
+    if (kind is list or kind is tuple) and _ATOMS.issuperset(map(type, value)):
+        return list(value)
+    if (kind is dict and _STR.issuperset(map(type, value))
+            and _ATOMS.issuperset(map(type, value.values()))):
+        return dict(value)
     if value is None or isinstance(value, (str, bool)):
         return value
     if isinstance(value, numbers.Integral):
@@ -113,19 +130,32 @@ def _jsonable(value: Any) -> Any:
         return float(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, Mapping):
+    if isinstance(value, abc.Mapping):
         return {str(k): _jsonable(v) for k, v in value.items()}
     return str(value)
 
 
-#: The canonical encoder, built once: what ``json.dumps`` would build on
-#: every call with these arguments.
+#: The canonical encoder: what ``json.dumps`` would build on every call
+#: with these arguments.  It encodes the envelope values that are not
+#: plain strings (see :func:`encode_jsonl`).
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                             ensure_ascii=True)
 
+#: The C encoder behind :data:`_ENCODER`, built once instead of once per
+#: call.  It gets only coerced fields objects, which are acyclic, so it
+#: keeps no circular-reference markers.  Calling it returns chunks.
+_FIELDS_ENCODER = make_encoder(
+    None, _ENCODER.default, encode_basestring_ascii, None, ":", ",",
+    True, False, True,
+)
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+#: ``repr`` of the non-finite floats, spelt as the encoder spells them.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+_EMPTY: Mapping[str, Any] = MappingProxyType({})
+
+
+class TraceEvent(NamedTuple):
     """One structured event in a simulation trace.
 
     ``seq`` is the per-tracer emission index (total order even among
@@ -133,6 +163,9 @@ class TraceEvent:
     hostname the event concerns (compute node or head), ``cycle`` the
     communicator cycle index where meaningful, and ``cause`` a free-text
     reason.  Everything else lives in ``fields``.
+
+    A tuple, so a trace of tens of thousands of events is built at C
+    speed (see :meth:`repro.trace.tracer.Tracer.events`).
     """
 
     seq: int
@@ -141,7 +174,7 @@ class TraceEvent:
     node: Optional[str] = None
     cycle: Optional[int] = None
     cause: Optional[str] = None
-    fields: Mapping[str, Any] = field(default_factory=dict)
+    fields: Mapping[str, Any] = _EMPTY
 
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -161,7 +194,7 @@ class TraceEvent:
 
     def to_json(self) -> str:
         """Canonical single-line JSON (sorted keys, no whitespace)."""
-        return _ENCODER.encode(self.to_dict())
+        return encode_jsonl((self,))[:-1]
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TraceEvent":
@@ -178,3 +211,53 @@ class TraceEvent:
     @classmethod
     def from_json(cls, line: str) -> "TraceEvent":
         return cls.from_dict(json.loads(line))
+
+
+def encode_jsonl(events: Iterable[TraceEvent]) -> str:
+    """The canonical JSONL of *events*: one line per event.
+
+    Each line is ``json.dumps(e.to_dict(), sort_keys=True,
+    separators=(",", ":"))`` plus a newline, written directly: the
+    envelope keys go out in their fixed sorted order (``cause``,
+    ``cycle``, ``fields``, ``kind``, ``node``, ``seq``, ``t``), the
+    ``kind`` and ``node`` members are encoded once per distinct value,
+    and the encoder runs once per line, over the fields object only.
+    Fields whose values are all JSON atoms are encoded as they are;
+    the others are coerced by :func:`_jsonable` first, as ``to_dict``
+    does.
+    """
+    encode = _ENCODER.encode
+    fields_chunks = _FIELDS_ENCODER
+    atoms = _ATOMS.issuperset
+    nonfinite = _NONFINITE.get
+    kinds: Dict[str, str] = {}
+    nodes: Dict[Any, str] = {None: ""}
+    lines: List[str] = []
+    append = lines.append
+    for seq, time, kind, node, cycle, cause, fields in events:
+        head = "{"
+        if cause is not None:
+            head += '"cause":' + (
+                encode_basestring_ascii(cause) if type(cause) is str
+                else encode(cause)
+            ) + ","
+        if cycle is not None:
+            head += '"cycle":' + repr(int(cycle)) + ","
+        if fields:
+            if type(fields) is not dict or not atoms(map(type, fields.values())):
+                fields = {k: _jsonable(v) for k, v in fields.items()}
+            head += '"fields":' + "".join(fields_chunks(fields, 0)) + ","
+        kind_json = kinds.get(kind)
+        if kind_json is None:
+            kind_json = kinds[kind] = (
+                '"kind":' + encode_basestring_ascii(kind) + ","
+            )
+        node_json = nodes.get(node)
+        if node_json is None:
+            node_json = nodes[node] = '"node":' + (
+                encode_basestring_ascii(node) if type(node) is str
+                else encode(node)
+            ) + ","
+        t = repr(float(time))
+        append(f'{head}{kind_json}{node_json}"seq":{seq},"t":{nonfinite(t, t)}}}\n')
+    return "".join(lines)

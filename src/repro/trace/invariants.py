@@ -12,8 +12,9 @@ experiment's trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from dataclasses import fields as dataclass_fields
 from itertools import count
-from typing import (Any, Callable, Dict, Iterable, List, Optional,
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from repro.trace import events as ev
@@ -378,58 +379,111 @@ def check_no_job_lost(events: Sequence[TraceEvent]) -> List[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# 9. Reported joules equal the integral of the emitted watt history.
+# 9. The meter's states and joules follow from the power transitions, the
+#    jobs' cores and the power model.
 # ---------------------------------------------------------------------------
+
+#: Job events after which the meter releases a job's cores.
+_JOB_RELEASES = frozenset((ev.JOB_FINISHED, ev.JOB_FAILED, ev.JOB_REQUEUED))
+
 
 @invariant("energy-conserved")
 def check_energy_conserved(events: Sequence[TraceEvent]) -> List[Violation]:
-    """``energy.report`` totals must equal the piecewise-constant integral
-    of the ``energy.state`` watt history.
+    """Replay the energy meter from the trace and hold it to its output.
 
-    The meter emits a watt level per node whenever it changes; between
-    events the draw is constant, so the expected joules at report time
-    are an exact sum of rectangles.  A meter that drops spans, double
-    counts, or scales (the "leaky meter" fixture) disagrees with its own
-    event history and fails here.  The cluster-level report (no ``node``)
-    must additionally equal the sum of the per-node reports.
+    ``energy.model`` gives the watt curve; each node's ``energy.state``
+    events give its power state from attach on; busy cores are the
+    ``cores`` of each ``job.started`` minus those of the same job's
+    ``job.finished``/``job.failed``/``job.requeued``, counted only on
+    metered nodes and clamped at zero, as the meter counts them.  Between
+    events the draw is constant, so each node's joules are an exact sum
+    of rectangles.  Every ``energy.state`` must carry the replayed
+    ``busy_cores`` and ``watts``, every per-node ``energy.report`` the
+    replayed joules, and the cluster report (no ``node``) the sum of the
+    per-node reports.  A meter that drops spans, scales them (the leaky
+    fixture) or charges the wrong watts (the short-core fixture) fails
+    here.  Fields are read by name, so a renamed field fails the check
+    instead of passing it vacuously.
     """
+    # Imported here: the hardware layer imports the simulator, which
+    # imports this package.
+    from repro.energy.model import PowerModel
+    from repro.hardware.node import NodeState
+
     name = "energy-conserved"
     out: List[Violation] = []
-    last: Dict[str, tuple] = {}       # node -> (time, watts)
-    acc: Dict[str, float] = {}        # node -> joules integrated so far
+    model_fields = [f.name for f in dataclass_fields(PowerModel)]
+    model: Optional[PowerModel] = None
+    #: node -> [power state, busy cores, watts, last change t, joules]
+    nodes: Dict[str, List[Any]] = {}
+    jobs: Dict[Tuple[Any, str], Mapping[str, int]] = {}
     node_reported: Dict[str, float] = {}
 
-    def integrate_to(node: str, t: float) -> float:
-        state = last.get(node)
-        if state is not None:
-            t0, watts = state
-            if t > t0:
-                acc[node] = acc.get(node, 0.0) + watts * (t - t0)
-            last[node] = (t, watts)
-        return acc.get(node, 0.0)
+    def integrate_to(account: List[Any], t: float) -> None:
+        span = t - account[3]
+        if span > 0.0:
+            account[4] += account[2] * span
+        account[3] = t
 
     for e in events:
-        if e.kind == ev.ENERGY_STATE:
-            if e.node is None:
-                out.append(_violate(
-                    name, "energy.state event without a node", e))
-                continue
-            watts = float(e.fields.get("watts", 0.0))
-            integrate_to(e.node, e.time)
-            last[e.node] = (e.time, watts)
-        elif e.kind == ev.ENERGY_REPORT:
-            if e.node is not None:
-                expected = integrate_to(e.node, e.time)
-                reported = float(e.fields.get("joules", 0.0))
+        kind = e.kind
+        try:
+            if kind == ev.JOB_STARTED or kind in _JOB_RELEASES:
+                if model is None:  # no meter yet, so none heard the job
+                    continue
+                key = (e.fields["scheduler"], str(e.fields["jobid"]))
+                if kind == ev.JOB_STARTED:
+                    cores = jobs[key] = e.fields["cores"]
+                    sign = 1
+                else:
+                    cores = jobs.pop(key, None)
+                    if cores is None:
+                        continue
+                    sign = -1
+                t = e.time
+                for host, held in cores.items():
+                    account = nodes.get(host)
+                    if account is not None:
+                        integrate_to(account, t)
+                        busy = max(0, account[1] + sign * held)
+                        account[1] = busy
+                        account[2] = model.node_watts(account[0], busy)
+            elif kind == ev.ENERGY_STATE:
+                if model is None or e.node is None:
+                    out.append(_violate(
+                        name, "energy.state without a node or before "
+                        "energy.model", e))
+                    continue
+                state = NodeState(e.fields["state"])
+                account = nodes.get(e.node)
+                if account is None:  # the meter attaches the node
+                    account = nodes[e.node] = [state, 0, 0.0, e.time, 0.0]
+                integrate_to(account, e.time)
+                account[0] = state
+                account[2] = model.node_watts(state, account[1])
+                busy, watts = e.fields["busy_cores"], e.fields["watts"]
+                if busy != account[1] or watts != account[2]:
+                    out.append(_violate(
+                        name,
+                        f"{e.node} {state.value} drew {watts} W with "
+                        f"{busy} busy cores, but the replay gives "
+                        f"{account[2]} W with {account[1]}", e))
+            elif kind == ev.ENERGY_REPORT and e.node is not None:
+                account = nodes.get(e.node)
+                expected = 0.0
+                if account is not None:
+                    integrate_to(account, e.time)
+                    expected = account[4]
+                reported = float(e.fields["joules"])
                 node_reported[e.node] = reported
                 tolerance = max(1e-6, 1e-9 * abs(expected))
                 if abs(reported - expected) > tolerance:
                     out.append(_violate(
                         name,
-                        f"{e.node} reported {reported:.6f} J but its watt "
-                        f"history integrates to {expected:.6f} J", e))
-            else:
-                reported_total = float(e.fields.get("total_joules", 0.0))
+                        f"{e.node} reported {reported:.6f} J but its "
+                        f"watt history integrates to {expected:.6f} J", e))
+            elif kind == ev.ENERGY_REPORT:
+                reported_total = float(e.fields["total_joules"])
                 expected_total = sum(node_reported.values())
                 tolerance = max(1e-6, 1e-9 * abs(expected_total))
                 if abs(reported_total - expected_total) > tolerance:
@@ -437,6 +491,10 @@ def check_energy_conserved(events: Sequence[TraceEvent]) -> List[Violation]:
                         name,
                         f"cluster reported {reported_total:.6f} J but the "
                         f"per-node reports sum to {expected_total:.6f} J", e))
+            elif kind == ev.ENERGY_MODEL:
+                model = PowerModel(**{f: e.fields[f] for f in model_fields})
+        except KeyError as missing:
+            out.append(_violate(name, f"{kind} lacks field {missing}", e))
     return out
 
 

@@ -7,7 +7,7 @@ and analysis code reads :attr:`Tracer.events` or the canonical JSONL
 export.
 
 Recording is pay-as-you-go: ``emit`` appends one lightweight pending
-record (a plain tuple — no dataclass construction, no ``float()``
+record (a plain tuple — no event construction, no ``float()``
 boxing, no seq bookkeeping; the fields dict goes in a parallel list, so
 the collector untracks the tuple) and the pending records materialise into
 :class:`TraceEvent` objects lazily, on the first read of
@@ -23,7 +23,7 @@ import sys
 from collections import Counter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.trace.events import TraceEvent
+from repro.trace.events import TraceEvent, encode_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.simkernel.kernel import Simulator
@@ -69,6 +69,8 @@ class Tracer:
         Kind strings are interned: most are module-level constants from
         :mod:`repro.trace.events` already, and interning makes the kind
         filters in :meth:`events_of` pointer-compare in the common case.
+        Each event is built by ``tuple.__new__``, one C call, not by the
+        named tuple's Python-level constructor.
 
         Each event replaces its pending record in place, so the record is
         freed as soon as its event exists.  The trace is never held twice:
@@ -78,12 +80,13 @@ class Tracer:
         """
         pending = self._pending
         intern = sys.intern
+        new = tuple.__new__
         seq = len(self._events)
         for i, ((kind, time, node, cycle, cause, _), fields) in enumerate(
             zip(pending, self._fields)
         ):
-            pending[i] = TraceEvent(seq + i, float(time), intern(kind), node,
-                                    cycle, cause, fields)
+            pending[i] = new(TraceEvent, (seq + i, float(time), intern(kind),
+                                          node, cycle, cause, fields))
         self._events += pending
         pending.clear()
         self._fields.clear()
@@ -113,7 +116,7 @@ class Tracer:
 
     def export_jsonl(self) -> str:
         """The full trace as canonical JSONL (one event per line)."""
-        return "".join(e.to_json() + "\n" for e in self.events)
+        return encode_jsonl(self.events)
 
     def write_jsonl(self, path: Any) -> None:
         with open(path, "w", encoding="ascii") as fh:

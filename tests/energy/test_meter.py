@@ -8,13 +8,13 @@ numbers exactly — any drift here means the E11 kWh tables are fiction.
 
 import pytest
 
-from repro.energy import EnergyMeter
+from repro.energy import EnergyMeter, PowerModel
 from repro.hardware import ComputeNode, INTEL_Q8200, NodeState
 from repro.hardware.nic import Nic, mac_for_index
 from repro.hardware.power import RebootTimingModel
 from repro.simkernel import Simulator
 from repro.simkernel.rng import RngStreams
-from repro.trace.events import ENERGY_REPORT, ENERGY_STATE
+from repro.trace.events import ENERGY_MODEL, ENERGY_REPORT, ENERGY_STATE
 from tests.conftest import make_v1_disk
 
 #: every draw collapses to its mean: cold boot = 30 + 5 + 60 = 95 s,
@@ -141,22 +141,43 @@ def test_busy_core_accounting_uses_started_snapshot():
     assert account.busy_cores == 0
 
 
-def test_energy_state_emitted_only_on_watt_change():
+def test_energy_state_emitted_once_per_power_transition():
     sim, node, meter, tracer = make_rig()
     node.power_on()
     sim.run(until=COLD_BOOT_S + 10.0)
+
+    job = _PbsJob("7.ehead", [("enode01.cluster", 0), ("enode01.cluster", 1)])
+    meter._job_event("pbs", "started", job)
+    assert meter.accounts["enode01"].watts == 70.0 + 2 * 22.0
+    sim.run(until=COLD_BOOT_S + 20.0)
+    meter._job_event("pbs", "finished", job)
+    # busy cores move the draw but emit no energy.state
+    assert meter.accounts["enode01"].busy_cores == 0
+
     node.reboot()                                # SHUTTING_DOWN → BOOTING
     sim.run()
 
     states = [
-        (e.fields["state"], e.fields["watts"])
+        (e.fields["state"], e.fields["watts"], e.fields["busy_cores"])
         for e in tracer.events_of(ENERGY_STATE)
     ]
-    # attach(off) → boot(120) → up(70) → reboot transient(120) → up(70):
-    # the SHUTTING_DOWN→BOOTING hop inside the reboot draws the same
-    # 120 W on both sides and must not emit a second event
-    assert [w for _, w in states] == [3.0, 120.0, 70.0, 120.0, 70.0]
-    assert states[3][0] == "shutting_down"
+    # attach, then one event per transition, including the
+    # SHUTTING_DOWN→BOOTING hop that draws the same 120 W on both sides
+    assert states == [
+        ("off", 3.0, 0),
+        ("booting", 120.0, 0),
+        ("up", 70.0, 0),
+        ("shutting_down", 120.0, 0),
+        ("booting", 120.0, 0),
+        ("up", 70.0, 0),
+    ]
+
+
+def test_meter_traces_its_power_model_once():
+    sim, _node, meter, tracer = make_rig()
+    (event,) = tracer.events_of(ENERGY_MODEL)
+    assert event.seq == 0
+    assert PowerModel(**event.fields) == meter.model
 
 
 def test_finalize_is_idempotent_and_reports_every_node():
