@@ -80,13 +80,12 @@ def _busy_pbs_cluster(num_nodes=1024, queued=512):
         server.node_up(f"enode{i:04d}")
     for i in range(num_nodes + queued):
         server.qsub(JobSpec(name=f"job{i}", ppn=4, runtime_s=100_000.0))
-    commands = PbsCommands(server)
-    return server, commands, PbsDetector(commands)
+    return PbsDetector(server)
 
 
 def test_bench_detector_check_1024(benchmark):
     """One live detector check: O(active jobs), no text round-trip."""
-    _, _, detector = _busy_pbs_cluster()
+    detector = _busy_pbs_cluster()
 
     report = benchmark(detector.check)
     assert report.running == 1024

@@ -36,7 +36,7 @@ def main() -> None:
         server.create_node(f"enode{i:02d}", np=4)
         server.node_up(f"enode{i:02d}")
     commands = PbsCommands(server)
-    detector = PbsDetector(commands)
+    detector = PbsDetector(server)
 
     banner("Figure 6 — detector outputs in the three queue states")
     print("[empty cluster]")

@@ -329,19 +329,6 @@ class LinuxCommunicator:
         )
         return linux_report, linux_view, windows_view
 
-    def handle(self, windows_wire: str) -> SwitchDecision:
-        """One control evaluation (steps 3-5) for an incoming wire string.
-
-        Raises on a corrupt wire — callers wanting the tolerant path use
-        the daemon loop (:meth:`run`), which counts-and-discards instead.
-        """
-        windows_state = QueueStateMessage.decode(windows_wire)
-        self.last_windows_state = windows_state
-        self.last_windows_wire = windows_wire
-        self.last_report_at = self.sim.now
-        self.tracer.emit("comm.report_received", wire=windows_wire, via="direct")
-        return self._evaluate(windows_state, windows_wire)
-
     def _evaluate(
         self, windows_state: QueueStateMessage, windows_wire: str
     ) -> SwitchDecision:

@@ -1,4 +1,4 @@
-"""Daemon wiring: start/stop the two communicators on a cluster.
+"""Daemon wiring: start the two communicators on a cluster.
 
 "The key to make the dual-boot cluster switch idle resources
 automatically, are the daemon (background) programs.  Two daemon programs
@@ -71,16 +71,6 @@ class DualBootDaemons:
     watchdog_process: Process
     cycle_s: float
     _crashed: Set[str] = field(default_factory=set)
-
-    def stop(self) -> None:
-        """Kill every control-plane process (freeze the system for analysis)."""
-        for process in (
-            self.linux_process,
-            self.windows_process,
-            self.ticker_process,
-            self.watchdog_process,
-        ):
-            process.kill()
 
     # -- crash / restart (fault injection entry points) ----------------------
 

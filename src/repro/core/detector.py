@@ -7,10 +7,11 @@ reads how many compute nodes the first queuing job needs."
 Every detector produces the same :class:`DetectorReport`: the Figure-5
 wire message plus the debug lines of Figure 6.  :class:`PbsDetector` and
 :class:`WinHpcDetector` (and the SLURM one in :mod:`repro.slurm.detector`)
-share one check, :func:`live_report`, over counts the scheduler keeps as
-jobs move: a check costs O(active switch jobs) plus the queue prefix up
-to the head job, and the Figure-6 running list is built only when
-``debug`` is read.
+each take their scheduler and share one check, :func:`live_report`, over
+counts the scheduler keeps as jobs move: a check costs O(active switch
+jobs) plus the queue prefix up to the head job, and the Figure-6 running
+list is built only when ``debug`` is read.  The Windows side reads its
+queue by API, as the paper's tool does through the HPC SDK (§III.B.3).
 
 The paper's Perl ``checkqueue.pl`` scrapes ``qstat -f`` text instead,
 because "PBS does not provide APIs ... Several Perl programs had been
@@ -32,10 +33,10 @@ from operator import attrgetter
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.core.wire import QueueStateMessage
-from repro.pbs.commands import PbsCommands
+from repro.pbs.server import PbsServer
 from repro.sched.protocol import SWITCH_JOB_NAME, SWITCH_TAG
 from repro.winhpc.job import WinJobUnit
-from repro.winhpc.sdk import HpcSchedulerConnection
+from repro.winhpc.scheduler import WinHpcScheduler
 
 # The middleware's own switch jobs (SWITCH_JOB_NAME / SWITCH_TAG) must not
 # count as demand, or each switch would trigger another switch (positive
@@ -160,8 +161,8 @@ class PbsDetector:
     wire format itself is unchanged.
     """
 
-    def __init__(self, commands: PbsCommands, eager: bool = False) -> None:
-        self.commands = commands
+    def __init__(self, server: PbsServer, eager: bool = False) -> None:
+        self.server = server
         self.eager = eager
 
     def check(self) -> DetectorReport:
@@ -169,46 +170,46 @@ class PbsDetector:
 
         Equal to :func:`qstat_report` over ``qstat -f``: the listing is
         in submission order and the server's FIFO queue is too, so the
-        head queued job is the first ``Q`` job of the queue.  Held jobs
-        render as ``H`` and do not count.
+        head queued job is the first ``Q`` job of the queue.
         """
         return live_report(
-            self.eager, self.commands.server,
+            self.eager, self.server,
             is_switch=is_named_switch,
             head_cores=attrgetter("total_cores"),
             running_line=lambda j: _pbs_running_line(j.jobid, j.name, j.owner),
         )
 
 
-# -- Windows side (SDK) -------------------------------------------------------
+# -- Windows side (scheduler API) --------------------------------------------
 
 
 class WinHpcDetector:
-    """The Windows-side queue fetcher (via the SDK facade).
+    """The Windows-side queue fetcher, reading the scheduler by API.
 
     ``eager`` as in :class:`PbsDetector`.
     """
 
-    def __init__(self, connection: HpcSchedulerConnection, eager: bool = False) -> None:
-        self.connection = connection
+    def __init__(self, scheduler: WinHpcScheduler, eager: bool = False) -> None:
+        self.scheduler = scheduler
         self.eager = eager
 
     def check(self) -> DetectorReport:
-        """One detector run over the connected scheduler's kept counts.
+        """One detector run over the scheduler's kept counts.
 
-        Equal to filtering the SDK's ``get_job_list(RUNNING/QUEUED)`` by
-        tag: the head is the first untagged job in queue order.
+        Equal to filtering the running and queued jobs by tag: the head
+        is the first untagged job in queue order.
         """
         return live_report(
-            self.eager, self.connection.scheduler,
+            self.eager, self.scheduler,
             is_switch=is_tagged_switch,
             head_cores=self._head_cores,
         )
 
     def _head_cores(self, head: Any) -> int:
-        """A NODE-unit job wants whole nodes of the largest size."""
+        """A NODE-unit job wants whole nodes of the largest size (one
+        core each while no node is known)."""
         if head.unit is WinJobUnit.NODE:
-            return head.amount * self.connection.max_node_cores()
+            return head.amount * (self.scheduler.max_node_cores or 1)
         return head.amount
 
 
@@ -228,31 +229,22 @@ def live_report(
 ) -> DetectorReport:
     """One detector run over *scheduler*'s kept counts.
 
-    Switch jobs (*is_switch*) and held jobs are not demand: they come
-    off the scheduler's running and queued counts, and the head is the
-    first queued job that is neither.  *head_cores* is the CPU figure
-    the wire reports for the head; *running_line* renders one Figure-6
-    running line, and only when ``debug`` is read.
+    Switch jobs (*is_switch*) are not demand: they come off the
+    scheduler's running and queued counts, and the head is the first
+    queued job that is not one.  *head_cores* is the CPU figure the wire
+    reports for the head; *running_line* renders one Figure-6 running
+    line, and only when ``debug`` is read.
     """
     switch = scheduler.switch_jobs
-    held = scheduler.held_state
     running = scheduler.running_count() - sum(
         1 for j in switch.running.values() if is_switch(j)
     )
-    queued = (
-        scheduler.queued_count()
-        - scheduler.held_count
-        - sum(
-            1 for j in switch.queued.values()
-            if is_switch(j) and j.state is not held
-        )
+    queued = scheduler.queued_count() - sum(
+        1 for j in switch.queued.values() if is_switch(j)
     )
     first: Optional[Tuple[str, int]] = None
     if queued:
-        head = next(
-            j for j in scheduler.iter_queued()
-            if j.state is not held and not is_switch(j)
-        )
+        head = next(j for j in scheduler.iter_queued() if not is_switch(j))
         first = (head.key, head_cores(head))
     return _build_report(
         eager=eager,

@@ -130,7 +130,6 @@ class ElasticityManager:
         self.provisions = 0
         self.stale_holds = 0
         self._surplus_streak: Dict[str, int] = {side: 0 for side in SIDES}
-        self._process = None
         #: pool -> {node name: node} (dicts as ordered sets), and each
         #: pooled node's pool; seeded now, then kept by _on_power_state
         self._pools: Dict[Pool, Dict[str, ComputeNode]] = {}
@@ -158,14 +157,9 @@ class ElasticityManager:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self) -> Any:
-        """Spawn the evaluation loop; returns the process handle."""
-        self._process = self.sim.spawn(self._loop(), name="daemon:elastic")
-        return self._process
-
-    def stop(self) -> None:
-        if self._process is not None and self._process.alive:
-            self._process.kill()
+    def start(self) -> None:
+        """Spawn the evaluation loop."""
+        self.sim.spawn(self._loop(), name="daemon:elastic")
 
     def _loop(self) -> Any:
         while True:
@@ -247,8 +241,7 @@ class ElasticityManager:
         return self.sim.now - last > cap
 
     def _queued_workload(self, side: str) -> int:
-        """Queued jobs on *side* (held ones included) not tagged as
-        OS-switch jobs."""
+        """Queued jobs on *side* not tagged as OS-switch jobs."""
         scheduler = self.pbs if side == "linux" else self.winhpc
         return scheduler.queued_count() - tagged_switch_jobs(
             scheduler.switch_jobs.queued.values()

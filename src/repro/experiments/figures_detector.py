@@ -14,13 +14,13 @@ from repro.experiments import ExperimentOutput
 from repro.metrics.report import Table
 from repro.pbs import JobSpec, PbsCommands, PbsServer
 from repro.simkernel import Simulator
-from repro.winhpc import HpcSchedulerConnection, WinHpcScheduler, WinJobSpec
+from repro.winhpc import WinHpcScheduler, WinJobSpec
 
 
-def _check(detector: PbsDetector, roundtrips: list):
+def _check(detector: PbsDetector, commands: PbsCommands, roundtrips: list):
     """The live report; records whether ``qstat -f`` text rebuilds it."""
     report = detector.check()
-    text = qstat_report(detector.commands.qstat_f(), eager=detector.eager)
+    text = qstat_report(commands.qstat_f(), eager=detector.eager)
     roundtrips.append(
         (text.wire, text.running, text.queued, text.debug)
         == (report.wire, report.running, report.queued, report.debug)
@@ -41,7 +41,7 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentOutput:
         server.create_node(f"enode{i:02d}", np=4)
         server.node_up(f"enode{i:02d}")
     commands = PbsCommands(server)
-    detector = PbsDetector(commands)
+    detector = PbsDetector(server)
     roundtrips: list = []
 
     states = Table(
@@ -50,13 +50,13 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentOutput:
     )
 
     # state 1: other (empty)
-    report = _check(detector, roundtrips)
+    report = _check(detector, commands, roundtrips)
     states.add_row(["Other state", report.wire, report.debug[0]])
     wire_other = report.wire
 
     # state 2: job running, no queuing
     server.qsub(JobSpec(name="sleep", nodes=1, ppn=4, runtime_s=600.0))
-    report = _check(detector, roundtrips)
+    report = _check(detector, commands, roundtrips)
     states.add_row([report.debug[0], report.wire, f"R=1 nR=0"])
     wire_running = report.wire
     qstat_text = commands.qstat_f()
@@ -67,7 +67,7 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentOutput:
         server.node_down(host)
     sim.run()  # let the node-loss kill of the running job land
     stuck_jobid = server.qsub(JobSpec(name="md", nodes=1, ppn=4, runtime_s=60.0))
-    report = _check(detector, roundtrips)
+    report = _check(detector, commands, roundtrips)
     states.add_row(["Queue stuck", report.wire, report.debug[1]])
     wire_stuck = report.wire
     output.tables.append(states)
@@ -81,12 +81,10 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentOutput:
         + "\n".join(pbsnodes_text.splitlines()[:7])
     )
 
-    # Windows-side detector sees the same wire format via the SDK
+    # Windows-side detector sees the same wire format via the scheduler API
     winhpc = WinHpcScheduler(sim)
     winhpc.add_node("enode01", cores=4)
-    sdk = HpcSchedulerConnection()
-    sdk.connect(winhpc)
-    win_detector = WinHpcDetector(sdk)
+    win_detector = WinHpcDetector(winhpc)
     win_job = winhpc.submit(WinJobSpec(name="render", amount=4, runtime_s=1.0))
     win_report = win_detector.check()
 

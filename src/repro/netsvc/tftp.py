@@ -11,8 +11,6 @@ it — no cache, matching TFTP reality.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.errors import NetworkError
 from repro.storage.filesystem import Filesystem, normalize
 
@@ -59,7 +57,3 @@ class TftpServer:
         helper exists for tests and provisioning code.)
         """
         self.filesystem.write(self._resolve(path), content)
-
-    def listdir(self, path: str) -> List[str]:
-        """List a directory below the TFTP root."""
-        return self.filesystem.listdir(self._resolve(path))

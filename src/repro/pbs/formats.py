@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import datetime
 
-from repro.pbs.job import JobState, PbsJob
+from repro.pbs.job import PbsJob
 from repro.pbs.nodes import PbsNodeRecord, PbsNodeState
 from repro.pbs.server import PbsServer
 
@@ -140,26 +140,3 @@ def render_qstat_full(
     return "\n\n".join(
         render_qstat_full_entry(job, server.server_name) for job in jobs
     ) + ("\n" if jobs else "")
-
-
-def render_qstat_brief(server: PbsServer) -> str:
-    """The plain ``qstat`` table."""
-    jobs = [
-        j
-        for j in sorted(server.jobs.values(), key=lambda j: j.seq_number)
-        if j.state is not JobState.COMPLETED
-    ]
-    if not jobs:
-        return ""
-    lines = [
-        "Job id                    Name             User            Time Use S Queue",
-        "------------------------- ---------------- --------------- -------- - -----",
-    ]
-    for job in jobs:
-        jid = job.jobid if len(job.jobid) <= 25 else job.jobid[:25]
-        user = job.owner.split("@")[0]
-        lines.append(
-            f"{jid:<25} {job.name[:16]:<16} {user:<15} {'0':>8} "
-            f"{job.state.value} {job.queue}"
-        )
-    return "\n".join(lines) + "\n"

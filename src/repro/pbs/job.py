@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 class JobState(enum.Enum):
@@ -13,9 +13,7 @@ class JobState(enum.Enum):
 
     QUEUED = "Q"
     RUNNING = "R"
-    EXITING = "E"
     COMPLETED = "C"
-    HELD = "H"
 
 
 @dataclass
@@ -54,8 +52,6 @@ class PbsJob:
     lost_work_s: float = 0.0
     walltime_used_s: float = 0.0
     interrupted_at: Optional[float] = None
-    #: optional callback fired on completion (metrics, chaining)
-    on_complete: Optional[Callable[["PbsJob"], None]] = None
     #: free-form tag used by the middleware ("os-switch") and workloads
     tag: str = ""
 

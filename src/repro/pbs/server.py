@@ -25,7 +25,7 @@ from repro.sched.lifecycle import BatchScheduler
 from repro.sched.protocol import SWITCH_TAG, JobRequest
 from repro.simkernel import Simulator
 
-#: Exit status TORQUE reports for jobs killed by node loss / qdel.
+#: Exit status TORQUE reports for jobs killed by node loss or cancelled.
 KILLED_EXIT_STATUS = 271
 
 #: Exit status for jobs killed at their walltime limit (128 + SIGTERM).
@@ -40,7 +40,7 @@ class PbsServer(BatchScheduler):
 
     The job lifecycle and node-failure recovery are the shared
     :class:`~repro.sched.lifecycle.BatchScheduler`; this class adds
-    ``qsub`` admission, holds, walltime limits, FQDN node names and the
+    ``qsub`` admission, walltime limits, FQDN node names and the
     strict-FCFS dispatcher.  It implements the
     :class:`repro.sched.protocol.SchedulerPersonality` seam (structurally)
     so the dual-boot control plane can drive it without importing this
@@ -57,7 +57,6 @@ class PbsServer(BatchScheduler):
 
     queued_state = JobState.QUEUED
     running_state = JobState.RUNNING
-    held_state = JobState.HELD
     failed_outcome = KILLED_EXIT_STATUS
     cancelled_outcome = KILLED_EXIT_STATUS
     _job_id = attrgetter("jobid")
@@ -181,39 +180,6 @@ class PbsServer(BatchScheduler):
         self._admit(job, cores=job.total_cores)
         return jobid
 
-    def qhold(self, jobid: str) -> None:
-        """Hold a queued job: it keeps its queue position but is skipped
-        by the scheduler until released (TORQUE ``qhold``)."""
-        job = self._get(jobid)
-        if job.state is not JobState.QUEUED:
-            raise SchedulerError(
-                f"{jobid}: only queued jobs can be held "
-                f"(state {job.state.value})"
-            )
-        job.state = JobState.HELD
-        self.held_count += 1
-        self._trace_job("job.held", job)
-
-    def qrls(self, jobid: str) -> None:
-        """Release a held job back into the queue (TORQUE ``qrls``)."""
-        job = self._get(jobid)
-        if job.state is not JobState.HELD:
-            raise SchedulerError(f"{jobid} is not held")
-        job.state = JobState.QUEUED
-        self.held_count -= 1
-        self._trace_job("job.released", job)
-        self._try_schedule()
-
-    def qdel(self, jobid: str) -> None:
-        """Cancel a job (queued or held: dropped; running: killed)."""
-        job = self._get(jobid)
-        if job.state is not JobState.HELD:
-            self.cancel(jobid)
-            return
-        self.queue_order.remove(jobid)
-        self.held_count -= 1
-        self._finish(job, KILLED_EXIT_STATUS)
-
     # -- queries ----------------------------------------------------------------
 
     def active_jobs_by_seq(self) -> List[PbsJob]:
@@ -259,29 +225,17 @@ class PbsServer(BatchScheduler):
         spec.tag = SWITCH_TAG
         return self.qsub(spec, owner=owner)
 
-    def make_commands(self, default_user: str = "sliang"):
-        """The qstat/pbsnodes command facade bound to this server."""
-        from repro.pbs.commands import PbsCommands
-
-        return PbsCommands(self, default_user=default_user)
-
     # -- scheduling & execution -------------------------------------------------
 
     def _try_schedule(self) -> None:
-        started = True
-        while started:
-            started = False
-            for jobid in self.queue_order:
-                job = self.jobs[jobid]
-                if job.state is JobState.HELD:
-                    continue  # held jobs keep their place but do not block
-                placement = self._place(job)
-                if placement is None:
-                    return  # strict FCFS head-of-line blocking
-                self.queue_order.remove(jobid)
-                self._start(job, placement)
-                started = True
-                break
+        queue = self.queue_order
+        while queue:
+            job = self.jobs[queue[0]]
+            placement = self._place(job)
+            if placement is None:
+                return  # strict FCFS head-of-line blocking
+            del queue[0]
+            self._start(job, placement)
 
     def _place(self, job: PbsJob):
         """Find a placement for *job* (indexed; see NodeIndex).

@@ -49,7 +49,7 @@ class NodeCounts:
 class SwitchJobs:
     """A personality's active OS-switch jobs, split into queued and running.
 
-    A job is held here from submission to its end while it carries
+    A job is kept here from submission to its end while it carries
     :data:`SWITCH_TAG` *or* the conventional :data:`SWITCH_JOB_NAME`.
     The PBS and SLURM detectors filter switch jobs by name (as the
     ``qstat``/``squeue`` text they reproduce does), the WinHPC detector
@@ -57,8 +57,6 @@ class SwitchJobs:
     name is one filter's switch job and the other's workload, so both
     kinds are kept and each reader applies its own filter.  Counting
     costs O(active switch jobs), never O(queue).
-
-    Held PBS jobs stay in :attr:`queued` (they keep their queue place).
     """
 
     def __init__(self) -> None:

@@ -53,20 +53,18 @@ def create_detector(
 
     The detector is what a communicator daemon runs each cycle to
     produce the wire report (§IV.A.3); each personality ships its own
-    text-parsing detector and this factory hides which one.
+    detector, reading that scheduler directly, and this factory hides
+    which one.
     """
     kind = personality.kind
     if kind == "pbs":
         from repro.core.detector import PbsDetector
 
-        return PbsDetector(personality.make_commands(), eager=eager)
+        return PbsDetector(personality, eager=eager)
     if kind == "winhpc":
         from repro.core.detector import WinHpcDetector
-        from repro.winhpc.sdk import HpcSchedulerConnection
 
-        sdk = HpcSchedulerConnection()
-        sdk.connect(personality)
-        return WinHpcDetector(sdk, eager=eager)
+        return WinHpcDetector(personality, eager=eager)
     if kind == "slurm":
         from repro.slurm.detector import SlurmDetector
 

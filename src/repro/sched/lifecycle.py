@@ -49,8 +49,6 @@ class BatchScheduler:
     # -- native vocabulary ----------------------------------------------------
     queued_state: Any
     running_state: Any
-    #: a queued state the dispatcher skips (PBS holds); None when absent
-    held_state: Any = None
     #: what :meth:`_finish` records for a payload exiting 0 / non-zero, a
     #: job cancelled or interrupted, and a fenced job with no requeue left
     done_outcome: Any
@@ -68,8 +66,6 @@ class BatchScheduler:
         #: each (see :meth:`_enqueue`)
         self.queue_order: List[Any] = []
         self.switch_jobs = SwitchJobs()
-        #: queued jobs in :attr:`held_state`
-        self.held_count = 0
         #: online and idle nodes, kept as records change (PBS and SLURM
         #: pass their free-core index, which is such a count too)
         self._index: Any = index
@@ -419,7 +415,7 @@ class BatchScheduler:
 
     def running_jobs(self) -> List[Any]:
         # Sorted by submission order: jobs can start out of it (priorities,
-        # holds, backfill), and callers expect the historical jobs-dict scan.
+        # backfill), and callers expect the historical jobs-dict scan.
         return sorted(self._running.values(), key=self._seq)
 
     def free_cores(self) -> int:
@@ -513,8 +509,6 @@ class BatchScheduler:
             self._trace_job("job.failed", job, cause=cause, **fields)
         else:
             self._trace_job("job.finished", job, **fields)
-        if job.on_complete is not None:
-            job.on_complete(job)
         self._notify("finished", job)
         self._try_schedule()
 

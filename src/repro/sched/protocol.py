@@ -131,7 +131,7 @@ class SchedulerPersonality(Protocol):
         ...
 
     def queued_count(self) -> int:
-        """Number of queued jobs, switch and held jobs included."""
+        """Number of queued jobs, switch jobs included."""
         ...
 
     def free_cores(self) -> int:

@@ -35,8 +35,6 @@ from repro.simkernel.calqueue import CalendarQueue
 from repro.simkernel.events import Event
 from repro.simkernel.kernel import HeapEventQueue, Simulator
 from repro.simkernel.process import (
-    AllOf,
-    AnyOf,
     Interrupt,
     Process,
     ProcessKilled,
@@ -53,8 +51,6 @@ from repro.simkernel.timeunits import (
 )
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "CalendarQueue",
     "DAY",
     "Event",

@@ -284,12 +284,6 @@ class Simulator:
         self._processes_started += 1
         return Process(self, generator, name=name)
 
-    def timeout(self, delay: float) -> Event:
-        """An event that triggers after *delay* seconds (callback style)."""
-        ev = self.event(name=f"timeout({delay})")
-        self.schedule(delay, ev.succeed)
-        return ev
-
     # -- execution ---------------------------------------------------------
 
     def _fire(self, entry: _Entry) -> None:

@@ -9,9 +9,7 @@ A process is a plain generator that yields *waitables*:
     value becomes the result of the ``yield`` expression);
 ``yield other_process``
     suspend until another process finishes (joining), receiving its return
-    value;
-``yield AllOf([...])`` / ``yield AnyOf([...])``
-    barrier / race over several waitables.
+    value.
 
 Processes can be interrupted: :meth:`Process.interrupt` raises
 :class:`Interrupt` inside the generator at its current ``yield``.  A process
@@ -20,7 +18,7 @@ function returns a value with a plain ``return``; waiters receive it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.simkernel.events import Event
 
@@ -58,32 +56,6 @@ class Timeout:
         return f"Timeout({self.delay})"
 
 
-class AllOf:
-    """Waitable barrier: resume when *all* the waitables are done.
-
-    The ``yield`` result is a list of the individual results, in input order.
-    A failure in any child fails the barrier immediately.
-    """
-
-    def __init__(self, waitables: Iterable[Any]) -> None:
-        self.waitables = list(waitables)
-
-
-class AnyOf:
-    """Waitable race: resume when *any* one of the waitables is done.
-
-    The ``yield`` result is a ``(index, value)`` tuple identifying the winner.
-    """
-
-    def __init__(self, waitables: Iterable[Any]) -> None:
-        self.waitables = list(waitables)
-        if not self.waitables:
-            raise ValueError("AnyOf needs at least one waitable")
-
-
-Waitable = Union[Timeout, Event, "Process", AllOf, AnyOf]
-
-
 class Process:
     """A running generator on the simulator.
 
@@ -109,11 +81,6 @@ class Process:
     def alive(self) -> bool:
         """``True`` while the generator has not finished or been killed."""
         return self._alive
-
-    @property
-    def done_event(self) -> Event:
-        """Event triggered with the process return value on completion."""
-        return self._done_event
 
     @property
     def result(self) -> Any:
@@ -188,10 +155,6 @@ class Process:
             self._wait_on_event(waitable._done_event)
         elif isinstance(waitable, Event):
             self._wait_on_event(waitable)
-        elif isinstance(waitable, AllOf):
-            self._wait_on_event(_all_of(self.sim, waitable.waitables))
-        elif isinstance(waitable, AnyOf):
-            self._wait_on_event(_any_of(self.sim, waitable.waitables))
         else:
             self._resume(
                 None,
@@ -217,70 +180,3 @@ class Process:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "alive" if self._alive else "done"
         return f"<Process {self.name!r} {state}>"
-
-
-def _as_event(sim: "Simulator", waitable: Any) -> Event:
-    """Normalise any waitable into an Event."""
-    if isinstance(waitable, Event):
-        return waitable
-    if isinstance(waitable, Process):
-        return waitable.done_event
-    if isinstance(waitable, Timeout):
-        ev = sim.event(name=f"timeout({waitable.delay})")
-        sim.schedule(waitable.delay, ev.succeed, waitable.value)
-        return ev
-    if isinstance(waitable, AllOf):
-        return _all_of(sim, waitable.waitables)
-    if isinstance(waitable, AnyOf):
-        return _any_of(sim, waitable.waitables)
-    raise TypeError(f"not a waitable: {waitable!r}")
-
-
-def _all_of(sim: "Simulator", waitables: List[Any]) -> Event:
-    """Combine waitables into a barrier event yielding a list of results."""
-    barrier = sim.event(name="all_of")
-    events = [_as_event(sim, w) for w in waitables]
-    results: List[Any] = [None] * len(events)
-    remaining = [len(events)]
-    if not events:
-        barrier.succeed([])
-        return barrier
-
-    def make_cb(i: int) -> Callable[[Event], None]:
-        def cb(ev: Event) -> None:
-            if barrier.triggered:
-                return
-            if not ev.ok:
-                barrier.fail(ev.value)
-                return
-            results[i] = ev.value
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                barrier.succeed(list(results))
-
-        return cb
-
-    for i, ev in enumerate(events):
-        ev.add_callback(make_cb(i))
-    return barrier
-
-
-def _any_of(sim: "Simulator", waitables: List[Any]) -> Event:
-    """Combine waitables into a race event yielding ``(index, value)``."""
-    race = sim.event(name="any_of")
-    events = [_as_event(sim, w) for w in waitables]
-
-    def make_cb(i: int) -> Callable[[Event], None]:
-        def cb(ev: Event) -> None:
-            if race.triggered:
-                return
-            if not ev.ok:
-                race.fail(ev.value)
-                return
-            race.succeed((i, ev.value))
-
-        return cb
-
-    for i, ev in enumerate(events):
-        ev.add_callback(make_cb(i))
-    return race

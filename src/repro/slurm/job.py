@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 
 class SlurmJobState(enum.Enum):
@@ -69,7 +69,6 @@ class SlurmJob:
     end_time: Optional[float] = None
     #: hostname -> cpus taken there
     allocation: Dict[str, int] = field(default_factory=dict)
-    on_complete: Optional[Callable[["SlurmJob"], None]] = None
     tag: str = ""
     rerunnable: bool = True
     #: node-failure recovery bookkeeping (see ``repro.sched.lifecycle``)

@@ -2,8 +2,8 @@
 
 A :class:`Filesystem` is a flat map of normalised absolute paths to file
 contents (strings).  Directories are implicit — they exist whenever a file
-lives under them — but can also be created explicitly so that ``listdir``
-on a prepared-but-empty directory (e.g. ``/tftpboot/menu.lst/``) works.
+lives under them — but can also be created explicitly, so that a
+prepared-but-empty directory (e.g. ``/tftpboot/menu.lst/``) exists.
 
 The operations mirror what the paper's scripts actually do to disk:
 
@@ -113,18 +113,6 @@ class Filesystem:
     def mkdir(self, path: str) -> None:
         """Explicitly create a directory (idempotent)."""
         self._dirs.add(normalize(path))
-
-    def listdir(self, path: str) -> List[str]:
-        """Immediate children (names, not paths) of *path*, sorted."""
-        key = normalize(path)
-        if not self.isdir(key):
-            raise StorageError(f"not a directory: {key}")
-        prefix = "/" if key == "/" else key + "/"
-        children: Set[str] = set()
-        for p in list(self._files) + list(self._dirs):
-            if p != key and p.startswith(prefix):
-                children.add(p[len(prefix):].split("/")[0])
-        return sorted(children)
 
     def walk(self) -> Iterator[Tuple[str, str]]:
         """Iterate ``(path, content)`` for every file, sorted by path."""

@@ -81,8 +81,6 @@ JOB_STARTED = "job.started"
 JOB_FINISHED = "job.finished"
 JOB_REQUEUED = "job.requeued"
 JOB_FAILED = "job.failed"
-JOB_HELD = "job.held"
-JOB_RELEASED = "job.released"
 
 #: Heartbeat health monitor (suspect -> fenced -> recovered).
 HEALTH_ARMED = "health.armed"

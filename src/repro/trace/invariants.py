@@ -187,10 +187,8 @@ def check_os_change_has_boot_chain(
 
 @invariant("received-was-sent")
 def check_received_was_sent(events: Sequence[TraceEvent]) -> List[Violation]:
-    """Each network-delivered ``comm.report_received`` wire string must
-    have appeared in an earlier-or-simultaneous ``comm.report_sent``.
-    Reports handed over in-process (``via="direct"``) are exempt.
-    """
+    """Each ``comm.report_received`` wire string must have appeared in
+    an earlier-or-simultaneous ``comm.report_sent``."""
     out: List[Violation] = []
     sent_at: Dict[str, float] = {}
     for e in events:
@@ -199,8 +197,6 @@ def check_received_was_sent(events: Sequence[TraceEvent]) -> List[Violation]:
             if wire is not None and wire not in sent_at:
                 sent_at[str(wire)] = e.time
         elif e.kind == ev.COMM_REPORT_RECEIVED:
-            if e.fields.get("via") != "network":
-                continue
             wire = str(e.fields.get("wire"))
             if wire not in sent_at or sent_at[wire] > e.time + _TIME_EPS:
                 out.append(_violate(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 
 class WinJobState(enum.Enum):
@@ -63,7 +63,6 @@ class WinHpcJob:
     priority: int = PRIORITY_NORMAL
     #: hostname -> cores taken there
     allocation: Dict[str, int] = field(default_factory=dict)
-    on_complete: Optional[Callable[["WinHpcJob"], None]] = None
     tag: str = ""
     rerunnable: bool = True
     #: node-failure recovery bookkeeping (see ``repro.sched.lifecycle``)

@@ -1,6 +1,8 @@
 """DET004 negative fixture: concurrency modelled as simulator events."""
 
+from repro.simkernel import Timeout
 
-def daemon_loop(sim, cycle_s):
+
+def daemon_loop(cycle_s):
     while True:
-        yield sim.timeout(cycle_s)
+        yield Timeout(cycle_s)

@@ -18,11 +18,11 @@ from repro.core.policy import FcfsPolicy
 from repro.core.wire import QueueStateMessage
 from repro.errors import MiddlewareError
 from repro.netsvc import DhcpServer, Network, TftpServer
-from repro.pbs import JobSpec, PbsCommands, PbsServer
+from repro.pbs import JobSpec, PbsServer
 from repro.simkernel import MINUTE, Simulator
 from repro.simkernel.rng import RngStreams
 from repro.storage import Filesystem, FsType
-from repro.winhpc import HpcSchedulerConnection, WinHpcScheduler, WinJobSpec
+from repro.winhpc import WinHpcScheduler, WinJobSpec
 
 
 @pytest.fixture()
@@ -53,7 +53,7 @@ def rig():
     linux = LinuxCommunicator(
         sim=sim,
         listener=listener,
-        detector=PbsDetector(PbsCommands(pbs)),
+        detector=PbsDetector(pbs),
         policy=FcfsPolicy(),
         orders=orders,
         cores_per_node=4,
@@ -61,12 +61,10 @@ def rig():
         ack_port=5801,
         cycle_s=10 * MINUTE,
     )
-    sdk = HpcSchedulerConnection()
-    sdk.connect(winhpc)
     windows = WindowsCommunicator(
         sim=sim,
         host=winhead,
-        detector=WinHpcDetector(sdk),
+        detector=WinHpcDetector(winhpc),
         linux_head="eridani",
         port=5800,
         cycle_s=10 * MINUTE,
@@ -74,6 +72,24 @@ def rig():
         rng=RngStreams(11).spawn("communicator"),
     )
     return sim, pbs, winhpc, controller, orders, linux, windows, listener
+
+
+@pytest.fixture()
+def deliver(rig):
+    """Run the Linux daemon; the returned function sends one wire string
+    from the Windows head to its listener and returns the decision the
+    daemon took on it."""
+    sim, *_, linux, windows, _ = rig
+    sim.spawn(linux.run())
+
+    def send(wire):
+        before = len(linux.decisions)
+        windows.host.send(linux.host.name, 5800, wire)
+        sim.run(until=sim.now + 1.0)
+        assert len(linux.decisions) == before + 1
+        return linux.decisions[-1].decision
+
+    return send
 
 
 def test_windows_communicator_reports_every_cycle(rig):
@@ -98,17 +114,17 @@ def test_cycle_validation(rig):
         )
 
 
-def test_handle_no_demand_decides_nothing(rig):
+def test_handle_no_demand_decides_nothing(rig, deliver):
     sim, pbs, winhpc, controller, orders, linux, *_ = rig
-    decision = linux.handle("00000none")
+    decision = deliver("00000none")
     assert not decision.is_switch
     assert len(linux.decisions) == 1
     assert linux.decisions[0].linux_wire == "00000none"
 
 
-def test_handle_windows_stuck_issues_pbs_switch_jobs(rig):
+def test_handle_windows_stuck_issues_pbs_switch_jobs(rig, deliver):
     sim, pbs, winhpc, controller, orders, linux, *_ = rig
-    decision = linux.handle(
+    decision = deliver(
         QueueStateMessage.stuck_queue(8, "7").encode()
     )
     assert decision.target_os == "windows"
@@ -120,16 +136,16 @@ def test_handle_windows_stuck_issues_pbs_switch_jobs(rig):
     assert all(j.name == "release_1_node" for j in switch_jobs)
 
 
-def test_pending_switches_prevent_double_issue(rig):
+def test_pending_switches_prevent_double_issue(rig, deliver):
     sim, pbs, winhpc, controller, orders, linux, *_ = rig
     wire = QueueStateMessage.stuck_queue(8, "7").encode()
-    linux.handle(wire)
-    decision = linux.handle(wire)  # next cycle, switches still pending
+    deliver(wire)
+    decision = deliver(wire)  # next cycle, switches still pending
     assert not decision.is_switch
     assert orders.in_flight("windows") == 2  # unchanged
 
 
-def test_handle_linux_stuck_issues_winhpc_switch_jobs(rig):
+def test_handle_linux_stuck_issues_winhpc_switch_jobs(rig, deliver):
     sim, pbs, winhpc, controller, orders, linux, *_ = rig
     # make linux stuck: all PBS nodes down + one queued job
     for host in list(pbs.nodes):
@@ -138,7 +154,7 @@ def test_handle_linux_stuck_issues_winhpc_switch_jobs(rig):
     # windows side has idle nodes
     for i in range(1, 5):
         winhpc.node_online(f"enode{i:02d}")
-    decision = linux.handle("00000none")
+    decision = deliver("00000none")
     assert decision.target_os == "linux"
     assert decision.num_nodes == 1
     assert orders.in_flight("linux") == 1
@@ -148,12 +164,12 @@ def test_handle_linux_stuck_issues_winhpc_switch_jobs(rig):
     assert switch_jobs[0].unit.value == "Node"
 
 
-def test_both_stuck_no_orders(rig):
+def test_both_stuck_no_orders(rig, deliver):
     sim, pbs, winhpc, controller, orders, linux, *_ = rig
     for host in list(pbs.nodes):
         pbs.node_down(host)
     pbs.qsub(JobSpec(name="md", nodes=1, ppn=4, runtime_s=60.0))
-    decision = linux.handle(QueueStateMessage.stuck_queue(4, "9").encode())
+    decision = deliver(QueueStateMessage.stuck_queue(4, "9").encode())
     assert not decision.is_switch
     assert orders.orders_issued == 0
 

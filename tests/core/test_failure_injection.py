@@ -27,7 +27,8 @@ def deployed(**kw):
 
 def test_daemons_stopped_jobs_still_run_but_no_switching():
     hybrid = deployed(initial_windows_nodes=1)
-    hybrid.daemons.stop()
+    hybrid.daemons.crash("linux")
+    hybrid.daemons.crash("windows")
     linux_id = hybrid.submit("linux", JobRequest(
         name="md", nodes=1, ppn=4, runtime_s=10 * MINUTE))
     win_small = hybrid.submit("windows", JobRequest(

@@ -22,13 +22,13 @@ from repro.core.wire import QueueStateMessage
 from repro.errors import MiddlewareError
 from repro.faults import BootHang, FaultInjector, FaultPlan
 from repro.netsvc import DhcpServer, Network, TftpServer
-from repro.pbs import JobSpec, PbsCommands, PbsServer
+from repro.pbs import JobSpec, PbsServer
 from repro.pbs.job import JobState
 from repro.sched import JobRequest
 from repro.simkernel import HOUR, MINUTE, Simulator
 from repro.simkernel.rng import RngStreams
 from repro.storage import Filesystem, FsType
-from repro.winhpc import HpcSchedulerConnection, WinHpcScheduler
+from repro.winhpc import WinHpcScheduler
 from repro.winhpc.job import WinJobState
 
 CYCLE = 10 * MINUTE
@@ -61,7 +61,7 @@ def rig():
     linux = LinuxCommunicator(
         sim=sim,
         listener=linhead.listen(5800),
-        detector=PbsDetector(PbsCommands(pbs)),
+        detector=PbsDetector(pbs),
         policy=FcfsPolicy(),
         orders=orders,
         cores_per_node=4,
@@ -70,12 +70,10 @@ def rig():
         cycle_s=CYCLE,
         staleness_cycles=2,
     )
-    sdk = HpcSchedulerConnection()
-    sdk.connect(winhpc)
     windows = WindowsCommunicator(
         sim=sim,
         host=winhead,
-        detector=WinHpcDetector(sdk),
+        detector=WinHpcDetector(winhpc),
         linux_head="eridani",
         port=5800,
         cycle_s=CYCLE,
@@ -86,6 +84,22 @@ def rig():
         rng=RngStreams(11).spawn("communicator"),
     )
     return sim, network, pbs, winhpc, orders, linux, windows, linhead, winhead
+
+
+@pytest.fixture()
+def deliver(rig):
+    """Run the Linux daemon; the returned function sends one wire string
+    from the Windows head to its listener and waits out the delivery."""
+    sim, *_, linux, _, _, winhead = rig
+    sim.spawn(linux.run())
+
+    def send(wire):
+        before = len(linux.decisions)
+        winhead.send(linux.host.name, 5800, wire)
+        sim.run(until=sim.now + 1.0)
+        assert len(linux.decisions) == before + 1
+
+    return send
 
 
 # -- ack + retry --------------------------------------------------------------
@@ -173,19 +187,12 @@ def test_corrupt_wire_counted_and_discarded(rig):
     assert linux.acks_sent == 1                 # corrupt wires are never acked
 
 
-def test_handle_still_raises_on_corrupt_wire(rig):
-    """The strict entry point keeps its contract for direct callers."""
-    _, _, _, _, _, linux, *_ = rig
-    with pytest.raises(MiddlewareError):
-        linux.handle("not-a-wire")
-
-
 # -- staleness guard ----------------------------------------------------------
 
 
-def test_tick_noop_while_report_is_fresh(rig):
+def test_tick_noop_while_report_is_fresh(rig, deliver):
     sim, _, _, _, _, linux, *_ = rig
-    linux.handle("00000none")
+    deliver("00000none")
     sim.run(until=5 * MINUTE)  # half a cycle
     before = len(linux.decisions)
     linux.tick()
@@ -193,9 +200,9 @@ def test_tick_noop_while_report_is_fresh(rig):
     assert linux.stale_skips == 0
 
 
-def test_tick_reevaluates_within_the_cap(rig):
+def test_tick_reevaluates_within_the_cap(rig, deliver):
     sim, _, _, _, _, linux, *_ = rig
-    linux.handle(STUCK_WIRE)
+    deliver(STUCK_WIRE)
     sim.run(until=15 * MINUTE)  # 1.5 cycles old: missed one report
     before = len(linux.decisions)
     linux.tick()
@@ -204,9 +211,9 @@ def test_tick_reevaluates_within_the_cap(rig):
     assert linux.stale_skips == 0
 
 
-def test_tick_never_decides_on_a_report_past_the_cap(rig):
+def test_tick_never_decides_on_a_report_past_the_cap(rig, deliver):
     sim, _, _, _, orders, linux, *_ = rig
-    linux.handle("00000none")
+    deliver("00000none")
     issued_before = orders.orders_issued
     sim.run(until=25 * MINUTE)  # cap is 2 cycles = 20 minutes
     linux.tick()
@@ -230,9 +237,9 @@ def test_staleness_validation(rig):
 # -- order ledger + watchdog --------------------------------------------------
 
 
-def test_issue_records_pending_orders(rig):
+def test_issue_records_pending_orders(rig, deliver):
     _, _, pbs, _, orders, linux, *_ = rig
-    linux.handle(QueueStateMessage.stuck_queue(8, "7").encode())
+    deliver(QueueStateMessage.stuck_queue(8, "7").encode())
     assert orders.orders_issued == 2
     assert orders.in_flight("windows") == 2
     assert all(o.state is OrderState.PENDING for o in orders.orders)
@@ -240,9 +247,9 @@ def test_issue_records_pending_orders(rig):
     assert all(o.deadline == o.issued_at + 15 * MINUTE for o in orders.orders)
 
 
-def test_node_join_confirms_oldest_pending_order(rig):
+def test_node_join_confirms_oldest_pending_order(rig, deliver):
     _, _, _, winhpc, orders, linux, *_ = rig
-    linux.handle(QueueStateMessage.stuck_queue(8, "7").encode())
+    deliver(QueueStateMessage.stuck_queue(8, "7").encode())
     winhpc.node_online("enode01")
     assert orders.orders_confirmed == 1
     assert orders.in_flight("windows") == 1
@@ -257,9 +264,9 @@ def test_join_with_no_pending_orders_is_ignored(rig):
     assert orders.orders_confirmed == 0
 
 
-def test_expire_fails_overdue_orders_and_frees_in_flight(rig):
+def test_expire_fails_overdue_orders_and_frees_in_flight(rig, deliver):
     sim, _, _, _, orders, linux, *_ = rig
-    linux.handle(STUCK_WIRE)
+    deliver(STUCK_WIRE)
     assert orders.in_flight("windows") == 1
     sim.run(until=16 * MINUTE)
     expired = orders.expire(sim.now)

@@ -87,9 +87,11 @@ def test_tftp_exists_and_put(tftp):
     assert tftp.fetch("/menu.lst/flag") == "default=1\n"
 
 
-def test_tftp_listdir(tftp):
+def test_tftp_put_lands_beside_the_existing_files(tftp):
     tftp.put("/menu.lst/01-aa-bb-cc-dd-ee-01", "x")
-    assert tftp.listdir("/menu.lst") == ["01-aa-bb-cc-dd-ee-01", "default"]
+    assert tftp.exists("/menu.lst/01-aa-bb-cc-dd-ee-01")
+    assert tftp.fetch("/menu.lst/01-aa-bb-cc-dd-ee-01") == "x"
+    assert tftp.fetch("/menu.lst/default") == "default=0\n"
 
 
 def test_tftp_path_cannot_escape_root(tftp):

@@ -108,21 +108,3 @@ def test_qstat_f_multiple_jobs_sorted(pbs, server):
     text = pbs.qstat_f()
     assert text.index("Job Id: 1185") < text.index("Job Id: 1186")
     assert "    job_state = Q" in text  # second job queued
-
-
-def test_qstat_brief_table(pbs, server):
-    server.qsub(JobSpec(name="sleep", runtime_s=50.0))
-    text = pbs.qstat()
-    assert "Job id" in text and "Queue" in text
-    assert "sleep" in text and " R " in text
-
-
-def test_qstat_brief_empty(pbs):
-    assert pbs.qstat() == ""
-
-
-def test_qsub_via_commands_facade(pbs, sim, server):
-    jobid = pbs.qsub("#PBS -N from_script\n#PBS -l nodes=1:ppn=2\necho hi\n")
-    job = server.jobs[jobid]
-    assert job.name == "from_script"
-    assert job.ppn == 2

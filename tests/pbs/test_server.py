@@ -137,7 +137,7 @@ def test_qdel_queued_job(sim, server):
     for i in range(4):
         server.qsub(spec(name=f"fill{i}", runtime=100.0))
     victim = server.qsub(spec(name="victim", runtime=100.0))
-    server.qdel(victim)
+    server.cancel(victim)  # the server side of qdel
     assert server.jobs[victim].state is JobState.COMPLETED
     assert server.jobs[victim].exit_status == KILLED_EXIT_STATUS
     assert victim not in server.queue_order
@@ -146,7 +146,7 @@ def test_qdel_queued_job(sim, server):
 def test_qdel_running_job(sim, server):
     jobid = server.qsub(spec(runtime=1000.0))
     sim.run(until=5.0)
-    server.qdel(jobid)
+    server.cancel(jobid)
     sim.run(until=6.0)
     assert server.jobs[jobid].state is JobState.COMPLETED
     assert server.free_cores() == 16
@@ -156,7 +156,7 @@ def test_qdel_completed_job_rejected(sim, server):
     jobid = server.qsub(spec(runtime=1.0))
     sim.run()
     with pytest.raises(SchedulerError):
-        server.qdel(jobid)
+        server.cancel(jobid)
 
 
 def test_ppn_larger_than_any_node_rejected(server):
@@ -189,14 +189,6 @@ def test_observers_see_lifecycle(sim, server):
         ("started", "watched"),
         ("finished", "watched"),
     ]
-
-
-def test_on_complete_callback(sim, server):
-    done = []
-    jobid = server.qsub(spec(runtime=5.0))
-    server.jobs[jobid].on_complete = lambda job: done.append(job.jobid)
-    sim.run()
-    assert done == [jobid]
 
 
 def test_free_cores_accounting(sim, server):

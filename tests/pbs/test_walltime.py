@@ -52,7 +52,7 @@ def test_qdel_still_reports_killed_not_walltime(server):
         JobSpec(name="victim", ppn=4, runtime_s=1000.0, walltime_s=2000.0)
     )
     server.sim.run(until=10.0)
-    server.qdel(jobid)
+    server.cancel(jobid)  # the server side of qdel
     server.sim.run(until=20.0)
     assert server.jobs[jobid].exit_status == KILLED_EXIT_STATUS
 

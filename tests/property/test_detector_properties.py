@@ -2,13 +2,13 @@
 
 ``PbsDetector.check()`` reads the server's job lists directly; the
 paper's ``checkqueue.pl`` scraped ``qstat -f`` instead.  After every
-operation of a random history (submissions, holds, node churn, time
+operation of a random history (submissions, cancels, node churn, time
 passing) the report rebuilt from the rendered text must equal the live
 one, field for field, with and without the eager CPU field.  The same
 holds for SLURM and ``squeue``.  WinHPC has no text path: its live check
-must equal the report the detector used to build from the SDK's
-``get_job_list(RUNNING/QUEUED)`` lists.  The kept idle/online node
-counts must equal a scan of the node table.
+must equal a report built from a scan of every job the scheduler ever
+took, filtered by state and ordered by the dispatch rule.  The kept
+idle/online node counts must equal a scan of the node table.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +20,6 @@ from repro.core.detector import (
     qstat_report,
 )
 from repro.pbs import JobSpec, PbsCommands, PbsServer
-from repro.pbs.job import JobState
 from repro.sched.protocol import SWITCH_TAG
 from repro.simkernel import Simulator
 from repro.slurm.commands import squeue
@@ -30,7 +29,6 @@ from repro.slurm.job import SlurmJobSpec
 from repro.winhpc.job import WinJobSpec, WinJobState, WinJobUnit
 from repro.winhpc.scheduler import WinHpcScheduler
 from repro.winhpc.nodestate import WinNodeState
-from repro.winhpc.sdk import HpcSchedulerConnection
 
 NUM_NODES = 3
 CORES = 4
@@ -70,9 +68,7 @@ pbs_ops = st.lists(
         pbs_submit,
         pbs_submit,
         pbs_tagged,
-        st.tuples(
-            st.sampled_from(["qhold", "qrls", "qdel"]), st.integers(0, 20)
-        ),
+        st.tuples(st.just("cancel"), st.integers(0, 20)),
         node_ops,
         run_op,
     ),
@@ -134,7 +130,7 @@ def _same(live, text):
 
 def _assert_pbs_matches(server, commands):
     for eager in (False, True):
-        live = PbsDetector(commands, eager=eager).check()
+        live = PbsDetector(server, eager=eager).check()
         _same(live, qstat_report(commands.qstat_f(), eager=eager))
     up = server.up_nodes()
     assert server.online_node_count() == len(up)
@@ -150,24 +146,27 @@ def _assert_slurm_matches(controller):
     assert controller.idle_node_count() == sum(1 for r in up if r.idle)
 
 
-def winhpc_reference(connection, eager):
-    """The WinHPC check as it was: filter the SDK's job lists by tag."""
-    running = [
-        j
-        for j in connection.get_job_list(WinJobState.RUNNING)
-        if j.tag != SWITCH_TAG
-    ]
-    queued = [
-        j
-        for j in connection.get_job_list(WinJobState.QUEUED)
-        if j.tag != SWITCH_TAG
-    ]
+def winhpc_reference(scheduler, eager):
+    """The WinHPC check rebuilt from every job the scheduler ever took:
+    untagged jobs by state, running ones in submission order, queued
+    ones in dispatch order (higher priority band first, then submission
+    order)."""
+    workload = sorted(
+        (j for j in scheduler.jobs.values() if j.tag != SWITCH_TAG),
+        key=lambda j: j.job_id,
+    )
+    running = [j for j in workload if j.state is WinJobState.RUNNING]
+    queued = sorted(
+        (j for j in workload if j.state is WinJobState.QUEUED),
+        key=lambda j: (-j.priority, j.job_id),
+    )
     first = None
     if queued:
         head = queued[0]
         cores = head.amount
         if head.unit is WinJobUnit.NODE:
-            cores = head.amount * connection.max_node_cores()
+            largest = max((r.cores for r in scheduler.nodes.values()), default=1)
+            cores = head.amount * largest
         first = (str(head.job_id), cores)
     return _build_report(
         running=len(running),
@@ -180,10 +179,10 @@ def winhpc_reference(connection, eager):
     )
 
 
-def _assert_winhpc_matches(scheduler, connection):
+def _assert_winhpc_matches(scheduler):
     for eager in (False, True):
-        live = WinHpcDetector(connection, eager=eager).check()
-        _same(live, winhpc_reference(connection, eager))
+        live = WinHpcDetector(scheduler, eager=eager).check()
+        _same(live, winhpc_reference(scheduler, eager))
     online = [
         r for r in scheduler.nodes.values() if r.state is WinNodeState.ONLINE
     ]
@@ -193,18 +192,18 @@ def _assert_winhpc_matches(scheduler, connection):
 
 @settings(max_examples=60, deadline=None)
 @given(ops=pbs_ops)
-# a held job, a queued and a running switch job, then the head finishes
+# a queued and a running switch job, then the head finishes
 @example(ops=[
     ("submit", "md", 2, 4, 2000.0), ("submit", "md", 2, 4, 400.0),
-    ("submit", "release_1_node", 1, 4, 60.0), ("qhold", 0),
-    ("submit", "sleep", 1, 2, 60.0), ("run", 1000.0), ("qrls", 0),
+    ("submit", "release_1_node", 1, 4, 60.0),
+    ("submit", "sleep", 1, 2, 60.0), ("run", 1000.0),
     ("fence", 3), ("run", 1000.0),
 ])
-# a running switch job requeued by a fence, and a held job deleted
+# a running switch job requeued by a fence, and a queued job cancelled
 @example(ops=[
     ("submit", "release_1_node", 1, 4, 2000.0),
-    ("submit", "md", 3, 4, 60.0), ("qhold", 0), ("fence", 3),
-    ("qdel", 1), ("run", 30.0),
+    ("submit", "md", 3, 4, 60.0), ("fence", 3),
+    ("cancel", 1), ("run", 30.0),
 ])
 def test_pbs_check_equals_qstat_text_report(ops):
     sim = Simulator()
@@ -224,15 +223,10 @@ def test_pbs_check_equals_qstat_text_report(ops):
             server.qsub(JobSpec(
                 name=op[1], ppn=op[2], runtime_s=400.0, tag=SWITCH_TAG
             ))
-        elif kind in ("qhold", "qrls"):
-            wanted = JobState.QUEUED if kind == "qhold" else JobState.HELD
-            jobs = [j.jobid for j in server.queued_jobs() if j.state is wanted]
-            if jobs:
-                getattr(server, kind)(jobs[op[1] % len(jobs)])
-        elif kind == "qdel":
+        elif kind == "cancel":
             jobs = [j.jobid for j in server.queued_jobs()]
             if jobs:
-                server.qdel(jobs[op[1] % len(jobs)])
+                server.cancel(jobs[op[1] % len(jobs)])
         elif kind == "run":
             sim.run(until=sim.now + op[1])
         else:
@@ -310,9 +304,7 @@ def test_winhpc_check_equals_sdk_job_list_report(ops):
     for host in hosts:
         scheduler.add_node(host, cores=CORES)
         scheduler.node_online(host)
-    connection = HpcSchedulerConnection()
-    connection.connect(scheduler)
-    _assert_winhpc_matches(scheduler, connection)
+    _assert_winhpc_matches(scheduler)
     for op in ops:
         kind = op[0]
         if kind == "submit":
@@ -333,4 +325,4 @@ def test_winhpc_check_equals_sdk_job_list_report(ops):
                 scheduler.node_online, scheduler.node_unreachable,
                 scheduler.cordon_node, scheduler.uncordon_node,
             )
-        _assert_winhpc_matches(scheduler, connection)
+        _assert_winhpc_matches(scheduler)

@@ -12,7 +12,7 @@ Both pairings (PBS/WinHPC and PBS/SLURM) are driven through random
 histories of power on/off, suspend/resume, deprovision/provision,
 crashes (which the real heartbeat monitor turns into SUSPECT and FENCED
 verdicts as time passes, and recovers on reboot), direct fences,
-cordons, holds, cancels, job submissions (plain, named like a switch
+cordons, cancels, job submissions (plain, named like a switch
 job, tagged as one) and time passing, plus the manager's own decision
 rounds.  After every step the manager's reads must equal the scans, and
 each personality's kept node and switch-job counts must equal scans of
@@ -25,7 +25,6 @@ from repro.core import MiddlewareConfig, build_hybrid_cluster
 from repro.core.elasticity import SIDES, ElasticityManager, ElasticityPolicy
 from repro.hardware.node import NodeState
 from repro.health import HealthState
-from repro.pbs.job import JobState
 from repro.sched import JobRequest
 from repro.sched.protocol import SWITCH_JOB_NAME, SWITCH_TAG
 from repro.simkernel import MINUTE
@@ -147,9 +146,7 @@ submit_ops = st.tuples(
     st.sampled_from([1, 4]),                  # cores / ppn
     st.sampled_from([60.0, 900.0, 5400.0]),
 )
-queue_ops = st.tuples(
-    st.sampled_from(["qhold", "qrls", "cancel"]), sides, st.integers(0, 20)
-)
+queue_ops = st.tuples(st.just("cancel"), sides, st.integers(0, 20))
 time_ops = st.tuples(
     st.just("run"), st.sampled_from([30.0, 200.0, 1000.0, 3600.0])
 )
@@ -223,12 +220,6 @@ def apply(hybrid, manager, op):
             nodes=nodes, ppn=cores if nodes else 0, cores=cores,
             runtime_s=runtime,
         ))
-    elif kind in ("qhold", "qrls"):
-        pbs = hybrid.pbs
-        wanted = JobState.QUEUED if kind == "qhold" else JobState.HELD
-        jobs = [j.jobid for j in pbs.queued_jobs() if j.state is wanted]
-        if jobs:
-            getattr(pbs, kind)(jobs[op[2] % len(jobs)])
     elif kind == "cancel":
         scheduler = hybrid.scheduler(op[1])
         jobs = scheduler.queued_jobs()
@@ -248,8 +239,8 @@ def check_history(windows_scheduler, program):
         assert_manager_matches(hybrid, manager)
 
 
-# a crash the monitor first suspects and then fences, a held job, a named
-# and a tagged switch-like job queued behind a full side, a suspend and a
+# a crash the monitor first suspects and then fences, a named and a
+# tagged switch-like job queued behind a full side, a suspend and a
 # resume, and the burst node provisioned
 HISTORY = [
     ("submit", "linux", "plain", 1, 4, 5400.0),
@@ -257,7 +248,6 @@ HISTORY = [
     ("submit", "linux", "tagged", 0, 1, 60.0),
     ("submit", "windows", "tagged", 1, 4, 60.0),
     ("submit", "windows", "plain", 0, 4, 900.0),
-    ("qhold", "linux", 0),
     ("crash", 2),
     ("run", 200.0),
     ("evaluate",),

@@ -1,76 +1,13 @@
-"""Edge cases for event combinators and process teardown."""
+"""Edge cases for event callbacks and process teardown."""
 
 import pytest
 
-from repro.simkernel import (
-    AllOf,
-    AnyOf,
-    ProcessKilled,
-    Simulator,
-    Timeout,
-)
+from repro.simkernel import ProcessKilled, Simulator, Timeout
 
 
 @pytest.fixture()
 def sim():
     return Simulator()
-
-
-def test_all_of_fails_fast_on_child_failure(sim):
-    caught = []
-
-    def bad():
-        yield Timeout(1)
-        raise ValueError("child broke")
-
-    def slow():
-        yield Timeout(100)
-        return "slow"
-
-    def parent():
-        try:
-            yield AllOf([sim.spawn(bad()), sim.spawn(slow())])
-        except ValueError as e:
-            caught.append((sim.now, str(e)))
-
-    sim.spawn(parent())
-    sim.run()
-    assert caught == [(1.0, "child broke")]  # did not wait for `slow`
-
-
-def test_any_of_fails_if_loser_errors_first(sim):
-    caught = []
-
-    def bad():
-        yield Timeout(1)
-        raise RuntimeError("boom")
-
-    def parent():
-        try:
-            yield AnyOf([sim.spawn(bad()), Timeout(50)])
-        except RuntimeError:
-            caught.append(sim.now)
-
-    sim.spawn(parent())
-    sim.run()
-    assert caught == [1.0]
-
-
-def test_any_of_winner_after_other_completes_is_ignored(sim):
-    results = []
-
-    def child(d, v):
-        yield Timeout(d)
-        return v
-
-    def parent():
-        winner = yield AnyOf([sim.spawn(child(1, "a")), sim.spawn(child(2, "b"))])
-        results.append(winner)
-        yield Timeout(10)  # let the loser finish too
-
-    sim.spawn(parent())
-    sim.run()
-    assert results == [(0, "a")]
 
 
 def test_event_callback_added_after_trigger_fires(sim):
@@ -117,21 +54,3 @@ def test_timeout_carries_value(sim):
     sim.spawn(proc())
     sim.run()
     assert got == ["payload"]
-
-
-def test_nested_all_of_any_of(sim):
-    def child(d, v):
-        yield Timeout(d)
-        return v
-
-    def parent():
-        results = yield AllOf([
-            AnyOf([sim.spawn(child(5, "x")), sim.spawn(child(1, "y"))]),
-            Timeout(3, "t"),
-        ])
-        return results
-
-    proc = sim.spawn(parent())
-    sim.run()
-    assert proc.result == [(1, "y"), "t"]
-    assert sim.now == 5.0  # losers still ran to completion

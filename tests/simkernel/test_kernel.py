@@ -131,11 +131,3 @@ def test_events_executed_counter():
         sim.schedule(1.0, lambda: None)
     sim.run()
     assert sim.events_executed == 4
-
-
-def test_timeout_event_helper():
-    sim = Simulator()
-    ev = sim.timeout(3.0)
-    assert not ev.triggered
-    sim.run()
-    assert ev.triggered and ev.ok

@@ -1,10 +1,8 @@
-"""Unit tests for generator processes, events and combinators."""
+"""Unit tests for generator processes and events."""
 
 import pytest
 
 from repro.simkernel import (
-    AllOf,
-    AnyOf,
     Interrupt,
     ProcessKilled,
     Simulator,
@@ -218,57 +216,6 @@ def test_interrupted_event_wait_detaches_from_event(sim):
     sim.schedule(2.0, ev.succeed)  # must NOT wake the process a second time
     sim.run()
     assert log == ["interrupted", "resumed"]
-
-
-def test_all_of_collects_results_in_order(sim):
-    got = []
-
-    def child(delay, value):
-        yield Timeout(delay)
-        return value
-
-    def parent():
-        results = yield AllOf(
-            [sim.spawn(child(3, "a")), sim.spawn(child(1, "b")), Timeout(2, "t")]
-        )
-        got.append((sim.now, results))
-
-    sim.spawn(parent())
-    sim.run()
-    assert got == [(3.0, ["a", "b", "t"])]
-
-
-def test_all_of_empty_resumes_immediately(sim):
-    got = []
-
-    def parent():
-        results = yield AllOf([])
-        got.append((sim.now, results))
-
-    sim.spawn(parent())
-    sim.run()
-    assert got == [(0.0, [])]
-
-
-def test_any_of_returns_winner_index_and_value(sim):
-    got = []
-
-    def child(delay, value):
-        yield Timeout(delay)
-        return value
-
-    def parent():
-        winner = yield AnyOf([sim.spawn(child(5, "slow")), sim.spawn(child(1, "fast"))])
-        got.append((sim.now, winner))
-
-    sim.spawn(parent())
-    sim.run()
-    assert got == [(1.0, (1, "fast"))]
-
-
-def test_any_of_requires_nonempty():
-    with pytest.raises(ValueError):
-        AnyOf([])
 
 
 def test_yielding_garbage_errors_the_process(sim):

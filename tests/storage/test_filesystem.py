@@ -72,22 +72,30 @@ def test_copy(fs):
     assert fs.exists("/a")
 
 
-def test_mkdir_and_listdir_empty(fs):
+def test_mkdir_makes_an_empty_directory(fs):
     fs.mkdir("/tftpboot/menu.lst")
     assert fs.isdir("/tftpboot/menu.lst")
-    assert fs.listdir("/tftpboot/menu.lst") == []
+    assert fs.exists("/tftpboot/menu.lst")
+    assert not fs.isfile("/tftpboot/menu.lst")
+    assert fs.file_count == 0
 
 
-def test_listdir_children_sorted(fs):
+def test_files_make_their_parent_directories(fs):
     fs.write("/d/b.txt", "1")
     fs.write("/d/a.txt", "2")
     fs.write("/d/sub/c.txt", "3")
-    assert fs.listdir("/d") == ["a.txt", "b.txt", "sub"]
+    assert fs.isdir("/d") and fs.isdir("/d/sub")
+    assert not fs.isfile("/d")
+    assert [fs.read(p) for p in ("/d/a.txt", "/d/b.txt", "/d/sub/c.txt")] == [
+        "2", "1", "3",
+    ]
 
 
-def test_listdir_not_a_directory(fs):
+def test_missing_path_is_neither_file_nor_directory(fs):
+    assert not fs.exists("/missing")
+    assert not fs.isdir("/missing")
     with pytest.raises(StorageError):
-        fs.listdir("/missing")
+        fs.read("/missing")
 
 
 def test_walk_sorted(fs):

@@ -4,10 +4,12 @@ that ships.
 A name counts as reached when any Python file under ``src/``, ``benchmarks/``
 or ``examples/`` uses it: as a bare name, as an attribute, or inside a string
 (``getattr`` targets, span entry points).  Neither its own definition, nor a
-docstring, nor a re-export from an ``__init__.py`` counts.  The scan works on
-names alone, so it can only find dead code, never prove code live; a name
-that only tests reach is dead code with a test attached, and belongs under
-``tests/`` or nowhere.
+use inside a definition of the same name (a forwarder such as
+``def f(self): return self.inner.f()``, or a recursive call), nor a
+docstring, nor a re-export from an ``__init__.py`` counts.  The scan works
+on names alone, so it can only find dead code, never prove code live; a
+name that only tests reach is dead code with a test attached, and belongs
+under ``tests/`` or nowhere.
 
 The linter package (``repro.analysis``) is left out: its rules and visitors
 are reached through a registry and AST dispatch this scan cannot follow.
@@ -34,7 +36,6 @@ DISPATCHED = re.compile(r"^(__\w+__|check_\w+|_cmd_\w+)$")
 KEPT: Dict[str, str] = {
     # reference oracles that equivalence tests hold the fast paths to
     "node_idle": "per-node oracle for the kept idle counts",
-    "get_job_list": "WinHPC SDK oracle of the detector property tests",
     "squeue": "SLURM text listing, the oracle of the detector property tests",
     "squeue_report": "parser of that listing, the same oracle",
     "schedulable_backlog": "FCFS backlog query and its reference scan, held "
@@ -98,9 +99,10 @@ def _reexports(tree: ast.Module) -> Set[int]:
 
 
 class _References(ast.NodeVisitor):
-    """Collect the names a module uses.  A string inside a definition that
-    names that definition (its ``__repr__``, its error messages) does not
-    count: it would make every class that prints its own name reached."""
+    """Collect the names a module uses.  A use inside a definition of the
+    same name does not count: a forwarder would keep its target alive, and
+    a string that names its definition (a ``__repr__``, an error message)
+    would make every class that prints its own name reached."""
 
     def __init__(self, skip: Set[int]) -> None:
         self.skip = skip
@@ -116,19 +118,21 @@ class _References(ast.NodeVisitor):
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
 
+    def _use(self, name: str) -> None:
+        if name not in self.enclosing:
+            self.names.add(name)
+
     def visit_Name(self, node: ast.Name) -> None:
-        self.names.add(node.id)
+        self._use(node.id)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        self.names.add(node.attr)
+        self._use(node.attr)
         self.generic_visit(node)
 
     def visit_Constant(self, node: ast.Constant) -> None:
         if isinstance(node.value, str) and id(node) not in self.skip:
-            self.names.update(
-                word for word in re.findall(r"[A-Za-z_]\w*", node.value)
-                if word not in self.enclosing
-            )
+            for word in re.findall(r"[A-Za-z_]\w*", node.value):
+                self._use(word)
 
 
 def referenced_names() -> Set[str]:

@@ -23,12 +23,12 @@ from repro.core.controller_v2 import ControllerV2
 from repro.core.detector import PbsDetector, WinHpcDetector
 from repro.core.policy import FcfsPolicy
 from repro.netsvc import DhcpServer, Network, TftpServer
-from repro.pbs import PbsCommands, PbsServer
-from repro.simkernel import MINUTE, Simulator
+from repro.pbs import PbsServer
+from repro.simkernel import MINUTE, Simulator, Timeout
 from repro.simkernel.rng import RngStreams
 from repro.storage import Filesystem, FsType
 from repro.trace import INVARIANTS, Violation, check_events, check_jsonl
-from repro.winhpc import HpcSchedulerConnection, WinHpcScheduler
+from repro.winhpc import WinHpcScheduler
 
 
 def make_events(*specs):
@@ -143,13 +143,11 @@ def test_received_wire_must_have_been_sent():
           {"wire": "00000none", "via": "network"})
     forged = (1.0, "comm.report_received", "l",
               {"wire": "10004evil", "via": "network"})
-    direct = (1.0, "comm.report_received", "l",
-              {"wire": "10004evil", "via": "direct"})
     assert violations_of("received-was-sent", make_events(sent, ok)) == []
     assert len(violations_of("received-was-sent",
                              make_events(sent, forged))) == 1
-    # in-process handle() calls are exempt: nothing was ever on the wire
-    assert violations_of("received-was-sent", make_events(direct)) == []
+    # a receipt with nothing sent at all is caught too
+    assert len(violations_of("received-was-sent", make_events(ok))) == 1
 
 
 def test_order_lifecycle_rejects_double_issue_and_double_resolve():
@@ -251,7 +249,7 @@ def control_rig(sim, linux_cls):
     linux = linux_cls(
         sim=sim,
         listener=linhead.listen(5800),
-        detector=PbsDetector(PbsCommands(pbs)),
+        detector=PbsDetector(pbs),
         policy=FcfsPolicy(),
         orders=orders,
         cores_per_node=4,
@@ -260,12 +258,10 @@ def control_rig(sim, linux_cls):
         cycle_s=CYCLE,
         staleness_cycles=2,
     )
-    sdk = HpcSchedulerConnection()
-    sdk.connect(winhpc)
     windows = WindowsCommunicator(
         sim=sim,
         host=winhead,
-        detector=WinHpcDetector(sdk),
+        detector=WinHpcDetector(winhpc),
         linux_head="eridani",
         port=5800,
         cycle_s=CYCLE,
@@ -295,7 +291,7 @@ def _run_with_silent_windows(linux_cls):
 
     def heartbeat():
         while True:
-            yield sim.timeout(CYCLE)
+            yield Timeout(CYCLE)
             linux.tick()
 
     sim.spawn(heartbeat(), name="heartbeat")
