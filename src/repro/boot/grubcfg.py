@@ -59,9 +59,6 @@ class GrubEntry:
                 return arg
         return None
 
-    def has(self, verb: str) -> bool:
-        return self.first(verb) is not None
-
 
 @dataclass
 class GrubConfig:

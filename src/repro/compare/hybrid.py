@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.compare.base import ComparableSystem, cores_to_pbs_shape
+from repro.compare.base import ComparableSystem, job_request
 from repro.core.config import MiddlewareConfig
 from repro.core.middleware import DualBootOscar, build_hybrid_cluster
 from repro.core.policy import SwitchPolicy
 from repro.errors import SchedulerError
-from repro.sched import JobRequest
 from repro.simkernel import Simulator
 from repro.workloads.jobs import WorkloadJob
 
@@ -52,18 +51,7 @@ class HybridSystem(ComparableSystem):
         self.middleware.finalize()
 
     def submit(self, job: WorkloadJob) -> None:
-        if job.os_name == "linux":
-            nodes, ppn = cores_to_pbs_shape(job.cores)
-            request = JobRequest(
-                name=job.name, nodes=nodes, ppn=ppn,
-                runtime_s=job.runtime_s, tag=job.tag,
-            )
-        else:
-            request = JobRequest(
-                name=job.name, cores=job.cores,
-                runtime_s=job.runtime_s, tag=job.tag,
-            )
         try:
-            self.middleware.submit(job.os_name, request)
+            self.middleware.submit(job.os_name, job_request(job))
         except SchedulerError:
             self.rejected += 1

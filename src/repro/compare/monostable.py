@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 
-from repro.compare.base import ComparableSystem, cores_to_pbs_shape
+from repro.compare.base import ComparableSystem, job_request
 from repro.errors import SchedulerError
 from repro.hardware.cluster import Cluster, build_cluster
 from repro.hardware.power import RebootTimingModel
 from repro.oscar.idedisk import IDE_DISK_V1_MANUAL, parse_ide_disk
 from repro.oscar.wizard import OscarWizard
-from repro.pbs.script import JobSpec
+from repro.sched import JobRequest
 from repro.simkernel import MINUTE, Simulator
 from repro.simkernel.rng import RngStreams
 from repro.workloads.jobs import WorkloadJob
@@ -81,23 +81,19 @@ class MonostableSystem(ComparableSystem):
         return into.total_s + back.total_s
 
     def submit(self, job: WorkloadJob) -> None:
-        try:
-            if job.os_name == "linux":
-                nodes, ppn = cores_to_pbs_shape(job.cores)
-                runtime = job.runtime_s
-            else:
-                # whole nodes booked for the Windows excursion
-                nodes = max(1, math.ceil(job.cores / 4))
-                ppn = 4
-                self._windows_job_index += 1
-                runtime = job.runtime_s + self._round_trip_overhead(
+        if job.os_name == "linux":
+            request = job_request(job)
+        else:
+            # whole nodes booked for the Windows excursion
+            self._windows_job_index += 1
+            request = JobRequest(
+                name=job.name, nodes=max(1, math.ceil(job.cores / 4)), ppn=4,
+                runtime_s=job.runtime_s + self._round_trip_overhead(
                     f"w{self._windows_job_index}"
-                )
-            self.pbs.qsub(
-                JobSpec(
-                    name=job.name, nodes=nodes, ppn=ppn,
-                    runtime_s=runtime, tag=job.tag,
-                )
+                ),
+                tag=job.tag,
             )
+        try:
+            self.pbs.submit_request(request)
         except SchedulerError:
             self.rejected += 1

@@ -10,15 +10,13 @@ borrow the other's idle machines.
 
 from __future__ import annotations
 
-from repro.compare.base import ComparableSystem, cores_to_pbs_shape
+from repro.compare.base import ComparableSystem, job_request
 from repro.errors import ConfigurationError, SchedulerError
 from repro.hardware.cluster import Cluster, build_cluster
 from repro.oscar.idedisk import IDE_DISK_STOCK, parse_ide_disk
 from repro.oscar.wizard import OscarWizard
-from repro.pbs.script import JobSpec
 from repro.simkernel import MINUTE, Simulator
 from repro.storage.diskpart import ORIGINAL_DISKPART_TXT
-from repro.winhpc.job import WinJobSpec, WinJobUnit
 from repro.winhpc.scheduler import WinHpcScheduler
 from repro.windeploy.deploytool import WindowsDeployTool
 from repro.windeploy.installshare import InstallShare
@@ -96,23 +94,9 @@ class StaticSplitSystem(ComparableSystem):
         self.sim.run(until=self.sim.now + 15 * MINUTE)
 
     def submit(self, job) -> None:
+        scheduler = self.pbs if job.os_name == "linux" else self.winhpc
         try:
-            if job.os_name == "linux":
-                nodes, ppn = cores_to_pbs_shape(job.cores)
-                self.pbs.qsub(
-                    JobSpec(
-                        name=job.name, nodes=nodes, ppn=ppn,
-                        runtime_s=job.runtime_s, tag=job.tag,
-                    )
-                )
-            else:
-                self.winhpc.submit(
-                    WinJobSpec(
-                        name=job.name, unit=WinJobUnit.CORE,
-                        amount=job.cores, runtime_s=job.runtime_s,
-                        tag=job.tag,
-                    )
-                )
+            scheduler.submit_request(job_request(job))
         except SchedulerError:
             # e.g. a 16-core render job on a 8-core Windows partition
             self.rejected += 1

@@ -11,15 +11,12 @@ cost) and charges a virtualisation runtime overhead.
 
 from __future__ import annotations
 
-
-from repro.compare.base import ComparableSystem, cores_to_pbs_shape
+from repro.compare.base import ComparableSystem, job_request
 from repro.errors import DeploymentError, SchedulerError
 from repro.hardware.cluster import Cluster, build_cluster
 from repro.hardware.specs import HardwareSpec, VT_CAPABLE_XEON
-from repro.pbs.script import JobSpec
 from repro.pbs.server import PbsServer
 from repro.simkernel import Simulator
-from repro.winhpc.job import WinJobSpec, WinJobUnit
 from repro.winhpc.scheduler import WinHpcScheduler
 from repro.workloads.jobs import WorkloadJob
 
@@ -78,25 +75,12 @@ class VirtualizedSystem(ComparableSystem):
         self.recorder.attach_scheduler(self.winhpc)
 
     def submit(self, job: WorkloadJob) -> None:
-        runtime = job.runtime_s * self.overhead
+        per_vm = max(1, int(self.spec.cores * self.linux_core_fraction))
+        scheduler = self.pbs if job.os_name == "linux" else self.winhpc
+        request = job_request(
+            job, runtime_s=job.runtime_s * self.overhead, cores_per_node=per_vm
+        )
         try:
-            if job.os_name == "linux":
-                per_vm = max(
-                    1, int(self.spec.cores * self.linux_core_fraction)
-                )
-                nodes, ppn = cores_to_pbs_shape(job.cores, cores_per_node=per_vm)
-                self.pbs.qsub(
-                    JobSpec(
-                        name=job.name, nodes=nodes, ppn=min(ppn, per_vm),
-                        runtime_s=runtime, tag=job.tag,
-                    )
-                )
-            else:
-                self.winhpc.submit(
-                    WinJobSpec(
-                        name=job.name, unit=WinJobUnit.CORE,
-                        amount=job.cores, runtime_s=runtime, tag=job.tag,
-                    )
-                )
+            scheduler.submit_request(request)
         except SchedulerError:
             self.rejected += 1

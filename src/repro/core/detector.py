@@ -176,7 +176,7 @@ class PbsDetector:
             self.eager, self.server,
             is_switch=is_named_switch,
             head_cores=attrgetter("total_cores"),
-            running_line=lambda j: _pbs_running_line(j.jobid, j.name, j.owner),
+            running_line=lambda j: _pbs_running_line(j.job_id, j.name, j.owner),
         )
 
 

@@ -56,10 +56,6 @@ class SwitchOrderRecord:
     resolved_at: Optional[float] = None
     node: Optional[str] = None  # hostname whose join confirmed the order
 
-    @property
-    def pending(self) -> bool:
-        return self.state is OrderState.PENDING
-
 #: The PBS account that owns the switch jobs and their reboot log
 #: (Figure 4's ``/home/sliang/reboot_log``).
 PBS_USER = "sliang"

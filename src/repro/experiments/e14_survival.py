@@ -40,10 +40,8 @@ from repro.hardware.node import NodeState
 from repro.health import HealthState
 from repro.metrics.report import Table
 from repro.pbs.job import JobState
-from repro.pbs.nodes import PbsNodeState
 from repro.simkernel import HOUR, MINUTE
 from repro.winhpc.job import WinJobState
-from repro.winhpc.nodestate import WinNodeState
 from repro.workloads import MixedWorkload
 
 SIZES = (64, 256, 1024)
@@ -122,13 +120,11 @@ def _rejoin_ok(middleware) -> bool:
             return False
         if node.os_name == "linux":
             pbs_record = pbs_by_short.get(node.name)
-            if pbs_record is None or pbs_record.state in (
-                PbsNodeState.DOWN, PbsNodeState.OFFLINE
-            ):
+            if pbs_record is None or not pbs_record.online:
                 return False
         else:
             win_record = middleware.winhpc.nodes.get(node.name)
-            if win_record is None or win_record.state is not WinNodeState.ONLINE:
+            if win_record is None or not win_record.online:
                 return False
     return True
 

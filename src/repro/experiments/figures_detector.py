@@ -14,7 +14,8 @@ from repro.experiments import ExperimentOutput
 from repro.metrics.report import Table
 from repro.pbs import JobSpec, PbsCommands, PbsServer
 from repro.simkernel import Simulator
-from repro.winhpc import WinHpcScheduler, WinJobSpec
+from repro.sched import JobRequest
+from repro.winhpc import WinHpcScheduler
 
 
 def _check(detector: PbsDetector, commands: PbsCommands, roundtrips: list):
@@ -85,7 +86,7 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentOutput:
     winhpc = WinHpcScheduler(sim)
     winhpc.add_node("enode01", cores=4)
     win_detector = WinHpcDetector(winhpc)
-    win_job = winhpc.submit(WinJobSpec(name="render", amount=4, runtime_s=1.0))
+    winhpc.submit_request(JobRequest(name="render", cores=4, runtime_s=1.0))
     win_report = win_detector.check()
 
     output.headline = {

@@ -263,40 +263,3 @@ class FaultPlan:
             or self.corruptions or self.service_flaps or self.boot_hangs
             or self.node_crashes or self.node_flaps
         )
-
-    def describe(self) -> str:
-        """One line per fault, for experiment logs."""
-        lines = [f"plan {self.name!r}:"]
-        for lf in self.link_faults:
-            lines.append(
-                f"  link {lf.src}<->{lf.dst} loss={lf.loss_prob:.0%} "
-                f"jitter<={lf.jitter_s}s"
-            )
-        for p in self.partitions:
-            lines.append(
-                f"  partition {'/'.join(p.side_a)} | {'/'.join(p.side_b)} "
-                f"[{p.start_s:.0f}s, {p.end_s:.0f}s)"
-            )
-        for c in self.head_crashes:
-            lines.append(f"  crash {c.side} head at {c.at_s:.0f}s for {c.down_s:.0f}s")
-        for w in self.corruptions:
-            lines.append(f"  corrupt port {w.port} p={w.prob:.0%}")
-        for f in self.service_flaps:
-            lines.append(
-                f"  flap {f.service} x{f.count} ({f.down_s:.0f}s down)"
-            )
-        for h in self.boot_hangs:
-            lines.append(f"  hang-at-boot {h.node} x{h.times}")
-        for nc in self.node_crashes:
-            back = (
-                f"back after {nc.restart_after_s:.0f}s"
-                if nc.restart_after_s is not None else "never restarts"
-            )
-            lines.append(f"  crash node {nc.node} at {nc.at_s:.0f}s ({back})")
-        for nf in self.node_flaps:
-            lines.append(
-                f"  flap node {nf.node} x{nf.count} ({nf.down_s:.0f}s down)"
-            )
-        if self.is_empty:
-            lines.append("  (no faults)")
-        return "\n".join(lines)

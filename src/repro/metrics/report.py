@@ -52,9 +52,6 @@ class Table:
             )
         return "\n".join(lines)
 
-    def print(self) -> None:  # pragma: no cover - console convenience
-        print(self.render())
-
 
 def _fmt(value: Any) -> str:
     if isinstance(value, float):

@@ -20,9 +20,9 @@ class PbsCommands:
     def __init__(self, server: PbsServer) -> None:
         self.server = server
 
-    def qstat_f(self, include_completed: bool = False) -> str:
+    def qstat_f(self) -> str:
         """``qstat -f`` full listing (Figure 8)."""
-        return render_qstat_full(self.server, include_completed=include_completed)
+        return render_qstat_full(self.server)
 
     def pbsnodes(self) -> str:
         """``pbsnodes`` full node listing (Figure 7)."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 import datetime
 
 from repro.pbs.job import PbsJob
-from repro.pbs.nodes import PbsNodeRecord, PbsNodeState
+from repro.pbs.nodes import PbsNodeRecord
 from repro.pbs.server import PbsServer
 
 #: Simulation t=0 in calendar terms — Fri Apr 16 17:55:40 2010 appears in
@@ -51,8 +51,9 @@ def render_unix_time(sim_seconds: float) -> int:
 def render_pbsnodes_entry(record: PbsNodeRecord, now: float) -> str:
     """One node's stanza in ``pbsnodes`` output (Figure 7)."""
     lines = [record.hostname]
-    lines.append(f"     state = {record.state.value}")
-    lines.append(f"     np = {record.np}")
+    state = record.pbs_state.value
+    lines.append(f"     state = {state}")
+    lines.append(f"     np = {record.cores}")
     lines.append(f"     properties = {','.join(record.properties)}")
     lines.append("     ntype = cluster")
     if record.core_jobs:
@@ -60,15 +61,15 @@ def render_pbsnodes_entry(record: PbsNodeRecord, now: float) -> str:
             f"{core}/{jobid}" for core, jobid in sorted(record.core_jobs.items())
         )
         lines.append(f"     jobs = {jobs}")
-    if record.state not in (PbsNodeState.DOWN, PbsNodeState.OFFLINE):
+    if record.online:
         idle = int(now - record.last_state_change)
         status = (
             f"opsys=linux,uname=Linux {record.hostname} {record.kernel} "
             f"#1 SMP x86_64,sessions=? 0,nsessions=? 0,nusers=0,"
             f"idletime={idle},totmem={record.totmem_kb}kb,"
             f"availmem={record.totmem_kb - 55844}kb,"
-            f"physmem={record.physmem_kb}kb,ncpus={record.np},loadave=0.00,"
-            f"netload=154924801596,state={record.state.value},"
+            f"physmem={record.physmem_kb}kb,ncpus={record.cores},loadave=0.00,"
+            f"netload=154924801596,state={state},"
             f"jobs={'? 0' if not record.core_jobs else ','.join(sorted(set(record.core_jobs.values())))},"
             f"rectime={render_unix_time(now)}"
         )
@@ -87,7 +88,7 @@ def render_pbsnodes(server: PbsServer) -> str:
 
 def render_qstat_full_entry(job: PbsJob, server_name: str) -> str:
     """One job's stanza in ``qstat -f`` output (Figure 8)."""
-    lines = [f"Job Id: {job.jobid}"]
+    lines = [f"Job Id: {job.job_id}"]
 
     def attr(name: str, value: str) -> None:
         lines.append(f"    {name} = {value}")
@@ -104,7 +105,7 @@ def render_qstat_full_entry(job: PbsJob, server_name: str) -> str:
     if job.exec_slots:
         attr("exec_host", job.exec_host_string())
     attr("Priority", str(job.priority))
-    attr("qtime", render_time(job.qtime))
+    attr("qtime", render_time(job.submitted_at))
     attr("Rerunable", "True" if job.rerunnable else "False")
     attr("Resource_List.nodes", f"{job.nodes}:ppn={job.ppn}")
     if job.walltime_s is not None:
@@ -127,16 +128,11 @@ def render_qstat_full_entry(job: PbsJob, server_name: str) -> str:
     return "\n".join(lines)
 
 
-def render_qstat_full(
-    server: PbsServer, include_completed: bool = False
-) -> str:
-    """Full ``qstat -f`` output (running first, then queued, by jobid)."""
-    if include_completed:
-        jobs = sorted(server.jobs.values(), key=lambda j: j.seq_number)
-    else:
-        # O(active): the jobs dict keeps every job ever submitted, and
-        # scanning it each detector cycle dominated large runs.
-        jobs = server.active_jobs_by_seq()
+def render_qstat_full(server: PbsServer) -> str:
+    """Full ``qstat -f`` output: the active jobs, by jobid."""
+    # O(active): the jobs dict keeps every job ever submitted, and
+    # scanning it each detector cycle dominated large runs.
+    jobs = server.active_jobs_by_seq()
     return "\n\n".join(
         render_qstat_full_entry(job, server.server_name) for job in jobs
     ) + ("\n" if jobs else "")

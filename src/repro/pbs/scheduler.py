@@ -15,7 +15,7 @@ from bisect import bisect_left, insort
 from typing import Dict, List, Optional, Tuple
 
 from repro.pbs.job import PbsJob
-from repro.pbs.nodes import PbsNodeRecord, PbsNodeState
+from repro.pbs.nodes import PbsNodeRecord
 from repro.sched.counts import NodeCounts
 
 
@@ -36,43 +36,11 @@ def allocate_fifo(
     candidates = [
         record
         for _, record in sorted(nodes.items(), reverse=True)
-        if record.state not in (PbsNodeState.DOWN, PbsNodeState.OFFLINE)
-        and record.available_cores >= job.ppn
+        if record.online and record.available_cores >= job.ppn
     ]
     if len(candidates) < job.nodes:
         return None
     return [(record, job.ppn) for record in candidates[: job.nodes]]
-
-
-def schedulable_backlog(
-    queued: List[PbsJob], nodes: Dict[str, PbsNodeRecord]
-) -> List[PbsJob]:
-    """The prefix of the FIFO queue that can start right now.
-
-    Placement is simulated against a scratch copy of core availability so
-    the prefix is consistent (job 2 cannot reuse cores job 1 would take).
-
-    Reference implementation — see :meth:`NodeIndex.schedulable_backlog`
-    for the indexed hot path.
-    """
-    free = {
-        name: record.available_cores
-        for name, record in nodes.items()
-        if record.state not in (PbsNodeState.DOWN, PbsNodeState.OFFLINE)
-    }
-    runnable: List[PbsJob] = []
-    for job in queued:
-        hosts = [
-            name
-            for name, cores in sorted(free.items(), reverse=True)
-            if cores >= job.ppn
-        ]
-        if len(hosts) < job.nodes:
-            break  # strict FCFS: head-of-line blocking
-        for name in hosts[: job.nodes]:
-            free[name] -= job.ppn
-        runnable.append(job)
-    return runnable
 
 
 class NodeIndex(NodeCounts):
@@ -139,17 +107,16 @@ class NodeIndex(NodeCounts):
         """Total available cores (DOWN/OFFLINE nodes sit in bucket 0)."""
         return sum(cores * len(hosts) for cores, hosts in self._buckets.items())
 
-    @staticmethod
-    def _select_desc(
-        buckets: Dict[int, List[str]], ppn: int, count: int
-    ) -> Optional[List[str]]:
+    def _select_desc(self, ppn: int, count: int) -> Optional[List[str]]:
         """Top *count* qualifying hostnames in descending order, or None.
 
         A k-way backwards merge over the (few) buckets whose core level
         satisfies *ppn* — identical order to the reference's
         ``sorted(..., reverse=True)`` scan restricted to qualifying hosts.
         """
-        eligible = [hosts for cores, hosts in buckets.items() if cores >= ppn]
+        eligible = [
+            hosts for cores, hosts in self._buckets.items() if cores >= ppn
+        ]
         if sum(len(hosts) for hosts in eligible) < count:
             return None
         ptrs = [len(hosts) - 1 for hosts in eligible]
@@ -170,27 +137,7 @@ class NodeIndex(NodeCounts):
         self, job: PbsJob
     ) -> Optional[List[Tuple[PbsNodeRecord, int]]]:
         """Indexed equivalent of module-level :func:`allocate_fifo`."""
-        hosts = self._select_desc(self._buckets, job.ppn, job.nodes)
+        hosts = self._select_desc(job.ppn, job.nodes)
         if hosts is None:
             return None
         return [(self._records[host], job.ppn) for host in hosts]
-
-    def schedulable_backlog(self, queued: List[PbsJob]) -> List[PbsJob]:
-        """Indexed equivalent of module-level :func:`schedulable_backlog`."""
-        avail = dict(self._avail)
-        buckets = {cores: list(hosts) for cores, hosts in self._buckets.items()}
-        runnable: List[PbsJob] = []
-        for job in queued:
-            hosts = self._select_desc(buckets, job.ppn, job.nodes)
-            if hosts is None:
-                break  # strict FCFS: head-of-line blocking
-            for host in hosts:
-                old = avail[host]
-                bucket = buckets[old]
-                del bucket[bisect_left(bucket, host)]
-                if not bucket:
-                    del buckets[old]
-                avail[host] = old - job.ppn
-                insort(buckets.setdefault(avail[host], []), host)
-            runnable.append(job)
-        return runnable

@@ -14,7 +14,7 @@ One object plays ``pbs_server`` + ``pbs_sched`` + the moms' supervision:
 from __future__ import annotations
 
 from operator import attrgetter, itemgetter
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SchedulerError
 from repro.pbs.job import JobState, PbsJob
@@ -59,7 +59,6 @@ class PbsServer(BatchScheduler):
     running_state = JobState.RUNNING
     failed_outcome = KILLED_EXIT_STATUS
     cancelled_outcome = KILLED_EXIT_STATUS
-    _job_id = attrgetter("jobid")
     _seq = attrgetter("seq_number")
 
     def __init__(
@@ -96,7 +95,7 @@ class PbsServer(BatchScheduler):
         fqdn = self.fqdn(hostname)
         if fqdn in self.nodes:
             raise SchedulerError(f"node {fqdn} already defined")
-        record = PbsNodeRecord(hostname=fqdn, np=np)
+        record = PbsNodeRecord(hostname=fqdn, cores=np)
         if properties:
             record.properties = list(properties)
         self.nodes[fqdn] = record
@@ -110,29 +109,11 @@ class PbsServer(BatchScheduler):
     node_up = BatchScheduler.node_online
     node_down = BatchScheduler.node_unreachable
 
-    def _set_up(self, record: PbsNodeRecord) -> None:
-        record.mark_up(self.sim.now)
-        self._index.reindex(record)
-
-    def _set_down(self, record: PbsNodeRecord) -> None:
-        record.mark_down(self.sim.now)
-        self._index.reindex(record)
-
-    def _set_cordoned(self, record: PbsNodeRecord) -> None:
-        record.mark_offline(self.sim.now)
-        self._index.reindex(record)
-
-    def _set_uncordoned(self, record: PbsNodeRecord) -> None:
-        record.clear_offline(self.sim.now)
-        self._index.reindex(record)
-
-    def _jobs_on(self, record: PbsNodeRecord) -> List[str]:
-        return record.jobs_here()
-
     def _placed_on(self, job: PbsJob) -> Iterable[str]:
         return dict.fromkeys(map(_HOST, job.exec_slots))
 
     def _unplace(self, job: PbsJob) -> None:
+        super()._unplace(job)
         job.exec_slots.clear()
 
     def _recover(self, job: PbsJob, cause: str) -> str:
@@ -161,13 +142,13 @@ class PbsServer(BatchScheduler):
         jobid = f"{self._next_id}.{self.server_name}"
         self._next_id += 1
         job = PbsJob(
-            jobid=jobid,
+            job_id=jobid,
             name=spec.name,
             owner=f"{owner}@{self.server_name}" if "@" not in owner else owner,
             nodes=spec.nodes,
             ppn=spec.ppn,
             queue=spec.queue,
-            qtime=self.sim.now,
+            submitted_at=self.sim.now,
             runtime_s=spec.runtime_s,
             walltime_s=spec.walltime_s,
             script=spec.script,
@@ -207,10 +188,7 @@ class PbsServer(BatchScheduler):
             script=request.script,
             tag=request.tag,
         )
-        owner = (
-            request.owner if request.owner is not None else self.default_owner
-        )
-        return self.qsub(spec, owner=owner)
+        return self.qsub(spec, owner=self._owner(request))
 
     def get_job(self, jobid: str) -> Optional[PbsJob]:
         return self.jobs.get(jobid)
@@ -227,16 +205,6 @@ class PbsServer(BatchScheduler):
 
     # -- scheduling & execution -------------------------------------------------
 
-    def _try_schedule(self) -> None:
-        queue = self.queue_order
-        while queue:
-            job = self.jobs[queue[0]]
-            placement = self._place(job)
-            if placement is None:
-                return  # strict FCFS head-of-line blocking
-            del queue[0]
-            self._start(job, placement)
-
     def _place(self, job: PbsJob):
         """Find a placement for *job* (indexed; see NodeIndex).
 
@@ -246,16 +214,18 @@ class PbsServer(BatchScheduler):
         """
         return self._index.allocate_fifo(job)
 
-    def _start(self, job: PbsJob, placement) -> None:
+    def _start(
+        self, job: PbsJob, placement: List[Tuple[PbsNodeRecord, int]]
+    ) -> None:
+        allocation = job.allocation
         for record, count in placement:
-            cores = record.allocate(job.jobid, count)
+            cores = record.allocate(job.job_id, count)
             self._index.reindex(record)
             for core in cores:
                 job.exec_slots.append((record.hostname, core))
-        hosts = list(dict.fromkeys(
-            host.split(".")[0] for host, _ in job.exec_slots
-        ))
-        self._launch(job, hosts)
+            host = record.hostname.split(".")[0]
+            allocation[host] = allocation.get(host, 0) + count
+        self._launch(job)
 
     def _arm(self, job: PbsJob) -> None:
         # walltime enforcement: an armed timer interrupts the runner; a
@@ -264,18 +234,18 @@ class PbsServer(BatchScheduler):
         if job.walltime_s is None:
             return
 
-        def enforce(jid=job.jobid):
+        def enforce(jid=job.job_id):
             runner = self._runners.get(jid)
             if runner is not None:
                 runner.interrupt("walltime")
 
         remaining_wall = max(0.0, job.walltime_s - job.walltime_used_s)
-        self._walltime_entries[job.jobid] = self.sim.schedule(
+        self._walltime_entries[job.job_id] = self.sim.schedule(
             remaining_wall, enforce
         )
 
     def _disarm(self, job: PbsJob) -> None:
-        entry = self._walltime_entries.pop(job.jobid, None)
+        entry = self._walltime_entries.pop(job.job_id, None)
         if entry is not None:
             self.sim.cancel(entry)
 
@@ -292,7 +262,7 @@ class PbsServer(BatchScheduler):
 
     def _env(self, job: PbsJob) -> Dict[str, str]:
         return {
-            "PBS_JOBID": job.jobid,
+            "PBS_JOBID": job.job_id,
             "PBS_O_HOME": f"/home/{job.owner.split('@')[0]}",
             "PBS_O_LANG": "en_US.UTF-8",
             "PBS_JOBNAME": job.name,

@@ -4,7 +4,8 @@ The control plane (middleware, health fencing, elasticity, energy
 metering, recorder) speaks to batch schedulers only through the
 :class:`~repro.sched.protocol.SchedulerPersonality` protocol defined
 here; concrete personalities (``repro.pbs``, ``repro.winhpc``,
-``repro.slurm``) share the job-lifecycle core in
+``repro.slurm``) share the job and node records of
+:mod:`repro.sched.records` and the job-lifecycle core in
 :mod:`repro.sched.lifecycle`, are constructed via
 :func:`create_scheduler`, and are never imported directly by the
 control plane (lint rule API002).

@@ -17,19 +17,17 @@ class NodeCounts:
     """Online and idle nodes over a personality's node records.
 
     :meth:`reindex` must be called after every mutation that can change
-    a record's ``online`` or ``idle`` predicate.  ``idle_hosts`` is an
-    insertion-ordered set (a dict) of the idle records' hostnames.
+    a record's ``online`` or ``idle`` predicate.  ``online`` maps the
+    online records' hostnames to the records and ``idle_hosts`` is a set
+    (a dict) of the idle records' hostnames, both in the order the nodes
+    entered them.
     """
 
     def __init__(self) -> None:
         #: hostname -> its (online, idle) as last counted
         self._flags: Dict[str, Tuple[bool, bool]] = {}
-        self.online_count = 0
+        self.online: Dict[str, Any] = {}
         self.idle_hosts: Dict[str, None] = {}
-
-    @property
-    def idle_count(self) -> int:
-        return len(self.idle_hosts)
 
     def reindex(self, record: Any) -> None:
         host = record.hostname
@@ -38,7 +36,11 @@ class NodeCounts:
         if flags == old:
             return
         self._flags[host] = flags
-        self.online_count += flags[0] - old[0]
+        if flags[0] != old[0]:
+            if flags[0]:
+                self.online[host] = record
+            else:
+                del self.online[host]
         if flags[1] != old[1]:
             if flags[1]:
                 self.idle_hosts[host] = None

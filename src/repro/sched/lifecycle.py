@@ -6,12 +6,16 @@ run them, the observers and the tracer, and the node-failure recovery
 policy (fence, checkpoint credit, retry budget, requeue or fail).  A
 personality subclasses it and keeps only what really differs:
 
-* admission and shaping (``qsub``/``submit``, ``submit_request``);
-* the dispatch policy, :meth:`_try_schedule`, and placement;
-* node-record transitions and their index upkeep (:meth:`_set_up`,
-  :meth:`_set_down`, :meth:`_set_cordoned`, :meth:`_set_uncordoned`);
+* admission and shaping of a :class:`~repro.sched.protocol.JobRequest`
+  (``submit_request``; PBS also takes ``#PBS`` scripts);
+* placement (:meth:`_place`), and the dispatch policy where it is not
+  strict FIFO (SLURM's backfill overrides :meth:`_try_schedule`);
 * the payload environment (:meth:`_env`) and how an outcome is encoded
   (exit status or final state: :meth:`_outcome`, :meth:`_settle`).
+
+Jobs and nodes are the shared records of :mod:`repro.sched.records`;
+a personality names its native states, and the node transitions (up,
+down, cordon, uncordon) and their index upkeep are written here once.
 
 One job's life: admitted into the queue (:meth:`_admit`), started
 (:meth:`_launch`) into a runner process (:meth:`_run`), then finished
@@ -23,11 +27,12 @@ sees only :class:`~repro.sched.protocol.SchedulerPersonality`.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import SchedulerError
 from repro.oslayer.shell import run_script
 from repro.sched.counts import NodeCounts, SwitchJobs
+from repro.sched.protocol import SWITCH_JOB_NAME, SWITCH_TAG, JobRequest
 from repro.simkernel import Event, Interrupt, Process, Simulator, Timeout
 
 
@@ -35,14 +40,15 @@ class BatchScheduler:
     """Job queue, node table and job lifecycle of one head node.
 
     Subclasses set the identity attributes of the protocol plus the
-    native vocabulary below, and implement the hooks that raise
-    :class:`NotImplementedError` here.
+    native vocabulary below, and implement :meth:`_place`, :meth:`_env`
+    and ``submit_request``.
     """
 
     # -- identity (repro.sched.protocol) ------------------------------------
     kind: str
     join_event: str
     record_key_prefix: str
+    default_owner: str
     #: node-observer event for a node leaving (reboot, crash, fence)
     leave_event: str
 
@@ -54,8 +60,7 @@ class BatchScheduler:
     done_outcome: Any
     failed_outcome: Any
     cancelled_outcome: Any
-    #: a job's native id, and the number that orders submissions
-    _job_id = attrgetter("job_id")
+    #: the number that orders submissions
     _seq = attrgetter("job_id")
 
     def __init__(self, sim: Simulator, index: NodeCounts, first_id: int = 1) -> None:
@@ -93,23 +98,21 @@ class BatchScheduler:
     # -- personality hooks ----------------------------------------------------
 
     def _try_schedule(self) -> None:
-        """Start whatever the dispatch policy allows."""
-        raise NotImplementedError
+        """Start whatever the dispatch policy allows: here strict FIFO
+        with head-of-line blocking (PBS, WinHPC) — if the queue head
+        cannot be placed, nothing behind it runs."""
+        queue = self.queue_order
+        while queue:
+            job = self.jobs[queue[0]]
+            placement = self._place(job)
+            if placement is None:
+                return
+            del queue[0]
+            self._start(job, placement)
 
-    def _set_up(self, record: Any) -> None:
-        """Mark *record* up (clearing its allocations) and reindex it."""
-        raise NotImplementedError
-
-    def _set_down(self, record: Any) -> None:
-        """Mark *record* down (clearing its allocations) and reindex it."""
-        raise NotImplementedError
-
-    def _set_cordoned(self, record: Any) -> None:
-        """Close *record* to new work, keeping its jobs, and reindex it."""
-        raise NotImplementedError
-
-    def _set_uncordoned(self, record: Any) -> None:
-        """Lift a cordon on *record* and reindex it."""
+    def _place(self, job: Any) -> Optional[List[Tuple[Any, int]]]:
+        """*job*'s ``(record, cores)`` placement, or ``None`` if it does
+        not fit now."""
         raise NotImplementedError
 
     def _env(self, job: Any) -> Dict[str, str]:
@@ -120,17 +123,15 @@ class BatchScheduler:
         """The node-table key of *hostname* (PBS qualifies it)."""
         return hostname
 
-    def _jobs_on(self, record: Any) -> List[Any]:
-        """Ids of the jobs holding cores on *record*."""
-        return list(record.allocations)
-
     def _placed_on(self, job: Any) -> Iterable[str]:
         """Node keys *job* holds, first allocated first."""
         return job.allocation
 
     def _unplace(self, job: Any) -> None:
-        """Forget *job*'s placement (its nodes were already released)."""
-        job.allocation.clear()
+        """Forget *job*'s placement (its nodes were already released).
+        Rebound, not cleared: the trace and the energy meter keep the
+        old mapping."""
+        job.allocation = {}
 
     def _outcome(self, exit_code: int) -> Any:
         """What a payload exiting with *exit_code* records."""
@@ -165,8 +166,9 @@ class BatchScheduler:
         record = self.node(hostname)
         # a node that crashed and rebooted before the monitor fenced it
         # comes back with its old jobs still booked: recover them first
-        stranded = self._jobs_on(record)
-        self._set_up(record)
+        stranded = record.jobs_here()
+        record.mark_up(self.sim.now)
+        self._index.reindex(record)
         if os_instance is not None:
             self._node_os[record.hostname] = os_instance
         for key in stranded:
@@ -186,8 +188,9 @@ class BatchScheduler:
 
     def _leave(self, record: Any, hostname: str) -> List[Any]:
         """Take *record* down; returns the ids of the jobs it held."""
-        victims = self._jobs_on(record)
-        self._set_down(record)
+        victims = record.jobs_here()
+        record.mark_down(self.sim.now)
+        self._index.reindex(record)
         self._node_os.pop(record.hostname, None)
         for observer in self.node_observers:
             observer(self.leave_event, hostname)
@@ -210,7 +213,7 @@ class BatchScheduler:
         record = self.nodes.get(self._node_key(hostname))
         if record is None:
             return
-        for key in self._jobs_on(record):
+        for key in record.jobs_here():
             job = self.jobs.get(key)
             if job is None or job.state is not self.running_state:
                 continue
@@ -245,12 +248,14 @@ class BatchScheduler:
     def cordon_node(self, hostname: str) -> None:
         """Admin cordon: no new placements, running jobs keep running."""
         record = self.node(hostname)
-        self._set_cordoned(record)
+        record.cordon(self.sim.now)
+        self._index.reindex(record)
         self.tracer.emit("node.cordoned", node=record.hostname, scheduler=self.kind)
 
     def uncordon_node(self, hostname: str) -> None:
         record = self.node(hostname)
-        self._set_uncordoned(record)
+        record.uncordon(self.sim.now)
+        self._index.reindex(record)
         self.tracer.emit("node.uncordoned", node=record.hostname, scheduler=self.kind)
         self._try_schedule()
 
@@ -272,7 +277,7 @@ class BatchScheduler:
         remainder is lost work.  A job requeues while it is rerunnable
         and has restarts left in its retry budget.
         """
-        key = self._job_id(job)
+        key = job.job_id
         runner = self._runners.pop(key, None)
         if runner is not None and runner.alive:
             runner.kill()
@@ -337,7 +342,7 @@ class BatchScheduler:
             if self.jobs[self.queue_order[index]].priority >= job.priority:
                 position = index + 1
                 break
-        self.queue_order.insert(position, self._job_id(job))
+        self.queue_order.insert(position, job.job_id)
 
     def _requeue(self, job: Any) -> None:
         """Reinsert by (priority, submission order): a requeued job
@@ -352,18 +357,33 @@ class BatchScheduler:
             ):
                 position = index + 1
                 break
-        self.queue_order.insert(position, self._job_id(job))
+        self.queue_order.insert(position, job.job_id)
 
     def _admit(self, job: Any, **fields: Any) -> None:
         """Book a newly submitted *job*, trace it with *fields*, and try
         to start it."""
-        key = self._job_id(job)
+        key = job.job_id
         self.jobs[key] = job
         self.switch_jobs.submitted(key, job)
         self._enqueue(job)
         self._trace_job("job.submitted", job, **fields)
         self._notify("submitted", job)
         self._try_schedule()
+
+    def _owner(self, request: JobRequest) -> str:
+        """The owner of *request* (``None`` means :attr:`default_owner`)."""
+        return request.owner if request.owner is not None else self.default_owner
+
+    def submit_switch_job(self, script: str, owner: str) -> str:
+        """Submit an OS-release job: one whole node, not rerunnable."""
+        return self.submit_request(JobRequest(
+            name=SWITCH_JOB_NAME, nodes=1, script=script, tag=SWITCH_TAG,
+            rerunnable=False, owner=owner,
+        ))
+
+    def submit_request(self, request: JobRequest) -> str:
+        """Admit *request*; returns the job id as a string."""
+        raise NotImplementedError
 
     def cancel(self, job_id: Any) -> None:
         """Cancel a job: dropped when queued, interrupted when running."""
@@ -381,7 +401,7 @@ class BatchScheduler:
     def cancel_if_queued(self, jobid: str) -> bool:
         job = self.get_job(jobid)
         if job is not None and job.state is self.queued_state:
-            self.cancel(self._job_id(job))
+            self.cancel(job.job_id)
             return True
         return False
 
@@ -431,19 +451,28 @@ class BatchScheduler:
         return record is not None and bool(record.idle)
 
     def idle_node_count(self) -> int:
-        return self._index.idle_count
+        return len(self._index.idle_hosts)
 
     def online_node_count(self) -> int:
-        return self._index.online_count
+        return len(self._index.online)
 
     def idle_hosts(self) -> Iterable[str]:
         return self._index.idle_hosts.keys()
 
     # -- running jobs ---------------------------------------------------------
 
-    def _launch(self, job: Any, hosts: List[str]) -> None:
-        """Start *job*, already placed on *hosts*, in its runner."""
-        key = self._job_id(job)
+    def _start(self, job: Any, placement: List[Tuple[Any, int]]) -> None:
+        """Allocate *job* its ``(record, cores)`` placement and start it."""
+        key = job.job_id
+        for record, cores in placement:
+            record.allocate(key, cores)
+            self._index.reindex(record)
+            job.allocation[record.hostname] = cores
+        self._launch(job)
+
+    def _launch(self, job: Any) -> None:
+        """Start *job*, already placed, in its runner."""
+        key = job.job_id
         job.state = self.running_state
         job.start_time = self.sim.now
         self._running[key] = job
@@ -451,8 +480,8 @@ class BatchScheduler:
         self._runners[key] = self.sim.spawn(
             self._run(job), name=f"{self.record_key_prefix}job:{key}"
         )
-        self._trace_job("job.started", job, hosts=hosts,
-                        cores=job.allocation_by_host())
+        cores = job.allocation
+        self._trace_job("job.started", job, hosts=list(cores), cores=cores)
         self._notify("started", job)
 
     def _run(self, job: Any) -> Iterator[Any]:
@@ -490,7 +519,7 @@ class BatchScheduler:
 
     def _release(self, job: Any) -> None:
         """Free the cores *job* holds on each of its nodes."""
-        key = self._job_id(job)
+        key = job.job_id
         for host in self._placed_on(job):
             record = self.nodes[host]
             record.release(key)
@@ -500,7 +529,7 @@ class BatchScheduler:
         fields = self._settle(job, outcome)
         job.end_time = self.sim.now
         self._release(job)
-        key = self._job_id(job)
+        key = job.job_id
         self._running.pop(key, None)
         self.switch_jobs.ended(key)
         self._runners.pop(key, None)
@@ -515,7 +544,7 @@ class BatchScheduler:
     def _trace_job(self, kind: str, job: Any,
                    cause: Optional[str] = None, **fields: Any) -> None:
         self.tracer.emit(kind, cause=cause, scheduler=self.kind,
-                         jobid=self._job_id(job), **fields)
+                         jobid=job.job_id, **fields)
 
     def _notify(self, event: str, job: Any) -> None:
         for observer in self.observers:

@@ -18,7 +18,8 @@ Jobs cross the seam in two shapes:
   :meth:`SchedulerPersonality.submit_request`, and
 * an opaque native job object coming *out* of
   :meth:`SchedulerPersonality.get_job`, which every personality
-  equips with a small uniform surface (``key``, ``submitted_at``,
+  builds on :class:`repro.sched.records.BatchJob` and so equips with
+  a small uniform surface (``key``, ``submitted_at``,
   ``start_time``, ``end_time``, ``tag``, ``name``, ``state``,
   ``cores_submitted()``, ``cores_running()``, ``allocation_by_host()``)
   so the recorder and energy meter stay scheduler-agnostic.

@@ -15,7 +15,7 @@ from one root seed.  Two properties matter:
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, TypeVar
+from typing import Dict, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -100,8 +100,3 @@ class RngStreams:
     def integers(self, name: str, low: int, high: int) -> int:
         """Uniform integer in ``[low, high)``."""
         return int(self.stream(name).integers(low, high))
-
-    def shuffle(self, name: str, items: List[T]) -> List[T]:
-        """Return a shuffled copy of *items*."""
-        order = self.stream(name).permutation(len(items))
-        return [items[int(i)] for i in order]

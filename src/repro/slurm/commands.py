@@ -51,7 +51,7 @@ def squeue(controller: SlurmController) -> str:
 
 def _squeue_row(job: SlurmJob, state: str, elapsed: str, nodelist: str) -> str:
     return (
-        f"{job.job_id:>8} {job.partition:>9} {job.name:>14} "
+        f"{job.job_id:>8} {'batch':>9} {job.name:>14} "
         f"{job.owner:>8} {state:>2} {elapsed:>10} {job.nodes:>5} "
         f"{job.total_cores:>5} {nodelist}"
     )

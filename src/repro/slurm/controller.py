@@ -1,4 +1,4 @@
-"""The SLURM controller: ``slurmctld`` over one partition set.
+"""The SLURM controller: ``slurmctld`` over one ``batch`` partition.
 
 Priority scheduling with EASY backfill (the half SLURM's
 ``sched/backfill`` plugin guarantees never delays the head job):
@@ -9,12 +9,12 @@ Priority scheduling with EASY backfill (the half SLURM's
   need ``job.nodes``/``job.ppn`` and records exposing
   ``available_cores``;
 * when the head cannot start, later jobs may backfill **only** if their
-  time limit ends before the head's *shadow time* (the earliest instant
-  the head could start, computed from the running jobs' limits).  Jobs
-  whose running peers carry no limit contribute no release and cannot
-  push the shadow earlier; when no shadow exists at all (the head can
-  never be satisfied by waiting) backfill is unrestricted, since no
-  reservation can be violated.
+  runtime (the model's stand-in for a time limit) ends before the head's
+  *shadow time* (the earliest instant the head could start, computed
+  from the running jobs' runtimes).  Running jobs without a runtime
+  contribute no release and cannot push the shadow earlier; when no
+  shadow exists at all (the head can never be satisfied by waiting)
+  backfill is unrestricted, since no reservation can be violated.
 
 Job lifecycle, node fencing and checkpoint-credit recovery are the
 shared :class:`~repro.sched.lifecycle.BatchScheduler`, so the control
@@ -28,14 +28,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import SchedulerError
 from repro.pbs.scheduler import NodeIndex
 from repro.sched.lifecycle import BatchScheduler
-from repro.sched.protocol import SWITCH_JOB_NAME, SWITCH_TAG, JobRequest
+from repro.sched.protocol import JobRequest
 from repro.simkernel import Simulator
-from repro.slurm.job import (
-    PRIORITY_DEFAULT,
-    SlurmJob,
-    SlurmJobSpec,
-    SlurmJobState,
-)
+from repro.slurm.job import PRIORITY_DEFAULT, SlurmJob, SlurmJobState
 from repro.slurm.nodestate import SlurmNodeRecord
 
 
@@ -62,9 +57,7 @@ class SlurmController(BatchScheduler):
     cancelled_outcome = SlurmJobState.CANCELLED
 
     def __init__(self, sim: Simulator, head_name: str = "slurmctl") -> None:
-        # free-core buckets and node counts shared with PBS; duck-typed
-        # over :class:`SlurmNodeRecord` (hostname, available_cores,
-        # online, idle)
+        # the free-core buckets and node counts PBS places with
         super().__init__(sim, NodeIndex())
         self.head_name = head_name
         self._max_cpus: int = 0
@@ -76,39 +69,19 @@ class SlurmController(BatchScheduler):
     # -- node table -----------------------------------------------------------
 
     # reprolint: disable=TRC002 -- static wiring (cluster build) before the simulation starts
-    def add_node(
-        self, hostname: str, cores: int, partition: str = "batch"
-    ) -> SlurmNodeRecord:
+    def add_node(self, hostname: str, cores: int) -> SlurmNodeRecord:
         if hostname in self.nodes:
             raise SchedulerError(f"node {hostname} already in the cluster")
-        record = SlurmNodeRecord(
-            hostname=hostname, cpus=cores, partition=partition
-        )
+        record = SlurmNodeRecord(hostname=hostname, cores=cores)
         self.nodes[hostname] = record
         self._index.add(record)
         if cores > self._max_cpus:
             self._max_cpus = cores
         return record
 
-    def _set_up(self, record: SlurmNodeRecord) -> None:
-        record.mark_up()
-        self._index.reindex(record)
-
-    def _set_down(self, record: SlurmNodeRecord) -> None:
-        record.mark_down()
-        self._index.reindex(record)
-
-    def _set_cordoned(self, record: SlurmNodeRecord) -> None:
-        record.mark_drain()
-        self._index.reindex(record)
-
-    def _set_uncordoned(self, record: SlurmNodeRecord) -> None:
-        record.resume()
-        self._index.reindex(record)
-
     # -- submission -----------------------------------------------------------
 
-    def _shape(self, spec: SlurmJobSpec) -> Tuple[int, int]:
+    def _shape(self, request: JobRequest) -> Tuple[int, int]:
         """Fix the (nodes, ppn) shape of a submission.
 
         Explicit ``-N`` keeps its node count (whole nodes when no
@@ -119,28 +92,32 @@ class SlurmController(BatchScheduler):
         not whole nodes, so rounding up to full nodes would strand
         capacity a real controller hands to other jobs.
         """
-        if spec.nodes > 0:
-            return spec.nodes, spec.ppn if spec.ppn > 0 else self._max_cpus
-        if spec.cpus <= self._max_cpus:
-            return 1, spec.cpus
+        if request.nodes > 0:
+            return request.nodes, request.ppn or self._max_cpus
+        cpus = request.cores
+        if cpus <= self._max_cpus:
+            return 1, cpus
         best: Optional[Tuple[int, int, int]] = None
         for ppn in range(self._max_cpus, 0, -1):
-            nodes = -(-spec.cpus // ppn)
+            nodes = -(-cpus // ppn)
             if nodes > len(self.nodes):
                 continue
-            waste = nodes * ppn - spec.cpus
+            waste = nodes * ppn - cpus
             if best is None or (waste, nodes) < (best[0], best[1]):
                 best = (waste, nodes, ppn)
         if best is None:
-            return -(-spec.cpus // self._max_cpus), self._max_cpus
+            return -(-cpus // self._max_cpus), self._max_cpus
         return best[1], best[2]
 
-    def submit(self, spec: SlurmJobSpec, owner: str = "slurm") -> SlurmJob:
+    # -- personality seam (repro.sched.protocol) -----------------------------
+
+    def submit_request(self, request: JobRequest) -> str:
+        """Admit *request*, shaped onto nodes×ppn (see :meth:`_shape`)."""
         if not self.nodes:
             raise SchedulerError("no nodes registered")
-        if spec.nodes <= 0 and spec.cpus < 1:
-            raise SchedulerError(f"job cpus must be >= 1, got {spec.cpus}")
-        nodes, ppn = self._shape(spec)
+        if request.nodes <= 0 and request.cores < 1:
+            raise SchedulerError(f"job cpus must be >= 1, got {request.cores}")
+        nodes, ppn = self._shape(request)
         if nodes < 1 or ppn < 1:
             raise SchedulerError(f"bad resource request nodes={nodes} ppn={ppn}")
         if ppn > self._max_cpus:
@@ -151,89 +128,46 @@ class SlurmController(BatchScheduler):
             raise SchedulerError(
                 f"job wants {nodes} nodes, cluster has {len(self.nodes)}"
             )
-        if spec.priority < 0:
-            raise SchedulerError(f"priority must be >= 0, got {spec.priority}")
+        priority = (
+            request.priority if request.priority is not None
+            else PRIORITY_DEFAULT
+        )
+        if priority < 0:
+            raise SchedulerError(f"priority must be >= 0, got {priority}")
         job = SlurmJob(
             job_id=self._next_id,
-            name=spec.name,
-            owner=owner,
+            name=request.name,
+            owner=self._owner(request),
             nodes=nodes,
             ppn=ppn,
-            partition=spec.partition,
-            submit_time=self.sim.now,
-            runtime_s=spec.runtime_s,
-            time_limit_s=spec.time_limit_s,
-            script=spec.script,
-            priority=spec.priority,
-            rerunnable=spec.rerunnable,
-            tag=spec.tag,
+            submitted_at=self.sim.now,
+            runtime_s=request.runtime_s,
+            script=request.script,
+            priority=priority,
+            rerunnable=request.rerunnable,
+            tag=request.tag,
         )
         self._next_id += 1
         # priority queue with FIFO ties
         self._admit(job, cores=job.total_cores)
-        return job
-
-    # -- personality seam (repro.sched.protocol) -----------------------------
-
-    def submit_request(self, request: JobRequest) -> str:
-        """Scheduler-neutral submit: shape the request onto nodes×ppn."""
-        spec = SlurmJobSpec(
-            name=request.name,
-            nodes=request.nodes,
-            ppn=request.ppn,
-            cpus=request.cores,
-            runtime_s=request.runtime_s,
-            script=request.script,
-            tag=request.tag,
-            priority=(
-                request.priority
-                if request.priority is not None
-                else PRIORITY_DEFAULT
-            ),
-            rerunnable=request.rerunnable,
-        )
-        owner = (
-            request.owner if request.owner is not None else self.default_owner
-        )
-        return str(self.submit(spec, owner=owner).job_id)
-
-    def submit_switch_job(self, script: str, owner: str) -> str:
-        """Submit an OS-release job: one whole node, not rerunnable."""
-        job = self.submit(
-            SlurmJobSpec(
-                name=SWITCH_JOB_NAME,
-                nodes=1,
-                script=script,
-                tag=SWITCH_TAG,
-                rerunnable=False,
-            ),
-            owner=owner,
-        )
-        return str(job.job_id)
+        return job.key
 
     # -- scheduling -----------------------------------------------------------
 
-    def _limit(self, job: SlurmJob) -> Optional[float]:
-        """The job's expected occupancy bound (time limit, else runtime)."""
-        if job.time_limit_s is not None:
-            return job.time_limit_s
-        return job.runtime_s
-
     def _shadow_time(self, head: SlurmJob) -> Optional[float]:
-        """Earliest instant *head* could start, per running-job limits.
+        """Earliest instant *head* could start, per running-job runtimes.
 
         Replays the running jobs' releases (soonest expected end first)
         onto a scratch free-cpu map until the head fits.  Running jobs
-        without any limit never release in this projection; ``None``
+        without a runtime never release in this projection; ``None``
         means no reservation point exists.
         """
         free = {h: r.available_cores for h, r in self.nodes.items()}
         ends: List[Tuple[float, int]] = []
         for job in self._running.values():
-            limit = self._limit(job)
-            if limit is None or job.start_time is None:
+            if job.runtime_s is None or job.start_time is None:
                 continue
-            ends.append((job.start_time + limit, job.job_id))
+            ends.append((job.start_time + job.runtime_s, job.job_id))
         ends.sort()
         for end, job_id in ends:
             for hostname, cpus in self.jobs[job_id].allocation.items():
@@ -257,13 +191,13 @@ class SlurmController(BatchScheduler):
                 progress = True
                 continue
             # EASY backfill: jobs behind the blocked head may run only if
-            # their limit ends before the head's shadow time.
+            # their runtime ends before the head's shadow time.
             shadow = self._shadow_time(head)
             for position in range(1, len(self.queue_order)):
                 job = self.jobs[self.queue_order[position]]
-                limit = self._limit(job)
+                runtime = job.runtime_s
                 if shadow is not None and (
-                    limit is None or self.sim.now + limit > shadow
+                    runtime is None or self.sim.now + runtime > shadow
                 ):
                     continue
                 placement = self._place(job)
@@ -279,15 +213,6 @@ class SlurmController(BatchScheduler):
     ) -> Optional[List[Tuple[SlurmNodeRecord, int]]]:
         """Find a placement for *job* via the shared free-core index."""
         return self._index.allocate_fifo(job)
-
-    def _start(
-        self, job: SlurmJob, placement: List[Tuple[SlurmNodeRecord, int]]
-    ) -> None:
-        for record, cpus in placement:
-            record.allocate(job.job_id, cpus)
-            self._index.reindex(record)
-            job.allocation[record.hostname] = cpus
-        self._launch(job, list(job.allocation))
 
     def _env(self, job: SlurmJob) -> Dict[str, str]:
         return {"SLURM_JOB_ID": str(job.job_id)}

@@ -12,14 +12,13 @@ free machines (the OS-switch jobs use ``Node``, the analogue of
 ``nodes=1:ppn=4``).
 """
 
-from repro.winhpc.job import WinHpcJob, WinJobSpec, WinJobState, WinJobUnit
+from repro.winhpc.job import WinHpcJob, WinJobState, WinJobUnit
 from repro.winhpc.nodestate import WinNodeRecord, WinNodeState
 from repro.winhpc.scheduler import WinHpcScheduler
 
 __all__ = [
     "WinHpcJob",
     "WinHpcScheduler",
-    "WinJobSpec",
     "WinJobState",
     "WinJobUnit",
     "WinNodeRecord",

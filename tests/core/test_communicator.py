@@ -19,10 +19,11 @@ from repro.core.wire import QueueStateMessage
 from repro.errors import MiddlewareError
 from repro.netsvc import DhcpServer, Network, TftpServer
 from repro.pbs import JobSpec, PbsServer
+from repro.sched import JobRequest
 from repro.simkernel import MINUTE, Simulator
 from repro.simkernel.rng import RngStreams
 from repro.storage import Filesystem, FsType
-from repro.winhpc import WinHpcScheduler, WinJobSpec
+from repro.winhpc import WinHpcScheduler
 
 
 @pytest.fixture()
@@ -177,8 +178,8 @@ def test_both_stuck_no_orders(rig, deliver):
 def test_daemon_loop_reacts_to_incoming_wire(rig):
     sim, pbs, winhpc, controller, orders, linux, windows, listener = rig
     sim.spawn(linux.run())
-    winhpc_job = winhpc.submit(
-        WinJobSpec(name="render", amount=4, runtime_s=60.0)
+    winhpc.submit_request(
+        JobRequest(name="render", cores=4, runtime_s=60.0)
     )  # queued: no online windows nodes -> windows stuck
     sim.spawn(windows.run())
     sim.run(until=1 * MINUTE)

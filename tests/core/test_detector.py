@@ -4,12 +4,9 @@ import pytest
 
 from repro.core.detector import PbsDetector, WinHpcDetector, parse_qstat_full
 from repro.pbs import JobSpec, PbsCommands, PbsServer
+from repro.sched import JobRequest
 from repro.simkernel import Simulator
-from repro.winhpc import (
-    WinHpcScheduler,
-    WinJobSpec,
-    WinJobUnit,
-)
+from repro.winhpc import WinHpcScheduler
 
 
 @pytest.fixture()
@@ -128,7 +125,7 @@ def test_win_other_state(win_detector):
 
 
 def test_win_running_state(win_detector, win):
-    win.submit(WinJobSpec(name="render", amount=4, runtime_s=100.0))
+    win.submit_request(JobRequest(name="render", cores=4, runtime_s=100.0))
     report = win_detector.check()
     assert report.wire == "00000none"
     assert report.running == 1
@@ -136,24 +133,26 @@ def test_win_running_state(win_detector, win):
 
 def test_win_stuck_core_job(win_detector, win):
     win_all_down(win)
-    job = win.submit(WinJobSpec(name="render", amount=6, runtime_s=1.0))
+    jobid = win.submit_request(
+        JobRequest(name="render", cores=6, runtime_s=1.0)
+    )
     report = win_detector.check()
     assert report.message.stuck
     assert report.message.needed_cpus == 6
-    assert report.message.stuck_jobid == str(job.job_id)
+    assert report.message.stuck_jobid == jobid
 
 
 def test_win_stuck_node_unit_job_counts_cores(win_detector, win):
     win_all_down(win)
-    win.submit(WinJobSpec(name="mdcs", unit=WinJobUnit.NODE, amount=2, runtime_s=1.0))
+    win.submit_request(JobRequest(name="mdcs", nodes=2, runtime_s=1.0))
     report = win_detector.check()
     assert report.message.needed_cpus == 8  # 2 nodes x 4 cores
 
 
 def test_win_switch_jobs_ignored(win_detector, win):
     win_all_down(win)
-    win.submit(
-        WinJobSpec(name="release_1_node", unit=WinJobUnit.NODE, amount=1,
-                   runtime_s=1.0, tag="os-switch")
+    win.submit_request(
+        JobRequest(name="release_1_node", nodes=1, runtime_s=1.0,
+                   tag="os-switch")
     )
     assert win_detector.check().wire == "00000none"

@@ -37,7 +37,7 @@ def test_deploy_boots_everything_linux():
     hybrid = deployed(2)
     assert len(hybrid.nodes_by_os()["linux"]) == 4
     assert hybrid.pbs.free_cores() == 16
-    assert len(hybrid.winhpc.online_nodes()) == 0
+    assert hybrid.winhpc.online_node_count() == 0
 
 
 def test_double_deploy_rejected(v2):
@@ -50,7 +50,7 @@ def test_initial_windows_split_v2():
     by_os = hybrid.nodes_by_os()
     assert len(by_os["windows"]) == 2
     assert len(by_os["linux"]) == 2
-    assert len(hybrid.winhpc.idle_nodes()) == 2
+    assert hybrid.winhpc.idle_node_count() == 2
 
 
 def test_initial_windows_split_v1():
@@ -122,7 +122,7 @@ def test_multi_node_demand_switches_enough_nodes():
     hybrid.sim.run(until=hybrid.sim.now + 90 * MINUTE)
     job = hybrid.scheduler("windows").get_job(jobid)
     assert job.state is WinJobState.FINISHED
-    assert job.total_allocated_cores() == 12
+    assert job.cores_running() == 12
     assert len(hybrid.nodes_by_os()["windows"]) >= 3
 
 

@@ -55,7 +55,7 @@ def test_abort_jobs_fails_matching_pending_orders(rig):
     assert aborted == 1
     assert orders.orders_failed == 1
     assert orders.orders[0].state is OrderState.FAILED
-    assert orders.orders[1].pending  # the other order is untouched
+    assert orders.orders[1].state is OrderState.PENDING  # the other order is untouched
     assert orders.in_flight("windows") == 1
     # the failed order ignores later joins; the pending one confirms
     winhpc.node_online("enode01")

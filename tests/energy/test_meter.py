@@ -12,6 +12,7 @@ from repro.energy import EnergyMeter, PowerModel
 from repro.hardware import ComputeNode, INTEL_Q8200, NodeState
 from repro.hardware.nic import Nic, mac_for_index
 from repro.hardware.power import RebootTimingModel
+from repro.sched import SCHEDULER_KINDS, JobRequest, create_scheduler
 from repro.simkernel import Simulator
 from repro.simkernel.rng import RngStreams
 from repro.trace.events import ENERGY_MODEL, ENERGY_REPORT, ENERGY_STATE
@@ -139,6 +140,36 @@ def test_busy_core_accounting_uses_started_snapshot():
     # releasing an unknown job must not push the count negative
     meter._job_event("pbs", "finished", job)
     assert account.busy_cores == 0
+
+
+@pytest.mark.parametrize("kind", SCHEDULER_KINDS)
+def test_requeued_job_releases_its_busy_cores(kind):
+    """The job's allocation is shared by the ``job.started`` trace event
+    and the meter's snapshot, so a requeue must rebind it, not clear it:
+    the meter still releases the cores and the trace keeps them."""
+    sim, node, meter, tracer = make_rig()
+    node.power_on()
+    sim.run(until=COLD_BOOT_S)
+    scheduler = create_scheduler(kind, sim, head_name="ehead.cluster")
+    if kind == "pbs":
+        scheduler.create_node("enode01", np=4)
+    else:
+        scheduler.add_node("enode01", cores=4)
+    scheduler.node_online("enode01")
+    meter.attach_scheduler(scheduler)
+    jobid = scheduler.submit_request(
+        JobRequest(name="j", cores=2, runtime_s=1000.0)
+    )
+    account = meter.accounts["enode01"]
+    assert account.busy_cores == 2
+
+    assert scheduler.fence_node("enode01")["requeued"] == [
+        scheduler.get_job(jobid).job_id
+    ]
+    assert account.busy_cores == 0
+    assert scheduler.get_job(jobid).allocation_by_host() == {}
+    [started] = tracer.events_of("job.started")
+    assert started.fields["cores"] == {"enode01": 2}
 
 
 def test_energy_state_emitted_once_per_power_transition():

@@ -19,7 +19,6 @@ from repro.faults import (
 def test_empty_plan():
     plan = FaultPlan()
     assert plan.is_empty
-    assert "(no faults)" in plan.describe()
 
 
 def test_link_fault_matching():
@@ -93,18 +92,3 @@ def test_boot_hang_validation():
     BootHang()
     with pytest.raises(ConfigurationError):
         BootHang(times=0)
-
-
-def test_describe_mentions_every_fault():
-    plan = FaultPlan(
-        name="full",
-        link_faults=(LinkFault(src="a", dst="b", loss_prob=0.2),),
-        partitions=(Partition(side_a=("a",), side_b=("b",), start_s=1, end_s=2),),
-        head_crashes=(HeadCrash(side="windows", at_s=5.0, down_s=3.0),),
-        corruptions=(WireCorruption(port=5800, prob=0.1),),
-        service_flaps=(ServiceFlap(service="dhcp", first_down_at_s=0.0, down_s=2.0),),
-        boot_hangs=(BootHang(node="enode01"),),
-    )
-    text = plan.describe()
-    for needle in ("link", "partition", "crash", "corrupt", "flap", "hang-at-boot"):
-        assert needle in text

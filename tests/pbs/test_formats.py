@@ -96,10 +96,10 @@ def test_qstat_f_figure8_fields(pbs, server, sim):
 
 
 def test_qstat_f_hides_completed_by_default(pbs, server, sim):
-    server.qsub(JobSpec(name="quick", runtime_s=1.0))
+    jobid = server.qsub(JobSpec(name="quick", runtime_s=1.0))
     sim.run()
     assert pbs.qstat_f() == ""
-    assert "exit_status = 0" in pbs.qstat_f(include_completed=True)
+    assert server.jobs[jobid].exit_status == 0
 
 
 def test_qstat_f_multiple_jobs_sorted(pbs, server):

@@ -20,13 +20,12 @@ from repro.core.detector import (
     qstat_report,
 )
 from repro.pbs import JobSpec, PbsCommands, PbsServer
-from repro.sched.protocol import SWITCH_TAG
+from repro.sched.protocol import SWITCH_TAG, JobRequest
 from repro.simkernel import Simulator
 from repro.slurm.commands import squeue
 from repro.slurm.controller import SlurmController
 from repro.slurm.detector import SlurmDetector, squeue_report
-from repro.slurm.job import SlurmJobSpec
-from repro.winhpc.job import WinJobSpec, WinJobState, WinJobUnit
+from repro.winhpc.job import WinJobState, WinJobUnit
 from repro.winhpc.scheduler import WinHpcScheduler
 from repro.winhpc.nodestate import WinNodeState
 
@@ -53,7 +52,6 @@ slurm_submit = st.tuples(
     st.integers(min_value=1, max_value=CORES),
     st.sampled_from([60.0, 400.0, 2000.0]),
     st.sampled_from([50, 100, 200]),
-    st.sampled_from([None, 500.0, 3000.0]),
 )
 
 # a job tagged as a switch job whatever its name: workload to the PBS
@@ -134,7 +132,7 @@ def _assert_pbs_matches(server, commands):
         _same(live, qstat_report(commands.qstat_f(), eager=eager))
     up = server.up_nodes()
     assert server.online_node_count() == len(up)
-    assert server.idle_node_count() == sum(1 for r in up if not r.busy)
+    assert server.idle_node_count() == sum(1 for r in up if not r.core_jobs)
 
 
 def _assert_slurm_matches(controller):
@@ -224,7 +222,7 @@ def test_pbs_check_equals_qstat_text_report(ops):
                 name=op[1], ppn=op[2], runtime_s=400.0, tag=SWITCH_TAG
             ))
         elif kind == "cancel":
-            jobs = [j.jobid for j in server.queued_jobs()]
+            jobs = [j.job_id for j in server.queued_jobs()]
             if jobs:
                 server.cancel(jobs[op[1] % len(jobs)])
         elif kind == "run":
@@ -242,10 +240,10 @@ def test_pbs_check_equals_qstat_text_report(ops):
 @given(ops=slurm_ops)
 # a full cluster with a queued switch job, then node loss and a cancel
 @example(ops=[
-    ("submit", "md", 2, 4, 2000.0, 100, None),
-    ("submit", "md", 1, 4, 400.0, 100, 500.0),
-    ("submit", "release_1_node", 1, 4, 60.0, 200, None),
-    ("submit", "sleep", 1, 2, 60.0, 100, None),
+    ("submit", "md", 2, 4, 2000.0, 100),
+    ("submit", "md", 1, 4, 400.0, 100),
+    ("submit", "release_1_node", 1, 4, 60.0, 200),
+    ("submit", "sleep", 1, 2, 60.0, 100),
     ("down", 1), ("cancel", 1), ("run", 1000.0),
 ])
 def test_slurm_check_equals_squeue_text_report(ops):
@@ -259,10 +257,10 @@ def test_slurm_check_equals_squeue_text_report(ops):
     for op in ops:
         kind = op[0]
         if kind == "submit":
-            _, name, nodes, ppn, runtime, priority, limit = op
-            controller.submit(SlurmJobSpec(
+            _, name, nodes, ppn, runtime, priority = op
+            controller.submit_request(JobRequest(
                 name=name, nodes=nodes, ppn=ppn, runtime_s=runtime,
-                priority=priority, time_limit_s=limit,
+                priority=priority,
             ))
         elif kind == "cancel":
             jobs = controller.queued_jobs() + controller.running_jobs()
@@ -309,9 +307,10 @@ def test_winhpc_check_equals_sdk_job_list_report(ops):
         kind = op[0]
         if kind == "submit":
             _, name, tag, unit, amount, runtime, priority = op
-            scheduler.submit(WinJobSpec(
-                name=name, unit=unit, amount=amount, runtime_s=runtime,
-                tag=tag, priority=priority,
+            scheduler.submit_request(JobRequest(
+                name=name, cores=amount,
+                nodes=amount if unit is WinJobUnit.NODE else 0,
+                runtime_s=runtime, tag=tag, priority=priority,
             ))
         elif kind == "cancel":
             jobs = scheduler.queued_jobs() + scheduler.running_jobs()

@@ -78,7 +78,10 @@ class ReferenceOrders:
         self.jobs = {"windows": 0, "linux": 0}
 
     def in_flight(self, target_os):
-        return sum(1 for o in self.orders if o.pending and o.target_os == target_os)
+        return sum(
+            1 for o in self.orders
+            if o.state is OrderState.PENDING and o.target_os == target_os
+        )
 
     def issue(self, target_os, count):
         prefix = "pbs" if target_os == "windows" else "win"
@@ -100,7 +103,7 @@ class ReferenceOrders:
             self.expected_rejoins.discard(hostname)
             return
         for order in self.orders:
-            if order.pending and order.target_os == target_os:
+            if order.state is OrderState.PENDING and order.target_os == target_os:
                 order.state = OrderState.CONFIRMED
                 order.resolved_at = self.clock.now
                 order.node = hostname
@@ -113,7 +116,7 @@ class ReferenceOrders:
         targets = {str(jobid) for jobid in jobids}
         aborted = 0
         for order in self.orders:
-            if order.pending and order.jobid in targets:
+            if order.state is OrderState.PENDING and order.jobid in targets:
                 order.state = OrderState.FAILED
                 order.resolved_at = self.clock.now
                 aborted += 1
@@ -125,7 +128,7 @@ class ReferenceOrders:
     def expire(self, now):
         expired = []
         for order in self.orders:
-            if order.pending and now >= order.deadline:
+            if order.state is OrderState.PENDING and now >= order.deadline:
                 order.state = OrderState.FAILED
                 order.resolved_at = now
                 self.tracer.emit("order.failed",

@@ -33,11 +33,16 @@ NUM_NODES = 3
 CORES = 4
 
 #: How each personality records, in its own vocabulary, a job that a
-#: fence killed, a fenced node and a cordoned node.
+#: fence killed, an up node, a fenced node and a cordoned node.
 KILLED = {
     "pbs": (JobState.COMPLETED, KILLED_EXIT_STATUS),
     "winhpc": WinJobState.FAILED,
     "slurm": SlurmJobState.FAILED,
+}
+UP_NODE = {
+    "pbs": PbsNodeState.FREE,
+    "winhpc": WinNodeState.ONLINE,
+    "slurm": SlurmNodeState.UP,
 }
 FENCED_NODE = {
     "pbs": PbsNodeState.DOWN,
@@ -375,6 +380,41 @@ def test_cordon_drains_without_killing(kind):
     scheduler.uncordon_node(host)
     sim.run()
     assert big.end_time == 110.0
+
+
+def test_node_record_follows_up_cordon_uncordon_down(kind):
+    """The shared node record and the kept counts agree with the native
+    state through every node transition, with a 1-core job running."""
+    sim, scheduler, _ = build(kind, num_nodes=1)
+    record = scheduler.node("n01")
+
+    def agree(state, cores_in_use):
+        up = state is UP_NODE[kind]
+        assert record.state is state
+        assert record.online is up
+        assert record.idle is (up and cores_in_use == 0)
+        assert record.available_cores == (CORES - cores_in_use if up else 0)
+        assert scheduler.online_node_count() == int(up)
+        assert scheduler.idle_node_count() == int(record.idle)
+        assert scheduler.node_idle("n01") is record.idle
+        assert scheduler.free_cores() == record.available_cores
+
+    agree(UP_NODE[kind], 0)
+    jobid = scheduler.submit_request(
+        JobRequest(name="one", cores=1, runtime_s=100.0)
+    )
+    agree(UP_NODE[kind], 1)
+    scheduler.cordon_node("n01")
+    agree(CORDONED_NODE[kind], 1)
+    scheduler.uncordon_node("n01")
+    agree(UP_NODE[kind], 1)
+    scheduler.node_unreachable("n01")
+    agree(FENCED_NODE[kind], 0)
+    assert record.allocations == {}
+    sim.run(until=1.0)  # the node's loss reaches the job's runner
+    assert not is_running(scheduler, scheduler.get_job(jobid))
+    rejoin(scheduler, "n01")
+    agree(UP_NODE[kind], 0)
 
 
 def test_job_on_silently_dead_node_parks_until_fenced(kind):

@@ -91,11 +91,3 @@ def test_integers_range():
     rng = RngStreams(0)
     draws = [rng.integers("i", 2, 5) for _ in range(100)]
     assert set(draws) <= {2, 3, 4}
-
-
-def test_shuffle_is_permutation_copy():
-    rng = RngStreams(0)
-    items = [1, 2, 3, 4, 5]
-    out = rng.shuffle("sh", items)
-    assert sorted(out) == items
-    assert items == [1, 2, 3, 4, 5]

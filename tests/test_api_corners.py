@@ -6,7 +6,6 @@ from repro.boot.pxelinux import default_config_path
 from repro.oslayer.linux import standalone_menu_lst
 from repro.pbs import JobSpec, PbsServer
 from repro.pbs.formats import render_pbsnodes_entry, render_qstat_full_entry
-from repro.pbs.scheduler import schedulable_backlog
 from repro.simkernel import Simulator
 from repro.simkernel.timeunits import format_duration
 
@@ -53,27 +52,3 @@ def test_render_single_entry_helpers(server):
     assert node_text.startswith("enode01.")
     assert "     np = 4" in node_text
 
-
-def test_schedulable_backlog_respects_fcfs(server):
-    # occupy everything
-    server.qsub(JobSpec(name="fill", nodes=2, ppn=4, runtime_s=100.0))
-    big = JobSpec(name="big", nodes=2, ppn=4, runtime_s=1.0)
-    small = JobSpec(name="small", nodes=1, ppn=1, runtime_s=1.0)
-    server.qsub(big)
-    server.qsub(small)
-    backlog = schedulable_backlog(server.queued_jobs(), server.nodes)
-    assert backlog == []  # nothing fits, strict FCFS blocks behind `big`
-
-
-def test_schedulable_backlog_consistent_prefix(server):
-    queued = [
-        server.jobs[server.qsub(JobSpec(name="fill", nodes=2, ppn=4, runtime_s=9.0))],
-    ]
-    # drain so nodes are free, then craft a queue snapshot by hand
-    server.sim.run()
-    a = server.jobs[server.qsub(JobSpec(name="a", nodes=1, ppn=4, runtime_s=50.0))]
-    b = server.jobs[server.qsub(JobSpec(name="b", nodes=1, ppn=4, runtime_s=50.0))]
-    c = server.jobs[server.qsub(JobSpec(name="c", nodes=1, ppn=4, runtime_s=50.0))]
-    # a and b started (2 nodes); c queued
-    backlog = schedulable_backlog(server.queued_jobs(), server.nodes)
-    assert backlog == []  # no free cores for c

@@ -3,7 +3,11 @@ that ships.
 
 A name counts as reached when any Python file under ``src/``, ``benchmarks/``
 or ``examples/`` uses it: as a bare name, as an attribute, or inside a string
-(``getattr`` targets, span entry points).  Neither its own definition, nor a
+(``getattr`` targets, span entry points).  A method is reached only through
+an attribute (``obj.name``), a ``getattr``/``hasattr``/``attrgetter``
+target, or a bare name in a class body (an alias such as
+``_node_key = fqdn``): a local ``def`` of the same name, a builtin or a
+word inside a string cannot call it.  Neither its own definition, nor a
 use inside a definition of the same name (a forwarder such as
 ``def f(self): return self.inner.f()``, or a recursive call), nor a
 docstring, nor a re-export from an ``__init__.py`` counts.  The scan works
@@ -38,13 +42,12 @@ KEPT: Dict[str, str] = {
     "node_idle": "per-node oracle for the kept idle counts",
     "squeue": "SLURM text listing, the oracle of the detector property tests",
     "squeue_report": "parser of that listing, the same oracle",
-    "schedulable_backlog": "FCFS backlog query and its reference scan, held "
-                           "equal by the index property tests",
     # inspection helpers that several tests read
     "has_host": "DHCP/DNS inspection helper read by tests",
     "file_count": "filesystem inspection helper read by tests",
     "overlaps": "partition-table inspection helper read by tests",
     "entry_for": "GRUB menu inspection helper read by tests",
+    "first": "GRUB entry inspection helper read by tests",
     "is_stock": "bootloader inspection helper read by tests",
     "dead_entries": "GRUB menu inspection helper read by tests",
     "uncordon_node": "inverse of cordon_node, exercised by the contract battery",
@@ -56,6 +59,12 @@ KEPT: Dict[str, str] = {
     "usable_core_seconds": "per-OS capacity integral the recorder tests read",
     "delete": "file removal the boot-chain tests use to break a disk",
     "copy_tree_from": "whole-tree copy the filesystem tests read",
+    "copy": "single-file copy the filesystem tests read",
+    "grub_index": "partition-to-(hd0,N) mapping the Figure 2 disk tests read",
+    "complete": "OSCAR wizard progress check read by the wizard tests",
+    "is_empty": "fault-plan emptiness check read by the fault-plan tests",
+    "step": "single-event kernel step the interleaving and property tests "
+            "drive",
     # what later roadmap items build on
     "events_of": "trace query API the trace CLI builds on",
     "events_with_prefix": "trace query API the trace CLI builds on",
@@ -99,7 +108,8 @@ def _reexports(tree: ast.Module) -> Set[int]:
 
 
 class _References(ast.NodeVisitor):
-    """Collect the names a module uses.  A use inside a definition of the
+    """Collect the names a module uses, and apart from them the uses that
+    can reach a method (``attributes``).  A use inside a definition of the
     same name does not count: a forwarder would keep its target alive, and
     a string that names its definition (a ``__repr__``, an error message)
     would make every class that prints its own name reached."""
@@ -107,26 +117,44 @@ class _References(ast.NodeVisitor):
     def __init__(self, skip: Set[int]) -> None:
         self.skip = skip
         self.enclosing: List[str] = []
+        self.in_class_body: List[bool] = [False]
         self.names: Set[str] = set()
+        self.attributes: Set[str] = set()
 
     def _definition(
         self, node: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef
     ) -> None:
         self.enclosing.append(node.name)
+        self.in_class_body.append(isinstance(node, ast.ClassDef))
         self.generic_visit(node)
+        self.in_class_body.pop()
         self.enclosing.pop()
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
 
-    def _use(self, name: str) -> None:
+    def _use(self, name: str, attribute: bool = False) -> None:
         if name not in self.enclosing:
             self.names.add(name)
+            if attribute:
+                self.attributes.add(name)
 
     def visit_Name(self, node: ast.Name) -> None:
-        self._use(node.id)
+        self._use(node.id, attribute=self.in_class_body[-1])
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        self._use(node.attr)
+        self._use(node.attr, attribute=True)
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if isinstance(node.func, ast.Name):
+            targets = {
+                "getattr": node.args[1:2], "hasattr": node.args[1:2],
+                "attrgetter": node.args,
+            }.get(node.func.id, [])
+            for arg in targets:
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    for name in arg.value.split("."):
+                        self._use(name, attribute=True)
         self.generic_visit(node)
 
     def visit_Constant(self, node: ast.Constant) -> None:
@@ -135,8 +163,10 @@ class _References(ast.NodeVisitor):
                 self._use(word)
 
 
-def referenced_names() -> Set[str]:
+def referenced_names() -> Tuple[Set[str], Set[str]]:
+    """Every name the shipped code uses, and the uses that reach methods."""
     names: Set[str] = set()
+    attributes: Set[str] = set()
     for path in _python_files(SHIPPED):
         tree = ast.parse(path.read_text(), filename=str(path))
         skip = _docstrings(tree)
@@ -145,29 +175,37 @@ def referenced_names() -> Set[str]:
         visitor = _References(skip)
         visitor.visit(tree)
         names |= visitor.names
-    return names
+        attributes |= visitor.attributes
+    return names, attributes
 
 
-def defined_names() -> List[Tuple[str, str]]:
-    """(name, ``file:line``) of every def and class in the package."""
-    found: List[Tuple[str, str]] = []
+def defined_names() -> List[Tuple[str, str, bool]]:
+    """(name, ``file:line``, is a method) of every def and class in the
+    package."""
+    found: List[Tuple[str, str, bool]] = []
     for path in _python_files([PACKAGE]):
         if EXCLUDED in path.parents:
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {
+            id(child)
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for child in node.body
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
         for node in ast.walk(tree):
             if isinstance(node, DEFINITIONS):
                 where = f"{path.relative_to(ROOT)}:{node.lineno}"
-                found.append((node.name, where))
+                found.append((node.name, where, id(node) in methods))
     return found
 
 
 def test_every_definition_is_reached_by_shipped_code():
-    reached = referenced_names()
+    names, attributes = referenced_names()
     unreached = sorted(
         f"{where} {name}"
-        for name, where in defined_names()
-        if name not in reached
+        for name, where, method in defined_names()
+        if name not in (attributes if method else names)
         and name not in KEPT
         and not DISPATCHED.match(name)
     )
@@ -179,8 +217,13 @@ def test_every_definition_is_reached_by_shipped_code():
 
 
 def test_every_kept_name_is_still_defined_and_still_unreached():
-    defined = {name for name, _ in defined_names()}
-    reached = referenced_names()
+    defined = defined_names()
+    names, attributes = referenced_names()
+    reached = {
+        name for name, _, method in defined
+        if name in (attributes if method else names)
+    }
     stale = sorted(name for name in KEPT
-                   if name not in defined or name in reached)
+                   if name not in {name for name, _, _ in defined}
+                   or name in reached)
     assert not stale, f"KEPT entries no longer needed: {stale}"

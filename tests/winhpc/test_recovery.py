@@ -4,14 +4,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.sched import JobRequest
 from repro.simkernel import Simulator
 from repro.winhpc import WinHpcScheduler
-from repro.winhpc.job import (
-    PRIORITY_HIGHEST,
-    WinJobSpec,
-    WinJobState,
-    WinJobUnit,
-)
+from repro.winhpc.job import PRIORITY_HIGHEST, WinJobState
 from repro.winhpc.nodestate import WinNodeState
 
 
@@ -29,9 +25,11 @@ def scheduler(sim):
     return sched
 
 
-def core_spec(name="job", cores=4, runtime=100.0, **kw):
-    return WinJobSpec(name=name, unit=WinJobUnit.CORE, amount=cores,
-                      runtime_s=runtime, **kw)
+def submit(scheduler, name="job", cores=4, runtime=100.0, **kw):
+    """Submit a CORE-unit request; returns the native job."""
+    return scheduler.get_job(scheduler.submit_request(
+        JobRequest(name=name, cores=cores, runtime_s=runtime, **kw)
+    ))
 
 
 def host_of(job):
@@ -39,7 +37,7 @@ def host_of(job):
 
 
 def test_fence_requeues_and_job_completes_elsewhere(sim, scheduler):
-    job = scheduler.submit(core_spec())
+    job = submit(scheduler)
     victim = host_of(job)
     sim.run(until=30.0)
     out = scheduler.fence_node(victim)
@@ -57,7 +55,7 @@ def test_fence_requeues_and_job_completes_elsewhere(sim, scheduler):
 def test_non_rerunnable_job_fails_terminally(sim, scheduler):
     """Satellite regression: switch jobs ride ``rerunnable=False`` — a
     fence must fail them, never replay them on another node."""
-    job = scheduler.submit(core_spec(rerunnable=False))
+    job = submit(scheduler, rerunnable=False)
     sim.run(until=10.0)
     out = scheduler.fence_node(host_of(job))
     assert out == {"requeued": [], "failed": [job.job_id]}
@@ -68,7 +66,7 @@ def test_non_rerunnable_job_fails_terminally(sim, scheduler):
 
 def test_retry_budget_exhaustion(sim, scheduler):
     scheduler.max_job_restarts = 1
-    job = scheduler.submit(core_spec())
+    job = submit(scheduler)
     sim.run(until=10.0)
     assert scheduler.fence_node(host_of(job))["requeued"] == [job.job_id]
     sim.run(until=20.0)
@@ -79,7 +77,7 @@ def test_retry_budget_exhaustion(sim, scheduler):
 
 def test_checkpoint_interval_credits_durable_work(sim, scheduler):
     scheduler.checkpoint_interval_s = 30.0
-    job = scheduler.submit(core_spec())
+    job = submit(scheduler)
     sim.run(until=70.0)
     scheduler.fence_node(host_of(job))
     assert job.checkpointed_s == 60.0
@@ -93,11 +91,9 @@ def test_requeue_respects_priority_bands(sim, scheduler):
     """A requeued normal-priority job may not jump a highest-priority
     job that is already waiting."""
     # fill the cluster
-    filler = [scheduler.submit(core_spec(name=f"fill{i}")) for i in range(3)]
+    filler = [submit(scheduler, name=f"fill{i}") for i in range(3)]
     victim_like = filler[0]
-    urgent = scheduler.submit(
-        core_spec(name="urgent", priority=PRIORITY_HIGHEST)
-    )
+    urgent = submit(scheduler, name="urgent", priority=PRIORITY_HIGHEST)
     assert urgent.state is WinJobState.QUEUED
     sim.run(until=10.0)
     scheduler.fence_node(host_of(victim_like))
@@ -111,7 +107,7 @@ def test_requeue_respects_priority_bands(sim, scheduler):
 
 
 def test_fast_rejoin_recovers_stranded_jobs(sim, scheduler):
-    job = scheduler.submit(core_spec())
+    job = submit(scheduler)
     victim = host_of(job)
     sim.run(until=10.0)
     scheduler.node_crashed(victim)
@@ -126,13 +122,13 @@ def test_fast_rejoin_recovers_stranded_jobs(sim, scheduler):
 
 
 def test_cordon_drains_without_killing(sim, scheduler):
-    job = scheduler.submit(core_spec())
+    job = submit(scheduler)
     host = host_of(job)
     scheduler.cordon_node(host)
     assert scheduler.node(host).state is WinNodeState.DRAINING
     assert job.state is WinJobState.RUNNING
     # 3 nodes x 4 cores minus the draining one: a 12-core job cannot start
-    big = scheduler.submit(core_spec(name="big", cores=12))
+    big = submit(scheduler, name="big", cores=12)
     assert big.state is WinJobState.QUEUED
     scheduler.uncordon_node(host)
     sim.run()
@@ -144,7 +140,7 @@ def test_job_on_silently_dead_node_parks_until_fenced(sim):
     scheduler = WinHpcScheduler(sim)
     scheduler.add_node("enode01", cores=4)
     scheduler.node_online("enode01", os_instance=SimpleNamespace(running=False))
-    job = scheduler.submit(core_spec())
+    job = submit(scheduler)
     assert job.state is WinJobState.RUNNING
     sim.run(until=1000.0)
     assert job.state is WinJobState.RUNNING  # parked, not completing

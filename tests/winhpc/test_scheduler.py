@@ -3,14 +3,9 @@
 import pytest
 
 from repro.errors import SchedulerError
+from repro.sched import JobRequest
 from repro.simkernel import Simulator
-from repro.winhpc import (
-    WinHpcScheduler,
-    WinJobSpec,
-    WinJobState,
-    WinJobUnit,
-    WinNodeState,
-)
+from repro.winhpc import WinHpcScheduler, WinJobState, WinNodeState
 
 
 @pytest.fixture()
@@ -27,18 +22,21 @@ def scheduler(sim):
     return sched
 
 
-def spec(name="job", unit=WinJobUnit.CORE, amount=4, runtime=100.0, **kw):
-    return WinJobSpec(name=name, unit=unit, amount=amount, runtime_s=runtime, **kw)
+def submit(scheduler, name="job", cores=4, runtime=100.0, **kw):
+    """Submit a request (``nodes=`` for whole machines); returns the job."""
+    return scheduler.get_job(scheduler.submit_request(
+        JobRequest(name=name, cores=cores, runtime_s=runtime, **kw)
+    ))
 
 
 def test_job_ids_increment(scheduler):
-    j1 = scheduler.submit(spec())
-    j2 = scheduler.submit(spec())
+    j1 = submit(scheduler)
+    j2 = submit(scheduler)
     assert (j1.job_id, j2.job_id) == (1, 2)
 
 
 def test_core_job_runs_and_finishes(sim, scheduler):
-    job = scheduler.submit(spec(amount=4, runtime=60.0))
+    job = submit(scheduler, cores=4, runtime=60.0)
     assert job.state is WinJobState.RUNNING
     sim.run()
     assert job.state is WinJobState.FINISHED
@@ -47,38 +45,36 @@ def test_core_job_runs_and_finishes(sim, scheduler):
 
 
 def test_core_jobs_pack_busiest_first(sim, scheduler):
-    j1 = scheduler.submit(spec(amount=2, runtime=100.0))
-    j2 = scheduler.submit(spec(amount=2, runtime=100.0))
+    j1 = submit(scheduler, cores=2, runtime=100.0)
+    j2 = submit(scheduler, cores=2, runtime=100.0)
     # second job fills the same node before opening a fresh one
     assert list(j1.allocation) == list(j2.allocation)
 
 
 def test_core_job_spans_nodes_when_needed(scheduler):
-    job = scheduler.submit(spec(amount=10, runtime=10.0))
-    assert job.total_allocated_cores() == 10
+    job = submit(scheduler, cores=10, runtime=10.0)
+    assert job.cores_running() == 10
     assert len(job.allocation) >= 3
 
 
 def test_node_unit_job_needs_idle_machines(sim, scheduler):
-    filler = scheduler.submit(spec(amount=1, runtime=100.0))  # one core busy
-    node_job = scheduler.submit(
-        spec(unit=WinJobUnit.NODE, amount=4, runtime=10.0)
-    )
+    filler = submit(scheduler, cores=1, runtime=100.0)  # one core busy
+    node_job = submit(scheduler, nodes=4, runtime=10.0)
     assert node_job.state is WinJobState.QUEUED  # only 3 idle machines
     sim.run(until=101.0)
     assert node_job.state is WinJobState.RUNNING
-    assert node_job.total_allocated_cores() == 16
+    assert node_job.cores_running() == 16
 
 
 def test_node_unit_allocates_highest_hostname_first(scheduler):
-    job = scheduler.submit(spec(unit=WinJobUnit.NODE, amount=1, runtime=10.0))
+    job = submit(scheduler, nodes=1, runtime=10.0)
     assert list(job.allocation) == ["enode04"]
 
 
 def test_fifo_head_of_line_blocking(sim, scheduler):
-    scheduler.submit(spec(amount=16, runtime=100.0))
-    big = scheduler.submit(spec(amount=16, runtime=10.0))
-    small = scheduler.submit(spec(amount=1, runtime=10.0))
+    submit(scheduler, cores=16, runtime=100.0)
+    big = submit(scheduler, cores=16, runtime=10.0)
+    small = submit(scheduler, cores=1, runtime=10.0)
     assert big.state is WinJobState.QUEUED
     assert small.state is WinJobState.QUEUED  # no backfill
     sim.run()
@@ -86,7 +82,7 @@ def test_fifo_head_of_line_blocking(sim, scheduler):
 
 
 def test_node_unreachable_cancels_jobs(sim, scheduler):
-    job = scheduler.submit(spec(unit=WinJobUnit.NODE, amount=1, runtime=1000.0))
+    job = submit(scheduler, nodes=1, runtime=1000.0)
     host = next(iter(job.allocation))
     sim.run(until=5.0)
     scheduler.node_unreachable(host)
@@ -98,15 +94,15 @@ def test_node_unreachable_cancels_jobs(sim, scheduler):
 def test_node_online_triggers_scheduling(sim, scheduler):
     for host in list(scheduler.nodes):
         scheduler.node_unreachable(host)
-    job = scheduler.submit(spec(amount=2, runtime=10.0))
+    job = submit(scheduler, cores=2, runtime=10.0)
     assert job.state is WinJobState.QUEUED
     scheduler.node_online("enode02")
     assert job.state is WinJobState.RUNNING
 
 
 def test_cancel_queued_and_running(sim, scheduler):
-    filler = scheduler.submit(spec(amount=16, runtime=100.0))
-    queued = scheduler.submit(spec(amount=1, runtime=10.0))
+    filler = submit(scheduler, cores=16, runtime=100.0)
+    queued = submit(scheduler, cores=1, runtime=10.0)
     scheduler.cancel(queued.job_id)
     assert queued.state is WinJobState.CANCELED
     scheduler.cancel(filler.job_id)
@@ -116,7 +112,7 @@ def test_cancel_queued_and_running(sim, scheduler):
 
 
 def test_cancel_finished_rejected(sim, scheduler):
-    job = scheduler.submit(spec(runtime=1.0))
+    job = submit(scheduler, runtime=1.0)
     sim.run()
     with pytest.raises(SchedulerError):
         scheduler.cancel(job.job_id)
@@ -124,11 +120,11 @@ def test_cancel_finished_rejected(sim, scheduler):
 
 def test_oversized_requests_rejected(scheduler):
     with pytest.raises(SchedulerError):
-        scheduler.submit(spec(amount=17))
+        submit(scheduler, cores=17)
     with pytest.raises(SchedulerError):
-        scheduler.submit(spec(unit=WinJobUnit.NODE, amount=5))
+        submit(scheduler, nodes=5)
     with pytest.raises(SchedulerError):
-        scheduler.submit(spec(amount=0))
+        submit(scheduler, cores=0)
 
 
 def test_duplicate_node_rejected(scheduler):
@@ -137,10 +133,8 @@ def test_duplicate_node_rejected(scheduler):
 
 
 def test_script_job_without_node_os_fails(sim, scheduler):
-    job = scheduler.submit(
-        WinJobSpec(name="switch", unit=WinJobUnit.NODE, amount=1,
+    job = submit(scheduler, name="switch", nodes=1,
                    script="shutdown /r /t 0\n")
-    )
     sim.run()
     assert job.state is WinJobState.FAILED
 
@@ -148,6 +142,6 @@ def test_script_job_without_node_os_fails(sim, scheduler):
 def test_observers(sim, scheduler):
     events = []
     scheduler.observers.append(lambda ev, job: events.append((ev, job.name)))
-    scheduler.submit(spec(name="w", runtime=5.0))
+    submit(scheduler, name="w", runtime=5.0)
     sim.run()
     assert events == [("submitted", "w"), ("started", "w"), ("finished", "w")]
