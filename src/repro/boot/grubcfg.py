@@ -52,13 +52,6 @@ class GrubEntry:
     title: str
     commands: List[Tuple[str, str]] = field(default_factory=list)
 
-    def first(self, verb: str) -> Optional[str]:
-        """Argument of the first command named *verb*, or ``None``."""
-        for v, arg in self.commands:
-            if v == verb:
-                return arg
-        return None
-
 
 @dataclass
 class GrubConfig:

@@ -255,11 +255,3 @@ class FaultPlan:
     boot_hangs: Tuple[BootHang, ...] = ()
     node_crashes: Tuple[NodeCrash, ...] = ()
     node_flaps: Tuple[NodeFlap, ...] = ()
-
-    @property
-    def is_empty(self) -> bool:
-        return not (
-            self.link_faults or self.partitions or self.head_crashes
-            or self.corruptions or self.service_flaps or self.boot_hangs
-            or self.node_crashes or self.node_flaps
-        )

@@ -91,10 +91,6 @@ class OscarWizard:
             )
         self.installation.steps_done.append(step)
 
-    @property
-    def complete(self) -> bool:
-        return list(self.installation.steps_done) == list(_STEPS)
-
     # -- steps ------------------------------------------------------------------
 
     def install_server(self) -> None:

@@ -7,7 +7,7 @@ generator-based processes scheduled on a single deterministic event queue.
 The kernel is deliberately small and SimPy-flavoured:
 
 * :class:`~repro.simkernel.kernel.Simulator` owns the clock and the event
-  queue (a calendar queue ordered by ``(time, sequence)`` so same-time
+  queue (a binary heap ordered by ``(time, sequence)`` so same-time
   events fire in schedule order — determinism is a hard requirement, see
   DESIGN.md).
 * Processes are plain Python generators that ``yield`` *waitables*:
@@ -31,9 +31,8 @@ Example
 [(1.0, 'b'), (2.0, 'a')]
 """
 
-from repro.simkernel.calqueue import CalendarQueue
 from repro.simkernel.events import Event
-from repro.simkernel.kernel import HeapEventQueue, Simulator
+from repro.simkernel.kernel import Simulator
 from repro.simkernel.process import (
     Interrupt,
     Process,
@@ -51,10 +50,8 @@ from repro.simkernel.timeunits import (
 )
 
 __all__ = [
-    "CalendarQueue",
     "DAY",
     "Event",
-    "HeapEventQueue",
     "HOUR",
     "Interrupt",
     "MINUTE",

@@ -106,10 +106,6 @@ class Filesystem:
             raise StorageError(f"cannot rename missing file: {src_key}")
         self._files[dst_key] = self._files.pop(src_key)
 
-    def copy(self, src: str, dst: str) -> None:
-        """Copy a file within this filesystem."""
-        self.write(dst, self.read(src))
-
     def mkdir(self, path: str) -> None:
         """Explicitly create a directory (idempotent)."""
         self._dirs.add(normalize(path))

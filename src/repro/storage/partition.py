@@ -84,11 +84,6 @@ class Partition:
         return self.start_mb < other.end_mb and other.start_mb < self.end_mb
 
     @property
-    def grub_index(self) -> int:
-        """This partition in GRUB's zero-based ``(hd0,N)`` notation."""
-        return self.number - 1
-
-    @property
     def linux_name(self) -> str:
         """Linux device name, e.g. ``/dev/sda1``."""
         return f"/dev/sda{self.number}"

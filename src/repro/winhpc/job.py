@@ -41,8 +41,12 @@ class WinHpcJob(BatchJob):
     priority: int = PRIORITY_NORMAL
     unit: WinJobUnit
     amount: int
+    #: cores of one node (the cluster's largest) when the job was submitted
+    node_cores: int = 1
 
     def cores_submitted(self) -> int:
-        """Core demand as known at submission time: the requested amount
-        (a ``Node``-unit job learns its core count when it starts)."""
+        """Core demand as known at submission time: ``amount`` cores, or
+        ``amount`` whole nodes of ``node_cores`` each."""
+        if self.unit is WinJobUnit.NODE:
+            return self.amount * self.node_cores
         return self.amount

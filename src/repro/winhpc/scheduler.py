@@ -119,6 +119,7 @@ class WinHpcScheduler(BatchScheduler):
             owner=self._owner(request),
             unit=unit,
             amount=amount,
+            node_cores=self.max_node_cores or 1,
             submitted_at=self.sim.now,
             runtime_s=request.runtime_s,
             script=request.script,

@@ -35,8 +35,9 @@ def test_parse_figure2_menu_lst():
     assert len(cfg.entries) == 1
     entry = cfg.entries[0]
     assert entry.title == "changing to control file"
-    assert entry.first("root") == "(hd0,5)"
-    assert entry.first("configfile") == "/controlmenu.lst"
+    assert entry.commands == [
+        ("root", "(hd0,5)"), ("configfile", "/controlmenu.lst"),
+    ]
 
 
 def test_parse_figure3_controlmenu():
@@ -49,10 +50,12 @@ def test_parse_figure3_controlmenu():
         "Win_Server_2K8_R2-windows",
     ]
     linux, windows = cfg.entries
-    assert linux.first("kernel").startswith("/vmlinuz-2.6.18-164.el5 ro root=/dev/sda7")
-    assert linux.first("initrd") == "/sc-initrd-2.6.18-164.el5.gz"
-    assert windows.first("rootnoverify") == "(hd0,0)"
-    assert windows.first("chainloader") == "+1"
+    linux_commands = dict(linux.commands)
+    assert linux_commands["kernel"].startswith(
+        "/vmlinuz-2.6.18-164.el5 ro root=/dev/sda7"
+    )
+    assert linux_commands["initrd"] == "/sc-initrd-2.6.18-164.el5.gz"
+    assert windows.commands == [("rootnoverify", "(hd0,0)"), ("chainloader", "+1")]
 
 
 def test_default_space_and_equals_forms():

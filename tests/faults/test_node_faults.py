@@ -61,12 +61,12 @@ def test_node_flap_validation():
 
 
 def test_plan_with_node_faults_is_not_empty():
-    plan = FaultPlan(node_crashes=(NodeCrash(node="n1", at_s=5.0),))
-    assert not plan.is_empty
-    flappy = FaultPlan(node_flaps=(
-        NodeFlap(node="n2", first_at_s=1.0, down_s=60.0, count=1),
-    ))
-    assert not flappy.is_empty
+    crash = NodeCrash(node="n1", at_s=5.0)
+    plan = FaultPlan(node_crashes=(crash,))
+    assert plan.node_crashes == (crash,)
+    flap = NodeFlap(node="n2", first_at_s=1.0, down_s=60.0, count=1)
+    flappy = FaultPlan(node_flaps=(flap,))
+    assert flappy.node_flaps == (flap,)
 
 
 # -- injector validation ------------------------------------------------------

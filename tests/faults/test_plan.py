@@ -1,6 +1,7 @@
 """Validation and description of declarative fault plans."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -18,7 +19,9 @@ from repro.faults import (
 
 def test_empty_plan():
     plan = FaultPlan()
-    assert plan.is_empty
+    assert not any(
+        getattr(plan, f.name) for f in fields(plan) if f.name != "name"
+    )
 
 
 def test_link_fault_matching():

@@ -9,7 +9,7 @@ from repro.oscar.idedisk import IDE_DISK_STOCK, IDE_DISK_V2
 from repro.oscar.patches import V2_PATCHES
 from repro.pbs.nodes import PbsNodeState
 from repro.simkernel import MINUTE, Simulator
-from repro.oscar.wizard import OscarWizard
+from repro.oscar.wizard import _STEPS, OscarWizard
 
 
 @pytest.fixture()
@@ -40,9 +40,9 @@ def test_steps_must_run_in_order(wizard):
 
 
 def test_complete_flag(wizard):
-    assert not wizard.complete
+    assert wizard.installation.steps_done == []
     run_all_steps(wizard)
-    assert wizard.complete
+    assert tuple(wizard.installation.steps_done) == _STEPS
 
 
 def test_configure_packages_includes_dualboot_by_default(wizard):

@@ -1,24 +1,15 @@
-"""Kernel edge cases, pinned on both event-queue implementations.
+"""Kernel edge cases of the event queue.
 
-Each of these is a boundary the equivalence properties can hit only by
-luck; here they are deterministic and named.  Everything is parametrized
-over both queue classes so the seam cannot quietly diverge.
+Each of these is a boundary the model property
+(``tests/simkernel/test_queue_model.py``) can hit only by luck; here
+they are deterministic and named.
 """
 
-import pytest
-
 from repro.simkernel import Simulator
-from repro.simkernel.calqueue import CalendarQueue
-from repro.simkernel.kernel import HeapEventQueue
-
-QUEUES = pytest.mark.parametrize(
-    "make_queue", (HeapEventQueue, CalendarQueue), ids=("heap", "calendar")
-)
 
 
-@QUEUES
-def test_run_until_on_empty_queue_leaves_clock_exactly_at_until(make_queue):
-    sim = Simulator(queue=make_queue())
+def test_run_until_on_empty_queue_leaves_clock_exactly_at_until():
+    sim = Simulator()
     sim.run(until=123.456)
     assert sim.now == 123.456
     # and again: back-to-back bounded runs behave like a wall clock
@@ -27,9 +18,8 @@ def test_run_until_on_empty_queue_leaves_clock_exactly_at_until(make_queue):
     assert sim.events_executed == 0
 
 
-@QUEUES
-def test_run_until_queue_drained_early_still_advances_clock(make_queue):
-    sim = Simulator(queue=make_queue())
+def test_run_until_queue_drained_early_still_advances_clock():
+    sim = Simulator()
     hits = []
     sim.schedule(1.0, hits.append, 1)
     sim.run(until=50.0)
@@ -37,9 +27,8 @@ def test_run_until_queue_drained_early_still_advances_clock(make_queue):
     assert sim.now == 50.0
 
 
-@QUEUES
-def test_cancel_of_already_fired_entry_is_a_noop(make_queue):
-    sim = Simulator(queue=make_queue())
+def test_cancel_of_already_fired_entry_is_a_noop():
+    sim = Simulator()
     hits = []
     handle = sim.schedule(1.0, hits.append, 1)
     sim.schedule(2.0, hits.append, 2)
@@ -53,9 +42,8 @@ def test_cancel_of_already_fired_entry_is_a_noop(make_queue):
     assert hits == [1, 2]
 
 
-@QUEUES
-def test_peek_across_dead_heads_returns_first_live_time(make_queue):
-    sim = Simulator(queue=make_queue())
+def test_peek_across_dead_heads_returns_first_live_time():
+    sim = Simulator()
     doomed = [sim.schedule(float(t), int) for t in (1, 2, 3)]
     sim.schedule(7.0, int)
     for handle in doomed:
@@ -67,24 +55,22 @@ def test_peek_across_dead_heads_returns_first_live_time(make_queue):
     assert sim.peek() == 7.0  # idempotent
 
 
-@QUEUES
-def test_peek_on_fully_cancelled_queue_is_none(make_queue):
-    sim = Simulator(queue=make_queue())
+def test_peek_on_fully_cancelled_queue_is_none():
+    sim = Simulator()
     handles = [sim.schedule(float(t), int) for t in (1, 2)]
     for handle in handles:
         sim.cancel(handle)
     assert sim.peek() is None
-    assert len(sim._queue) == 0
+    assert len(sim._heap) == 0
 
 
-def test_same_time_ordering_survives_compaction_and_bucket_resizes():
-    """FIFO ties must hold across refill cuts, spills *and* a compaction.
+def test_same_time_ordering_survives_compaction():
+    """FIFO ties must hold across a compaction.
 
-    A tiny ``min_bucket`` forces bucket boundaries inside the tie groups,
-    and cancelling enough entries mid-run triggers the compaction path;
+    Cancelling enough entries triggers the in-place rebuild of the heap;
     the surviving same-time events must still fire in schedule order.
     """
-    sim = Simulator(queue=CalendarQueue(min_bucket=2))
+    sim = Simulator()
     fired = []
     handles = []
     # 40 groups of 8 events sharing one timestamp each
@@ -107,16 +93,11 @@ def test_same_time_ordering_survives_compaction_and_bucket_resizes():
         if (group * 8 + member) % 3 == 0
     ]
     assert fired == expected
-    assert sim._queue.resizes > 0  # the boundaries were actually exercised
 
 
-@QUEUES
-def test_push_below_horizon_during_drain_fires_in_order(make_queue):
+def test_push_at_now_during_run_fires_in_order():
     """A callback scheduling at the current time runs before later events."""
-    if make_queue is CalendarQueue:
-        sim = Simulator(queue=CalendarQueue(min_bucket=2))
-    else:
-        sim = Simulator(queue=make_queue())
+    sim = Simulator()
     fired = []
 
     def first():
@@ -125,7 +106,7 @@ def test_push_below_horizon_during_drain_fires_in_order(make_queue):
         sim.schedule(1.0, fired.append, "nested-later")
 
     sim.schedule(5.0, first)
-    for t in range(6, 30):  # far tail so the calendar has a real horizon
+    for t in range(6, 30):
         sim.schedule(float(t), fired.append, t)
     sim.run(until=6.5)
     # nested-now shares t=5.0 with nothing and runs immediately; the

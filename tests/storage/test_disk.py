@@ -82,7 +82,7 @@ def test_eridani_v1_layout_numbers(disk):
     fat = disk.create_partition(100, PartitionKind.LOGICAL)
     root = disk.create_partition(80_000, PartitionKind.LOGICAL)
     assert [p.number for p in (win, boot, swap, fat, root)] == [1, 2, 5, 6, 7]
-    assert fat.grub_index == 5  # (hd0,5)
+    assert fat.number - 1 == 5  # GRUB's (hd0,5)
     assert root.linux_name == "/dev/sda7"
 
 

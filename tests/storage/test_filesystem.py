@@ -65,13 +65,6 @@ def test_rename_missing_raises(fs):
         fs.rename("/nope", "/dst")
 
 
-def test_copy(fs):
-    fs.write("/a", "data")
-    fs.copy("/a", "/b")
-    assert fs.read("/b") == "data"
-    assert fs.exists("/a")
-
-
 def test_mkdir_makes_an_empty_directory(fs):
     fs.mkdir("/tftpboot/menu.lst")
     assert fs.isdir("/tftpboot/menu.lst")

@@ -89,4 +89,4 @@ def test_full_v1_manual_layout(disk):
     parts = apply_parted_ops(disk, ops)
     assert [p.number for p in parts] == [1, 2, 3, 5, 6, 7]
     assert disk.partition(6).fstype is FsType.FAT
-    assert disk.partition(6).grub_index == 5  # (hd0,5) in Figure 2
+    assert disk.partition(6).number - 1 == 5  # (hd0,5) in Figure 2

@@ -22,8 +22,9 @@ def test_standalone_menu_lst_boots_directly():
     assert len(config.entries) == 1
     entry = config.entries[0]
     assert entry.title.endswith("-linux")
-    assert entry.first("root") == "(hd0,1)"
-    assert "root=/dev/sda6" in entry.first("kernel")
+    commands = dict(entry.commands)
+    assert commands["root"] == "(hd0,1)"
+    assert "root=/dev/sda6" in commands["kernel"]
 
 
 def test_format_duration_negative():

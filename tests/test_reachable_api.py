@@ -47,9 +47,7 @@ KEPT: Dict[str, str] = {
     "file_count": "filesystem inspection helper read by tests",
     "overlaps": "partition-table inspection helper read by tests",
     "entry_for": "GRUB menu inspection helper read by tests",
-    "first": "GRUB entry inspection helper read by tests",
     "is_stock": "bootloader inspection helper read by tests",
-    "dead_entries": "GRUB menu inspection helper read by tests",
     "uncordon_node": "inverse of cordon_node, exercised by the contract battery",
     "pending_issues": "order-queue inspection helper read by tests",
     "active_leases": "DHCP inspection helper read by tests",
@@ -59,10 +57,6 @@ KEPT: Dict[str, str] = {
     "usable_core_seconds": "per-OS capacity integral the recorder tests read",
     "delete": "file removal the boot-chain tests use to break a disk",
     "copy_tree_from": "whole-tree copy the filesystem tests read",
-    "copy": "single-file copy the filesystem tests read",
-    "grub_index": "partition-to-(hd0,N) mapping the Figure 2 disk tests read",
-    "complete": "OSCAR wizard progress check read by the wizard tests",
-    "is_empty": "fault-plan emptiness check read by the fault-plan tests",
     "step": "single-event kernel step the interleaving and property tests "
             "drive",
     # what later roadmap items build on

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SchedulerError
+from repro.metrics.recorder import ClusterRecorder
 from repro.sched import JobRequest
 from repro.simkernel import Simulator
 from repro.winhpc import WinHpcScheduler, WinJobState, WinNodeState
@@ -145,3 +146,15 @@ def test_observers(sim, scheduler):
     submit(scheduler, name="w", runtime=5.0)
     sim.run()
     assert events == [("submitted", "w"), ("started", "w"), ("finished", "w")]
+
+
+def test_queued_node_unit_job_is_booked_in_cores(scheduler):
+    """A queued ``Node``-unit job's demand is its nodes times the node
+    size (the detector's head figure), not its node count."""
+    recorder = ClusterRecorder()
+    recorder.attach_scheduler(scheduler)
+    submit(scheduler, cores=16, runtime=100.0)  # fills all four nodes
+    job = submit(scheduler, name="wide", nodes=2, runtime=100.0)
+    assert job.state is WinJobState.QUEUED
+    assert job.cores_submitted() == 8
+    assert recorder.jobs[-1].cores == 8
