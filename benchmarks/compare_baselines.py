@@ -37,7 +37,7 @@ DEFAULT_TOLERANCE = 1.25
 
 
 def load_fresh(reports_dir: pathlib.Path) -> Dict[str, float]:
-    """name -> mean seconds, from every ``BENCH_*.json`` in *reports_dir*."""
+    """name -> median seconds, from every ``BENCH_*.json`` in *reports_dir*."""
     fresh = {}
     for path in sorted(reports_dir.glob("BENCH_*.json")):
         record = json.loads(path.read_text())

@@ -9,7 +9,10 @@ reproduced rows) and to ``benchmarks/reports/<id>.txt``.
 Each bench additionally drops a machine-readable timing baseline at
 ``benchmarks/reports/BENCH_<name>.json`` so successive runs can be
 diffed for regressions without parsing pytest-benchmark's terminal
-table.
+table.  The baseline is the *median* round: on a shared host a few
+slow rounds drag a micro-bench's mean far from its typical time, and
+the median stays put.  A ``run_once`` bench has one round, so its
+median is its only time.
 """
 
 import json
@@ -65,7 +68,7 @@ def _bench_baseline(request):
     baseline = {
         "bench": request.node.name,
         "module": request.node.parent.name,
-        "seconds": stats.stats.mean,
+        "seconds": stats.stats.median,
         "rounds": stats.stats.rounds,
         "python": platform.python_version(),
         "machine": platform.machine(),

@@ -232,13 +232,10 @@ class ElasticityManager:
         """The Linux head's view of the Windows queue is only as fresh as
         the last report; past the staleness cap, acting on it repeats the
         bug the communicator's staleness guard fixes."""
-        cap = self.linux_comm.staleness_cap_s
-        if cap is None:
-            return False
         last = self.linux_comm.last_report_at
         if last is None:
             return True
-        return self.sim.now - last > cap
+        return self.sim.now - last > self.linux_comm.staleness_cap_s
 
     def _queued_workload(self, side: str) -> int:
         """Queued jobs on *side* not tagged as OS-switch jobs."""

@@ -98,7 +98,6 @@ class HeartbeatMonitor:
         #: poll loop never scans the quiescent majority of the cluster.
         self._attention: Dict[str, None] = {}
         self.on_fence: List[Callable[[str], None]] = []
-        self.on_recover: List[Callable[[str], None]] = []
         self.fences = 0
         self.recoveries = 0
         self.suspects = 0
@@ -156,8 +155,6 @@ class HeartbeatMonitor:
                 if health.fenced_at is not None else None
             )
             self.tracer.emit("health.recovered", node=name, downtime_s=downtime)
-            for callback in self.on_recover:
-                callback(name)
         elif health.state is HealthState.SUSPECT:
             # a suspect that beats again was never dead
             self._set_state(health, HealthState.HEALTHY)

@@ -2,18 +2,19 @@
 
 A :class:`Network` is a single switched segment (the paper's clusters hang
 off one head-node-connected switch).  Hosts are registered by name; message
-delivery is reliable and ordered with a small fixed latency.  Listeners
-queue inbound messages in a :class:`~repro.simkernel.resources.Store`, so
-server processes simply ``yield listener.get()``.
+delivery is reliable and ordered with a small fixed latency.  Each
+listener keeps its inbound messages in a FIFO, so server processes simply
+``yield listener.get()``.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError
-from repro.simkernel import Simulator, Store
+from repro.simkernel import Event, Simulator
 
 #: Default one-way message latency on the simulated LAN (1 Gb campus switch).
 DEFAULT_LATENCY_S = 0.001
@@ -74,26 +75,41 @@ class Host:
 
 
 class PortListener:
-    """Inbound queue for one ``host:port``."""
+    """Inbound queue for one ``host:port``: a FIFO of delivered messages
+    and a FIFO of the events that processes blocked in :meth:`get` wait
+    on."""
 
     def __init__(self, sim: Simulator, host: str, port: int) -> None:
+        self.sim = sim
         self.host = host
         self.port = port
-        self._inbox = Store(sim, name=f"{host}:{port}")
+        self._messages: Deque[Message] = deque()
+        self._getters: Deque[Event] = deque()
 
-    def get(self):
-        """Event yielding the next :class:`Message` (blocks until one)."""
-        return self._inbox.get()
+    def get(self) -> Event:
+        """Event yielding the next :class:`Message` (already triggered if
+        one is queued, else it triggers when one arrives)."""
+        ev = Event(self.sim)
+        if self._messages:
+            ev.succeed(self._messages.popleft())
+        else:
+            self._getters.append(ev)
+        return ev
 
     def try_get(self) -> Optional[Message]:
-        """Non-blocking receive."""
-        return self._inbox.try_get()
+        """Non-blocking receive: the oldest queued message, or ``None``."""
+        if self._messages:
+            return self._messages.popleft()
+        return None
 
     def __len__(self) -> int:
-        return len(self._inbox)
+        return len(self._messages)
 
     def _push(self, message: Message) -> None:
-        self._inbox.put(message)
+        if self._getters:
+            self._getters.popleft().succeed(message)
+        else:
+            self._messages.append(message)
 
 
 class Network:

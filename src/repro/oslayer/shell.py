@@ -18,8 +18,10 @@ command repertoire those scripts use:
 ``/path/prog ARGS``   run a registered binary (e.g. ``bootcontrol.pl``)
 ====================  =====================================================
 
-Scripts run as simulation processes: spawn ``run_script(...)`` and join
-it; the process returns a :class:`ShellResult`.  Failures stop the script
+Scripts run as simulation processes: spawn ``run_script(...)``, or drive
+it with ``yield from`` inside another process; it returns a
+:class:`ShellResult` (the spawned process keeps it as its ``result``).
+Failures stop the script
 and set a non-zero exit code — they do not raise, because a batch system
 reports failure through the exit status.
 """
@@ -88,7 +90,8 @@ def run_script(
 ):
     """Generator process executing *text* on *os_instance*.
 
-    Yields kernel waitables (``sleep``); returns a :class:`ShellResult`.
+    Yields a :class:`~repro.simkernel.Timeout` per ``sleep``; returns a
+    :class:`ShellResult`.
     """
     env = dict(env or {})
     result = ShellResult()

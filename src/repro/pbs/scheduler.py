@@ -19,38 +19,15 @@ from repro.pbs.nodes import PbsNodeRecord
 from repro.sched.counts import NodeCounts
 
 
-def allocate_fifo(
-    job: PbsJob, nodes: Dict[str, PbsNodeRecord]
-) -> Optional[List[Tuple[PbsNodeRecord, int]]]:
-    """Try to place *job*: ``job.nodes`` distinct nodes × ``job.ppn`` cores.
-
-    Returns ``[(node_record, ppn), ...]`` or ``None`` when the job does not
-    fit.  Candidate nodes are scanned from the **highest** hostname down —
-    TORQUE's nodes-file order, visible in Figure 8 where a 1-node job
-    lands on ``node16``.
-
-    This is the *reference* implementation: :class:`NodeIndex` below is
-    the O(buckets) hot path the server actually uses, and the property
-    tests in ``tests/pbs/test_scheduler_index.py`` hold the two equal.
-    """
-    candidates = [
-        record
-        for _, record in sorted(nodes.items(), reverse=True)
-        if record.online and record.available_cores >= job.ppn
-    ]
-    if len(candidates) < job.nodes:
-        return None
-    return [(record, job.ppn) for record in candidates[: job.nodes]]
-
-
 class NodeIndex(NodeCounts):
     """Persistent free-core buckets over the node table.
 
-    The reference allocator above re-sorts the whole node table on every
-    call; at 1024 nodes that sort dominates the simulation.  The index
-    keeps, for each distinct ``available_cores`` value, the hostnames at
-    that level in an **ascending** sorted list (walked backwards to get
-    TORQUE's highest-hostname-first order).  A node moves buckets only
+    The reference allocator (``tests/pbs/reference.py``) re-sorts the
+    whole node table on every call; at 1024 nodes that sort would
+    dominate the simulation.  The index keeps, for each distinct
+    ``available_cores`` value, the hostnames at that level in an
+    **ascending** sorted list (walked backwards to get TORQUE's
+    highest-hostname-first order).  A node moves buckets only
     when its availability changes (:meth:`reindex`), so an allocation
     touches O(job.nodes × buckets) entries instead of O(nodes log nodes).
 
@@ -136,7 +113,10 @@ class NodeIndex(NodeCounts):
     def allocate_fifo(
         self, job: PbsJob
     ) -> Optional[List[Tuple[PbsNodeRecord, int]]]:
-        """Indexed equivalent of module-level :func:`allocate_fifo`."""
+        """Place *job* on ``job.nodes`` distinct nodes × ``job.ppn`` cores,
+        highest hostname first (TORQUE's nodes-file order), or return
+        ``None`` when it does not fit.  The tests hold it equal to the
+        reference scan in ``tests/pbs/reference.py``."""
         hosts = self._select_desc(job.ppn, job.nodes)
         if hosts is None:
             return None

@@ -209,8 +209,8 @@ class PbsServer(BatchScheduler):
         """Find a placement for *job* (indexed; see NodeIndex).
 
         Kept as a seam: the equivalence tests monkeypatch this back to the
-        reference ``allocate_fifo(job, self.nodes)`` scan to prove the
-        index changes nothing.
+        reference ``allocate_fifo(job, self.nodes)`` scan of
+        ``tests/pbs/reference.py`` to prove the index changes nothing.
         """
         return self._index.allocate_fifo(job)
 

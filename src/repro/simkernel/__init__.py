@@ -10,9 +10,11 @@ The kernel is deliberately small and SimPy-flavoured:
   queue (a binary heap ordered by ``(time, sequence)`` so same-time
   events fire in schedule order — determinism is a hard requirement, see
   DESIGN.md).
-* Processes are plain Python generators that ``yield`` *waitables*:
-  :class:`~repro.simkernel.process.Timeout`, :class:`~repro.simkernel.events.Event`
-  or another :class:`~repro.simkernel.process.Process`.
+* Processes are plain Python generators that ``yield`` either a
+  :class:`~repro.simkernel.process.Timeout` or a one-shot
+  :class:`~repro.simkernel.events.Event`.  A process that raises an
+  exception it does not catch stops the run: the exception propagates
+  out of :meth:`~repro.simkernel.kernel.Simulator.run`.
 * All randomness flows through :class:`~repro.simkernel.rng.RngStreams`,
   which derives independent named substreams from one root seed.
 
@@ -33,13 +35,7 @@ Example
 
 from repro.simkernel.events import Event
 from repro.simkernel.kernel import Simulator
-from repro.simkernel.process import (
-    Interrupt,
-    Process,
-    ProcessKilled,
-    Timeout,
-)
-from repro.simkernel.resources import Store
+from repro.simkernel.process import Interrupt, Process, Timeout
 from repro.simkernel.rng import RngStreams
 from repro.simkernel.timeunits import (
     DAY,
@@ -56,11 +52,9 @@ __all__ = [
     "Interrupt",
     "MINUTE",
     "Process",
-    "ProcessKilled",
     "RngStreams",
     "SECOND",
     "Simulator",
-    "Store",
     "Timeout",
     "format_duration",
 ]

@@ -2,8 +2,8 @@
 
 An :class:`Event` is the basic synchronisation primitive of the kernel:
 processes ``yield`` an event to suspend until someone calls
-:meth:`Event.succeed` (or :meth:`Event.fail`).  Events carry an optional
-value, delivered to every waiter.
+:meth:`Event.succeed`.  The value passed to ``succeed`` is delivered to
+every waiter as the result of its ``yield``.
 
 Events are *one-shot*: once triggered they stay triggered, and yielding an
 already-triggered event resumes the process immediately (on the next kernel
@@ -12,14 +12,14 @@ step at the current simulation time).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.simkernel.kernel import Simulator
 
 
 class EventError(RuntimeError):
-    """Raised when an event is misused (double-trigger, wait on failed)."""
+    """Raised when an event is triggered a second time."""
 
 
 class Event:
@@ -30,65 +30,28 @@ class Event:
     sim:
         The owning simulator. Needed so that ``succeed`` can schedule waiter
         wake-ups at the current simulation time.
-    name:
-        Optional label used in ``repr`` and debugging output.
     """
 
-    __slots__ = ("sim", "name", "_callbacks", "_triggered", "_ok", "_value")
+    __slots__ = ("sim", "value", "_callbacks", "_triggered")
 
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
+    def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.name = name
+        #: The value passed to :meth:`succeed` (``None`` until then).
+        self.value: Any = None
         self._callbacks: List[Callable[[Event], None]] = []
         self._triggered = False
-        self._ok = True
-        self._value: Any = None
 
-    # -- state inspection -------------------------------------------------
-
-    @property
-    def triggered(self) -> bool:
-        """``True`` once :meth:`succeed` or :meth:`fail` has been called."""
-        return self._triggered
-
-    @property
-    def ok(self) -> bool:
-        """``True`` unless the event was triggered via :meth:`fail`."""
-        return self._ok
-
-    @property
-    def value(self) -> Any:
-        """The value passed to :meth:`succeed` / the exception from :meth:`fail`."""
-        return self._value
-
-    # -- triggering --------------------------------------------------------
-
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully, waking all waiters with *value*."""
-        self._trigger(ok=True, value=value)
-        return self
-
-    def fail(self, exc: BaseException) -> "Event":
-        """Trigger the event as failed; waiters receive *exc* (raised into
-        generator processes at their ``yield``)."""
-        if not isinstance(exc, BaseException):
-            raise TypeError(f"fail() needs an exception, got {exc!r}")
-        self._trigger(ok=False, value=exc)
-        return self
-
-    def _trigger(self, ok: bool, value: Any) -> None:
+    def succeed(self, value: Any = None) -> None:
+        """Trigger the event, waking all waiters with *value*."""
         if self._triggered:
             raise EventError(f"{self!r} has already been triggered")
         self._triggered = True
-        self._ok = ok
-        self._value = value
+        self.value = value
         callbacks, self._callbacks = self._callbacks, []
         for cb in callbacks:
             # Callbacks run at the *current* simulation time but as separate
             # queue entries, preserving deterministic FIFO wake-up order.
             self.sim.schedule(0.0, cb, self)
-
-    # -- waiting -----------------------------------------------------------
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register *callback* to run (via the event queue) once triggered.
@@ -103,5 +66,4 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "triggered" if self._triggered else "pending"
-        label = f" {self.name!r}" if self.name else ""
-        return f"<Event{label} {state}>"
+        return f"<Event {state}>"

@@ -29,7 +29,6 @@ from typing import (
     Tuple,
 )
 
-from repro.simkernel.events import Event
 from repro.trace.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -63,8 +62,8 @@ class Simulator:
     * :meth:`schedule` / :meth:`schedule_at` — enqueue a raw callback,
     * :meth:`spawn` — start a generator process
       (see :class:`repro.simkernel.process.Process`),
-    * :meth:`event` — create an :class:`~repro.simkernel.events.Event`,
-    * :meth:`run` / :meth:`step` — advance time;
+    * :meth:`run` / :meth:`step` — advance time; an exception a callback
+      or process raises propagates out of them and stops the run;
     * :attr:`tracer` — the simulation's one :class:`~repro.trace.Tracer`.
 
     Example
@@ -84,7 +83,6 @@ class Simulator:
         self._seq: int = 0
         self._dead: int = 0
         self._compactions: int = 0
-        self._processes_started: int = 0
         self._events_executed: int = 0
         #: The one trace of this simulation; every component running on
         #: this simulator records into it.
@@ -161,22 +159,16 @@ class Simulator:
         self._dead = 0
         self._compactions += 1
 
-    # -- events & processes ------------------------------------------------
-
-    def event(self, name: str = "") -> Event:
-        """Create a fresh one-shot :class:`Event` bound to this simulator."""
-        return Event(self, name)
+    # -- processes -----------------------------------------------------------
 
     def spawn(self, generator: Generator, name: str = "") -> "Process":
         """Start a generator as a simulation process.
 
         The process begins executing at the current time (as a queued step,
-        not synchronously). Returns the :class:`Process`, which is itself
-        waitable.
+        not synchronously). Returns the :class:`Process`.
         """
         from repro.simkernel.process import Process  # local: avoid cycle
 
-        self._processes_started += 1
         return Process(self, generator, name=name)
 
     # -- execution ---------------------------------------------------------

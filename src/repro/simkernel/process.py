@@ -1,19 +1,23 @@
 """Generator-based simulation processes.
 
-A process is a plain generator that yields *waitables*:
+A process is a plain generator that yields one of two things:
 
 ``yield Timeout(30)``
     suspend for 30 simulated seconds;
 ``yield some_event``
     suspend until the :class:`~repro.simkernel.events.Event` triggers (its
-    value becomes the result of the ``yield`` expression);
-``yield other_process``
-    suspend until another process finishes (joining), receiving its return
-    value.
+    value becomes the result of the ``yield`` expression).
 
 Processes can be interrupted: :meth:`Process.interrupt` raises
 :class:`Interrupt` inside the generator at its current ``yield``.  A process
-function returns a value with a plain ``return``; waiters receive it.
+function returns a value with a plain ``return``; it is kept as
+:attr:`Process.result`.
+
+A process that raises does not die quietly: an exception the generator
+does not catch (an uncaught :class:`Interrupt`, or the ``TypeError`` for
+yielding anything else) marks it dead and propagates out of
+:meth:`Simulator.run <repro.simkernel.kernel.Simulator.run>`, stopping
+the run at the simulated time it was raised.
 """
 
 from __future__ import annotations
@@ -37,20 +41,15 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class ProcessKilled(Exception):
-    """Delivered to waiters of a process that was killed via :meth:`Process.kill`."""
-
-
 class Timeout:
-    """Waitable: suspend the yielding process for ``delay`` seconds."""
+    """Yield one to suspend the yielding process for ``delay`` seconds."""
 
-    __slots__ = ("delay", "value")
+    __slots__ = ("delay",)
 
-    def __init__(self, delay: float, value: Any = None) -> None:
+    def __init__(self, delay: float) -> None:
         if delay < 0:
             raise ValueError(f"Timeout delay must be >= 0, got {delay}")
         self.delay = delay
-        self.value = value
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Timeout({self.delay})"
@@ -60,16 +59,14 @@ class Process:
     """A running generator on the simulator.
 
     Do not instantiate directly — use :meth:`Simulator.spawn`.
-
-    A process is itself waitable: other processes may ``yield proc`` to join
-    it, receiving its return value (or its uncaught exception).
     """
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "") -> None:
         self.sim = sim
         self.name = name or getattr(generator, "__name__", "process")
+        #: The generator's return value, once it has returned.
+        self.result: Any = None
         self._gen = generator
-        self._done_event = Event(sim, name=f"done:{self.name}")
         self._alive = True
         self._pending_entry = None  # heap entry for an active Timeout, if any
         self._waiting_on_event: Optional[Event] = None
@@ -82,15 +79,6 @@ class Process:
         """``True`` while the generator has not finished or been killed."""
         return self._alive
 
-    @property
-    def result(self) -> Any:
-        """Return value of the process (only valid once finished OK)."""
-        if not self._done_event.triggered:
-            raise RuntimeError(f"process {self.name!r} still running")
-        if not self._done_event.ok:
-            raise self._done_event.value
-        return self._done_event.value
-
     def interrupt(self, cause: Any = None) -> None:
         """Raise :class:`Interrupt` inside the process at its current yield."""
         if not self._alive:
@@ -99,16 +87,12 @@ class Process:
         self.sim.schedule(0.0, self._resume, None, Interrupt(cause))
 
     def kill(self) -> None:
-        """Terminate the process without running any more of its code.
-
-        Waiters receive :class:`ProcessKilled`.
-        """
+        """Terminate the process without running any more of its code."""
         if not self._alive:
             return
         self._alive = False
         self._detach_current_wait()
         self._gen.close()
-        self._done_event.fail(ProcessKilled(f"process {self.name!r} killed"))
 
     # -- internal machinery --------------------------------------------------
 
@@ -132,50 +116,31 @@ class Process:
             else:
                 yielded = self._gen.send(value)
         except StopIteration as stop:
-            self._finish(ok=True, value=stop.value)
+            self._alive = False
+            self.result = stop.value
             return
-        except Exception as error:
-            self._finish(ok=False, value=error)
-            return
-        self._wait_on(yielded)
-
-    def _finish(self, ok: bool, value: Any) -> None:
-        self._alive = False
-        if ok:
-            self._done_event.succeed(value)
-        else:
-            self._done_event.fail(value)
-
-    def _wait_on(self, waitable: Any) -> None:
-        if isinstance(waitable, Timeout):
+        except BaseException:
+            self._alive = False
+            raise
+        if isinstance(yielded, Timeout):
             self._pending_entry = self.sim.schedule(
-                waitable.delay, self._resume, waitable.value, None
+                yielded.delay, self._resume, None, None
             )
-        elif isinstance(waitable, Process):
-            self._wait_on_event(waitable._done_event)
-        elif isinstance(waitable, Event):
-            self._wait_on_event(waitable)
+        elif isinstance(yielded, Event):
+            self._waiting_on_event = yielded
+            yielded.add_callback(self._on_event)
         else:
             self._resume(
                 None,
                 TypeError(
-                    f"process {self.name!r} yielded a non-waitable: {waitable!r}"
+                    f"process {self.name!r} yielded a non-waitable: {yielded!r}"
                 ),
             )
 
-    def _wait_on_event(self, event: Event) -> None:
-        self._waiting_on_event = event
-
-        def on_trigger(ev: Event, *, _proc: "Process" = self) -> None:
-            # An interrupt may have detached this wait in the meantime.
-            if _proc._waiting_on_event is not ev or not _proc._alive:
-                return
-            if ev.ok:
-                _proc._resume(ev.value, None)
-            else:
-                _proc._resume(None, ev.value)
-
-        event.add_callback(on_trigger)
+    def _on_event(self, event: Event) -> None:
+        # An interrupt or a kill may have detached this wait meanwhile.
+        if self._waiting_on_event is event:
+            self._resume(event.value, None)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "alive" if self._alive else "done"

@@ -16,8 +16,8 @@ import importlib
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
-from repro.pbs.scheduler import allocate_fifo
 from repro.pbs.server import PbsServer
+from tests.pbs.reference import allocate_fifo
 
 SEED = 3
 

@@ -126,8 +126,6 @@ def test_fenced_node_recovers_on_agent_return(sim, monitor):
     node = stub_node()
     monitor.watch(node)
     monitor.agent_up(node.name)
-    recovered = []
-    monitor.on_recover.append(recovered.append)
     monitor.start()
     node.state = NodeState.OFF
     sim.run(until=6 * 60.0)
@@ -139,7 +137,8 @@ def test_fenced_node_recovers_on_agent_return(sim, monitor):
     assert health.state is HealthState.HEALTHY
     assert health.recovered_at == sim.now
     assert monitor.recoveries == 1
-    assert recovered == [node.name]
+    recovered = sim.tracer.events_of("health.recovered")
+    assert [e.node for e in recovered] == [node.name]
 
 
 def test_watch_is_idempotent(sim, monitor):

@@ -175,3 +175,67 @@ def test_blocking_receive_in_process(sim, net):
     sim.schedule(5.0, a.send, "b", 1, "late")
     sim.run()
     assert got == [(5.001, "late")]
+
+
+def test_listener_put_then_get(sim, net):
+    b = net.register("b")
+    inbox = b.listen(1)
+    net.register("a").send("b", 1, "x")
+    sim.run()
+    got = []
+
+    def server():
+        msg = yield inbox.get()
+        got.append((sim.now, msg.payload))
+
+    sim.spawn(server())
+    sim.run()
+    assert got == [(0.001, "x")]
+    assert len(inbox) == 0
+
+
+def test_listener_get_blocks_until_put(sim, net):
+    a = net.register("a")
+    inbox = net.register("b").listen(1)
+    got = []
+
+    def server():
+        msg = yield inbox.get()
+        got.append((sim.now, msg.payload))
+
+    sim.spawn(server())
+    sim.schedule(4.0, a.send, "b", 1, "late")
+    sim.run(until=2.0)
+    assert got == []
+    sim.run()
+    assert got == [(4.001, "late")]
+    # the message went straight to the waiting getter, not the queue
+    assert len(inbox) == 0
+
+
+def test_listener_fifo_ordering(sim, net):
+    a = net.register("a")
+    inbox = net.register("b").listen(1)
+    for i in range(3):
+        a.send("b", 1, i)
+    sim.run()
+    assert len(inbox) == 3
+    values = []
+
+    def server():
+        for _ in range(3):
+            values.append((yield inbox.get()).payload)
+
+    sim.spawn(server())
+    sim.run()
+    assert values == [0, 1, 2]
+
+
+def test_listener_try_get(sim, net):
+    a = net.register("a")
+    inbox = net.register("b").listen(1)
+    assert inbox.try_get() is None
+    a.send("b", 1, 7)
+    sim.run()
+    assert inbox.try_get().payload == 7
+    assert inbox.try_get() is None

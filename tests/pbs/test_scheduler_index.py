@@ -1,8 +1,8 @@
 """NodeIndex ≡ reference scheduler — the property the scale path rests on.
 
 The PBS server places jobs through :class:`repro.pbs.scheduler.NodeIndex`
-(persistent free-core buckets); the module-level functions are the
-readable O(n log n) reference.  These properties hold the two equal on
+(persistent free-core buckets); ``allocate_fifo`` in
+``tests/pbs/reference.py`` is the readable O(n log n) reference.  These properties hold the two equal on
 arbitrary node tables, queues, and mutation sequences — any divergence
 would silently change every experiment's trace, so the tests compare
 *placements* (exact hosts, in order), not just feasibility.
@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.pbs.job import PbsJob
 from repro.pbs.nodes import PbsNodeRecord, PbsNodeState
-from repro.pbs.scheduler import NodeIndex, allocate_fifo
+from repro.pbs.scheduler import NodeIndex
+from tests.pbs.reference import allocate_fifo
 
 
 def _make_nodes(specs):

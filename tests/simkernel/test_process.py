@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.simkernel import (
-    Interrupt,
-    ProcessKilled,
-    Simulator,
-    Timeout,
-)
+from repro.simkernel import Event, Interrupt, Simulator, Timeout
 from repro.simkernel.events import EventError
 
 
@@ -33,37 +28,20 @@ def test_negative_timeout_rejected(sim):
         Timeout(-1)
 
 
-def test_process_return_value_via_join(sim):
-    def child():
-        yield Timeout(1)
-        return 42
-
-    results = []
-
-    def parent():
-        value = yield sim.spawn(child())
-        results.append(value)
-
-    sim.spawn(parent())
-    sim.run()
-    assert results == [42]
-
-
 def test_process_result_property(sim):
     def child():
         yield Timeout(1)
         return "ok"
 
     proc = sim.spawn(child())
-    with pytest.raises(RuntimeError):
-        _ = proc.result
+    assert proc.result is None
     sim.run()
     assert proc.result == "ok"
     assert not proc.alive
 
 
 def test_event_wait_receives_value(sim):
-    ev = sim.event()
+    ev = Event(sim)
     got = []
 
     def waiter():
@@ -77,7 +55,7 @@ def test_event_wait_receives_value(sim):
 
 
 def test_already_triggered_event_resumes_immediately(sim):
-    ev = sim.event()
+    ev = Event(sim)
     ev.succeed("x")
     got = []
 
@@ -91,49 +69,39 @@ def test_already_triggered_event_resumes_immediately(sim):
 
 
 def test_event_double_trigger_raises(sim):
-    ev = sim.event()
+    ev = Event(sim)
     ev.succeed()
     with pytest.raises(EventError):
         ev.succeed()
 
 
-def test_event_fail_raises_in_waiter(sim):
-    ev = sim.event()
-    caught = []
-
-    def waiter():
-        try:
-            yield ev
-        except RuntimeError as e:
-            caught.append(str(e))
-
-    sim.spawn(waiter())
-    sim.schedule(1.0, ev.fail, RuntimeError("boom"))
+def test_event_callback_added_after_trigger_fires(sim):
+    ev = Event(sim)
+    ev.succeed("late")
+    got = []
+    ev.add_callback(lambda e: got.append(e.value))
     sim.run()
-    assert caught == ["boom"]
+    assert got == ["late"]
 
 
-def test_fail_requires_exception(sim):
-    with pytest.raises(TypeError):
-        sim.event().fail("not an exception")
+def test_uncaught_exception_stops_the_run(sim):
+    log = []
 
-
-def test_uncaught_exception_propagates_to_joiner(sim):
     def bad():
         yield Timeout(1)
         raise ValueError("broken")
 
-    caught = []
+    def bystander():
+        yield Timeout(5)
+        log.append("ran")
 
-    def parent():
-        try:
-            yield sim.spawn(bad())
-        except ValueError as e:
-            caught.append(str(e))
-
-    sim.spawn(parent())
-    sim.run()
-    assert caught == ["broken"]
+    proc = sim.spawn(bad())
+    sim.spawn(bystander())
+    with pytest.raises(ValueError, match="broken"):
+        sim.run()
+    assert sim.now == 1.0
+    assert not proc.alive
+    assert log == []
 
 
 def test_interrupt_raises_inside_process(sim):
@@ -178,28 +146,33 @@ def test_interrupt_dead_process_is_noop(sim):
     sim.run()
 
 
-def test_kill_terminates_and_fails_waiters(sim):
-    caught = []
-
+def test_kill_idempotent(sim):
     def sleeper():
         yield Timeout(100)
 
-    def parent(proc):
-        try:
-            yield proc
-        except ProcessKilled:
-            caught.append(sim.now)
-
-    victim = sim.spawn(sleeper())
-    sim.spawn(parent(victim))
-    sim.schedule(2.0, victim.kill)
+    proc = sim.spawn(sleeper())
+    sim.run(until=1.0)
+    proc.kill()
+    proc.kill()  # no error
     sim.run()
-    assert caught == [2.0]
-    assert not victim.alive
+    assert not proc.alive
+    assert proc.result is None
+
+
+def test_killed_process_pending_timeout_cancelled(sim):
+    def sleeper():
+        yield Timeout(100)
+
+    proc = sim.spawn(sleeper())
+    sim.run(until=1.0)
+    proc.kill()
+    # the pending wakeup at t=100 was disarmed: queue drains immediately
+    sim.run()
+    assert sim.now < 100
 
 
 def test_interrupted_event_wait_detaches_from_event(sim):
-    ev = sim.event()
+    ev = Event(sim)
     log = []
 
     def waiter():
@@ -220,29 +193,36 @@ def test_interrupted_event_wait_detaches_from_event(sim):
 
 def test_yielding_garbage_errors_the_process(sim):
     def bad():
+        yield Timeout(1)
         yield "not a waitable"
 
     proc = sim.spawn(bad())
-    sim.run()
-    with pytest.raises(TypeError):
-        _ = proc.result
+    with pytest.raises(TypeError, match="non-waitable"):
+        sim.run()
+    assert sim.now == 1.0
+    assert not proc.alive
 
 
 def test_nested_process_tree(sim):
     order = []
 
-    def leaf(name, d):
+    def leaf(name, d, done):
         yield Timeout(d)
         order.append(name)
-        return name
+        done.succeed(name)
 
-    def mid():
-        a = yield sim.spawn(leaf("a", 1))
-        b = yield sim.spawn(leaf("b", 1))
-        return a + b
+    def mid(done):
+        first, second = Event(sim), Event(sim)
+        sim.spawn(leaf("a", 1, first))
+        a = yield first
+        sim.spawn(leaf("b", 1, second))
+        b = yield second
+        done.succeed(a + b)
 
     def root():
-        value = yield sim.spawn(mid())
+        done = Event(sim)
+        sim.spawn(mid(done))
+        value = yield done
         order.append(value)
 
     sim.spawn(root())
