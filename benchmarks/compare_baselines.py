@@ -18,7 +18,7 @@ Usage::
     PYTHONPATH=src:. python -m pytest -q benchmarks/bench_kernel_micro.py \
         benchmarks/bench_substrate_micro.py       # refresh BENCH_*.json
     python benchmarks/compare_baselines.py        # gate (CI perf-smoke)
-    python benchmarks/compare_baselines.py --update   # re-pin reference
+    python benchmarks/compare_baselines.py --update   # re-pin the re-run rows
 """
 
 from __future__ import annotations
@@ -54,6 +54,10 @@ def load_reference(reference_path: pathlib.Path) -> Dict[str, float]:
 
 def write_reference(reference_path: pathlib.Path,
                     fresh: Dict[str, float]) -> None:
+    """Pin *fresh* into the reference; a pinned bench not re-run keeps
+    its time."""
+    benches = load_reference(reference_path) if reference_path.exists() else {}
+    benches.update(fresh)
     record = {
         "comment": (
             "Reference wall-time baselines for compare_baselines.py; "
@@ -61,7 +65,7 @@ def write_reference(reference_path: pathlib.Path,
         ),
         "benches": {
             name: {"seconds": seconds}
-            for name, seconds in sorted(fresh.items())
+            for name, seconds in sorted(benches.items())
         },
     }
     reference_path.write_text(json.dumps(record, indent=2) + "\n")
@@ -139,7 +143,8 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument(
         "--update", action="store_true",
-        help="rewrite the reference from the fresh reports and exit",
+        help="pin the fresh reports into the reference and exit "
+             "(benches not re-run keep their pinned time)",
     )
     args = parser.parse_args(argv)
 

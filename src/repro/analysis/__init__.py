@@ -32,7 +32,6 @@ from repro.analysis.registry import (
     all_rules,
     flow_rules,
     register,
-    rule_ids,
 )
 from repro.analysis.runner import (
     LintReport,
@@ -62,5 +61,4 @@ __all__ = [
     "lint_source",
     "module_name_for",
     "register",
-    "rule_ids",
 ]

@@ -149,27 +149,9 @@ def default_config() -> LintConfig:
         # Suppression-comment hygiene is not scopeable: always an error.
         "SUP001": RulePolicy(default=error),
         "SUP002": RulePolicy(default=error),
-        # RNG-stream ownership (flow): error everywhere — a leaked handle
-        # couples draw sequences no matter which layer leaked it.
-        "DET006": RulePolicy(default=error),
         # Interprocedural wall-clock taint (flow): error everywhere; the
         # engine only reports *definite* source-to-sink flows.
         "DET007": RulePolicy(default=error),
-        # Trace coverage (flow): scoped to the audited control-plane
-        # classes (the shared job lifecycle and the three personalities
-        # built on it); host-side and bookkeeping classes mutate counters
-        # without trace obligations.
-        "TRC002": RulePolicy(
-            default=Severity.OFF,
-            overrides={
-                "repro.sched.lifecycle": error,
-                "repro.pbs.server": error,
-                "repro.winhpc.scheduler": error,
-                "repro.slurm.controller": error,
-                "repro.health": error,
-                "repro.core.elasticity": error,
-            },
-        ),
     }
     return LintConfig(policies=policies)
 

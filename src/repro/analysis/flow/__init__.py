@@ -3,9 +3,10 @@
 The per-file rules (DET001–DET005, TRC001, …) see one module at a time;
 everything in this package sees the *project*: a call graph over every
 scanned file, a symbol table that resolves methods through the
-observer/daemon seams, and a small forward taint engine on top.  The
-graph-aware rules (DET006, DET007, TRC002 in :mod:`repro.analysis.rules`)
-are built on these pieces.
+observer/daemon seams, and a small forward taint engine on top.  One
+rule is built on these pieces: DET007, the wall-clock taint rule in
+:mod:`repro.analysis.rules.clock_taint`.  The package has no other
+user, so it goes when that rule does.
 
 Layering::
 
@@ -18,18 +19,3 @@ Everything here is deterministic by construction: files are visited in
 sorted order and every edge list is sorted, so findings come out in the
 same order on every run.
 """
-
-from repro.analysis.flow.callgraph import CallEdge, CallGraph
-from repro.analysis.flow.project import Project, SourceFile
-from repro.analysis.flow.symbols import ClassInfo, FunctionInfo, SymbolTable, TypeEnv
-
-__all__ = [
-    "CallEdge",
-    "CallGraph",
-    "ClassInfo",
-    "FunctionInfo",
-    "Project",
-    "SourceFile",
-    "SymbolTable",
-    "TypeEnv",
-]

@@ -18,8 +18,8 @@ Edge kinds, from strongest to weakest evidence:
     the same seam, keyed ``hooks.<kind>`` (``hooks.register(kind, cb)``).
 ``cha``
     class-hierarchy-analysis fallback: an attribute call on an untyped
-    receiver links to every project function of that name.  Weak edges —
-    the taint engine uses them, the reachability export marks them.
+    receiver links to every project function of that name.  Weak edges,
+    but the taint engine follows them.
 
 Unresolvable calls (builtins, stdlib, dict methods) produce no edge;
 the graph under-approximates by design and each rule chooses how to be
@@ -87,16 +87,11 @@ class CallGraph:
             fn = self.symbols.functions[qualname]
             seen.update(self._edges_of(fn))
         self.edges: List[CallEdge] = sorted(seen, key=CallEdge.sort_key)
-        self._out: Dict[str, List[CallEdge]] = {}
         self._in: Dict[str, List[CallEdge]] = {}
         for edge in self.edges:
-            self._out.setdefault(edge.caller, []).append(edge)
             self._in.setdefault(edge.callee, []).append(edge)
 
     # -- queries -------------------------------------------------------------
-
-    def callees_of(self, qualname: str) -> List[CallEdge]:
-        return self._out.get(qualname, [])
 
     def callers_of(self, qualname: str) -> List[CallEdge]:
         return self._in.get(qualname, [])

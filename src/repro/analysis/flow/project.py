@@ -24,7 +24,7 @@ class SourceFile:
 
     ``module`` is never ``None`` at this layer: files outside the
     ``repro`` package get a fallback name derived from their scan root
-    (``benchmarks.bench_e10_scale``, ``det006_bad.producer``) so the
+    (``benchmarks.bench_e10_scale``, ``det007_bad.meter``) so the
     graphs can still resolve intra-package references in fixture
     packages and host-side trees.
     """
@@ -34,18 +34,6 @@ class SourceFile:
     source: str
     tree: ast.Module
     is_package: bool = False
-
-
-def subsystem_of(module: str) -> str:
-    """The ownership boundary DET006 enforces: the first two components.
-
-    ``repro.faults.injector`` → ``repro.faults``; a top-level module is
-    its own subsystem.  Inside ``repro`` this matches the package layout
-    the severity config scopes by (one subsystem per control-plane
-    concern); for fixture packages it makes each submodule a boundary.
-    """
-    parts = module.split(".")
-    return ".".join(parts[:2])
 
 
 class Project:

@@ -23,13 +23,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.flow.project import Project, SourceFile
 
-#: Method names treated as in-place container mutations when called on a
-#: ``self.<attr>`` receiver (the writer side of TRC002).
-MUTATOR_METHODS = frozenset({
-    "append", "extend", "insert", "remove", "pop", "popitem", "clear",
-    "update", "add", "discard", "sort", "reverse", "appendleft", "setdefault",
-})
-
 #: Re-export / alias chase depth bound (``repro.pbs`` -> ``repro.pbs.server``).
 _CHASE_DEPTH = 6
 
@@ -48,19 +41,12 @@ class FunctionInfo:
     return_annotation: Optional[str] = None
     is_property: bool = False
 
-    @property
-    def body(self) -> List[ast.stmt]:
-        return list(getattr(self.node, "body", []))
-
 
 @dataclass
 class ClassInfo:
     """One class definition with its resolved attribute knowledge."""
 
     qualname: str
-    module: str
-    name: str
-    node: ast.ClassDef
     bases: List[str] = field(default_factory=list)
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
     #: attribute name -> resolved type qualname (project class or dotted)
@@ -183,7 +169,7 @@ class SymbolTable:
 
     def _collect_class(self, sf: SourceFile, node: ast.ClassDef) -> None:
         qualname = f"{sf.module}.{node.name}"
-        info = ClassInfo(qualname=qualname, module=sf.module, name=node.name, node=node)
+        info = ClassInfo(qualname=qualname)
         self.classes[qualname] = info
         for item in node.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):

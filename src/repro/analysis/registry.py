@@ -123,9 +123,3 @@ def flow_rules() -> List[FlowRule]:
     """Fresh instances of every registered flow rule, sorted by id."""
     return [rule for rule in all_rules() if isinstance(rule, FlowRule)]
 
-
-def rule_ids() -> List[str]:
-    import repro.analysis.rules  # noqa: F401  (side effect: registration)
-
-    return sorted(_REGISTRY)
-

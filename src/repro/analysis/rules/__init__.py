@@ -6,14 +6,10 @@ see docs/STATIC_ANALYSIS.md ("Adding a rule") for the full checklist.
 """
 
 from repro.analysis.rules import (  # noqa: F401  (side effect: registration)
+    clock_taint,
     determinism,
     hygiene,
     layering,
     ordering,
     tracing,
-)
-from repro.analysis.rules import (  # noqa: F401  (flow rules; they import
-    clock_taint,                    # determinism above, so keep this second)
-    rng_streams,
-    trace_cover,
 )

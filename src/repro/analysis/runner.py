@@ -8,8 +8,8 @@ what the fixture tests use).  Both return a :class:`LintReport`.
 non-flow rule checks each file in isolation.  Phase two is
 project-wide: the parsed files become one
 :class:`~repro.analysis.flow.project.Project` and the graph-aware
-:class:`~repro.analysis.registry.FlowRule` s (DET006/DET007/TRC002)
-check it as a whole.  Flow findings land on real file/line locations,
+:class:`~repro.analysis.registry.FlowRule` (DET007, the only one)
+checks it as a whole.  Flow findings land on real file/line locations,
 so inline suppressions apply to them unchanged.
 """
 
@@ -91,7 +91,7 @@ def _fallback_module(path: str, root: str) -> str:
     """Dotted module name for a file outside ``repro`` (benchmarks,
     fixture packages): the scan root's own name anchors the prefix, so
     scanning ``benchmarks`` yields ``benchmarks.bench_x`` and scanning
-    ``tests/analysis/fixtures/det006_bad`` yields ``det006_bad.leaker``."""
+    ``tests/analysis/fixtures/det007_bad`` yields ``det007_bad.meter``."""
     base = os.path.dirname(os.path.normpath(root))
     rel = os.path.relpath(os.path.normpath(path), base or ".")
     parts = rel.replace(os.sep, "/").split("/")
@@ -156,17 +156,12 @@ def _check_file(
     return raw
 
 
-def iter_python_files(paths: Iterable[str]) -> List[str]:
-    """Expand files/directories into a sorted list of ``.py`` files.
+def _discover(paths: Iterable[str]) -> List[Tuple[str, str]]:
+    """``(file, scan root)`` pairs, sorted by file path.
 
     Sorted so a run over a directory reports in a stable order
     regardless of filesystem enumeration order.
     """
-    return sorted(path for path, _ in _discover(paths))
-
-
-def _discover(paths: Iterable[str]) -> List[Tuple[str, str]]:
-    """``(file, scan root)`` pairs, sorted by file path."""
     out: List[Tuple[str, str]] = []
     for root in paths:
         if os.path.isdir(root):

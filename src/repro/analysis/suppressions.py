@@ -110,7 +110,7 @@ def apply_suppressions(
     unverified rule is exempt from SUP002 staleness: "silenced nothing"
     is only evidence of staleness when the rule actually looked.  When
     the flow pass runs, the runner passes an empty set and a stale
-    DET006/TRC002/... suppression is flagged like any other.
+    DET007 suppression is flagged like any other.
 
     Returns the surviving findings (unsorted — the runner sorts).
     """

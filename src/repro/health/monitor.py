@@ -111,7 +111,6 @@ class HeartbeatMonitor:
 
     # -- registration --------------------------------------------------------
 
-    # reprolint: disable=TRC002 -- registration bookkeeping at wiring time, before the monitor arms; nothing observable transitions
     def watch(self, node: ComputeNode) -> None:
         """Put ``node`` under observation (idempotent)."""
         if node.name in self._nodes:
@@ -128,7 +127,6 @@ class HeartbeatMonitor:
         if node.name in self._health:
             self._attention[node.name] = None
 
-    # reprolint: disable=TRC002 -- its one mutation is watch()'s registration bookkeeping; the agent service it installs emits through agent_up/agent_down
     def attach_agent(self, node: ComputeNode, os_instance: OSInstance) -> None:
         """Install the heartbeat agent service on a fresh OS instance.
 

@@ -87,7 +87,6 @@ class PbsServer(BatchScheduler):
 
     _node_key = fqdn
 
-    # reprolint: disable=TRC002 -- static wiring (the OSCAR nodes file) before the simulation starts
     def create_node(
         self, hostname: str, np: int, properties: Optional[List[str]] = None
     ) -> PbsNodeRecord:

@@ -198,7 +198,6 @@ class BatchScheduler:
 
     # -- node failure & recovery ----------------------------------------------
 
-    # reprolint: disable=TRC002 -- the hardware layer emits node.crash at this same instant; the transition is already traced
     def node_crashed(self, hostname: str) -> None:
         """Hard node death: freeze its jobs where they stand.
 

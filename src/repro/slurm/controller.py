@@ -68,7 +68,6 @@ class SlurmController(BatchScheduler):
 
     # -- node table -----------------------------------------------------------
 
-    # reprolint: disable=TRC002 -- static wiring (cluster build) before the simulation starts
     def add_node(self, hostname: str, cores: int) -> SlurmNodeRecord:
         if hostname in self.nodes:
             raise SchedulerError(f"node {hostname} already in the cluster")

@@ -69,7 +69,6 @@ class WinHpcScheduler(BatchScheduler):
 
     # -- node table -----------------------------------------------------------
 
-    # reprolint: disable=TRC002 -- static wiring (cluster build) before the simulation starts
     def add_node(self, hostname: str, cores: int) -> WinNodeRecord:
         if hostname in self.nodes:
             raise SchedulerError(f"node {hostname} already in the cluster")

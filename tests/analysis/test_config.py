@@ -98,7 +98,7 @@ def test_off_rules_never_run():
 
 
 def test_default_config_covers_every_rule():
-    from repro.analysis import rule_ids
+    from repro.analysis import all_rules
 
-    for rule_id in rule_ids():
-        assert rule_id in DEFAULT_CONFIG.policies, rule_id
+    for rule in all_rules():
+        assert rule.id in DEFAULT_CONFIG.policies, rule.id

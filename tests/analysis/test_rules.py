@@ -10,14 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    DEFAULT_CONFIG,
-    LintConfig,
-    RulePolicy,
-    Severity,
-    lint_paths,
-    lint_source,
-)
+from repro.analysis import lint_paths, lint_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -73,12 +66,12 @@ def test_every_registered_rule_has_fixture_pair():
     Per-file rules get single-file fixtures; graph-aware flow rules get
     fixture *packages* (directories), since their findings span files.
     """
-    from repro.analysis import flow_rule_ids, rule_ids
+    from repro.analysis import all_rules, flow_rule_ids
     from repro.analysis.suppressions import SUPPRESSION_RULES
 
     covered = set(EXPECTED) | set(FLOW_EXPECTED)
     flow_ids = flow_rule_ids()
-    for rule_id in list(rule_ids()) + list(SUPPRESSION_RULES):
+    for rule_id in [r.id for r in all_rules()] + list(SUPPRESSION_RULES):
         assert rule_id in covered, f"no fixture pair for {rule_id}"
         stem = rule_id.lower()
         if rule_id in flow_ids:
@@ -92,25 +85,12 @@ def test_every_registered_rule_has_fixture_pair():
 # -- flow (graph-aware) rules ------------------------------------------------
 
 FLOW_EXPECTED = {
-    "DET006": {"DET006"},
     "DET007": {"DET007"},
-    "TRC002": {"TRC002"},
 }
 
 
-def _flow_config(rule_id: str) -> LintConfig:
-    """TRC002 is scoped to the audited control-plane packages by default;
-    its fixture package must lint with the rule switched on."""
-    if rule_id != "TRC002":
-        return DEFAULT_CONFIG
-    policies = dict(DEFAULT_CONFIG.policies)
-    policies["TRC002"] = RulePolicy(default=Severity.ERROR)
-    return LintConfig(policies=policies)
-
-
 def lint_flow_fixture(rule_id: str, kind: str):
-    name = f"{rule_id.lower()}_{kind}"
-    return lint_paths([str(FIXTURES / name)], config=_flow_config(rule_id))
+    return lint_paths([str(FIXTURES / f"{rule_id.lower()}_{kind}")])
 
 
 @pytest.mark.parametrize("rule_id", sorted(FLOW_EXPECTED))
@@ -128,14 +108,6 @@ def test_good_flow_fixture_is_clean(rule_id):
     report = lint_flow_fixture(rule_id, "good")
     assert report.findings == [], [f.render() for f in report.findings]
     assert report.ok()
-
-
-def test_det006_reports_both_store_and_draw():
-    report = lint_flow_fixture("DET006", "bad")
-    messages = sorted(f.message for f in report.findings)
-    assert len(messages) == 2
-    assert "stores an RNG handle" in messages[1]
-    assert ".uniform()" in messages[0]
 
 
 def test_det001_counts_each_call_site():

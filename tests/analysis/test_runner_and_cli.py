@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis import lint_paths, module_name_for
 from repro.analysis.cli import main
-from repro.analysis.runner import iter_python_files, lint_source
+from repro.analysis.runner import lint_source
 
 
 # -- module name mapping -----------------------------------------------------
@@ -25,18 +25,17 @@ def test_module_name_for(path, expected):
 
 # -- discovery ---------------------------------------------------------------
 
-def test_iter_python_files_is_sorted_and_filtered(tmp_path):
-    (tmp_path / "b.py").write_text("x = 1\n")
-    (tmp_path / "a.py").write_text("x = 1\n")
-    (tmp_path / "notes.txt").write_text("not python\n")
-    sub = tmp_path / "__pycache__"
-    sub.mkdir()
-    (sub / "a.cpython-311.pyc").write_text("")
-    hidden = tmp_path / ".hidden"
-    hidden.mkdir()
-    (hidden / "c.py").write_text("x = 1\n")
-    files = iter_python_files([str(tmp_path)])
-    assert [f.rsplit("/", 1)[-1] for f in files] == ["a.py", "b.py"]
+def test_lint_paths_discovers_only_visible_python_files(tmp_path):
+    bad = "import random\n"  # DET002 is an error everywhere
+    (tmp_path / "b.py").write_text(bad)
+    (tmp_path / "a.py").write_text(bad)
+    (tmp_path / "notes.txt").write_text(bad)
+    for skipped in ("__pycache__", ".hidden"):
+        (tmp_path / skipped).mkdir()
+        (tmp_path / skipped / "c.py").write_text(bad)
+    report = lint_paths([str(tmp_path)])
+    assert report.files_checked == 2
+    assert [f.path.rsplit("/", 1)[-1] for f in report.findings] == ["a.py", "b.py"]
 
 
 def test_lint_paths_merges_and_sorts(tmp_path):
@@ -129,34 +128,35 @@ def test_cli_rules_listing(capsys):
 def test_cli_rules_lists_flow_rules(capsys):
     assert main(["--rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("DET006", "DET007", "TRC002"):
-        assert rule_id in out
+    assert "DET007" in out
     assert "[flow]" in out
 
 
 def test_cli_always_runs_the_flow_pass(tmp_path, capsys):
-    """A cross-module RNG leak no single file shows fails the CLI run."""
+    """A wall-clock value that reaches object state in another module
+    (the read itself suppressed) fails the CLI run; no single file
+    shows it."""
     pkg = tmp_path / "badpkg"
     pkg.mkdir()
     (pkg / "__init__.py").write_text("")
-    (pkg / "producer.py").write_text(
-        "from repro.simkernel.rng import RngStreams\n"
+    (pkg / "clock.py").write_text(
+        "import time\n"
         "\n"
         "\n"
-        "class FaultBox:\n"
-        "    def __init__(self, rng: RngStreams) -> None:\n"
-        "        self.rng = rng\n"
+        "def stamp() -> float:\n"
+        "    return time.perf_counter()  "
+        "# reprolint: disable=DET001 -- host-side timer\n"
     )
-    (pkg / "consumer.py").write_text(
-        "from badpkg.producer import FaultBox\n"
+    (pkg / "meter.py").write_text(
+        "from badpkg.clock import stamp\n"
         "\n"
         "\n"
-        "class Scheduler:\n"
-        "    def __init__(self, box: FaultBox) -> None:\n"
-        "        self.box = box\n"
+        "class Meter:\n"
+        "    def __init__(self) -> None:\n"
+        "        self.started_at = 0.0\n"
         "\n"
-        "    def jitter(self) -> float:\n"
-        "        return self.box.rng.uniform(0.0, 1.0)\n"
+        "    def start(self) -> None:\n"
+        "        self.started_at = stamp()\n"
     )
     assert main([str(pkg)]) == 1
-    assert "DET006" in capsys.readouterr().out
+    assert "DET007" in capsys.readouterr().out

@@ -84,10 +84,10 @@ def test_parse_extracts_rules_and_justification():
 # -- flow-rule suppressions and SUP002 staleness -----------------------------
 
 def test_flow_suppression_not_stale_in_single_file_mode():
-    """Without the project-wide flow pass, a DET006 suppression silences
+    """Without the project-wide flow pass, a DET007 suppression silences
     nothing — but that is not evidence of staleness (the rule never
     looked), so SUP002 must stay quiet."""
-    src = "x = 1  # reprolint: disable=DET006 -- cross-module; verified by flow pass\n"
+    src = "x = 1  # reprolint: disable=DET007 -- cross-module; verified by flow pass\n"
     report = lint_source(src, module="repro.core.f")
     assert report.findings == []
 
@@ -99,7 +99,7 @@ def test_flow_suppression_is_stale_when_flow_pass_runs(tmp_path):
 
     target = tmp_path / "clean.py"
     target.write_text(
-        "x = 1  # reprolint: disable=DET006 -- nothing here draws RNG\n",
+        "x = 1  # reprolint: disable=DET007 -- nothing here reads the clock\n",
         encoding="utf-8",
     )
     report = lint_paths([str(target)])
